@@ -30,8 +30,13 @@ int64_t RunJoin(JoinType type, const std::vector<std::vector<Value>>& build,
   int64_t out_rows = 0;
   *secs = bench::MinTime(3, [&] {
     ExecContext ctx;
-    HashJoinOp join(std::make_unique<ValuesOp>(s, build),
-                    std::make_unique<ValuesOp>(s, probe), {0}, {0}, type);
+    // A serial join: one build chain, one probe operator.
+    std::vector<OperatorPtr> build_chain;
+    build_chain.push_back(std::make_unique<ValuesOp>(s, build));
+    JoinProbeOp join(std::make_unique<ValuesOp>(s, probe),
+                     std::make_shared<JoinBuildState>(std::move(build_chain),
+                                                      std::vector<int>{0}),
+                     {0}, type);
     auto res = CollectRows(&join, &ctx);
     if (!res.ok()) std::abort();
     out_rows = static_cast<int64_t>(res->rows.size());

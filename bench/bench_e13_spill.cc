@@ -13,7 +13,10 @@
 // Every configuration must reproduce the unlimited run's result exactly
 // (the determinism self-check doubles as the CI gate, like bench_e8), the
 // tight configurations must actually spill (nonzero spilled bytes in the
-// profile), and the tracker must drain to zero after every query.
+// profile), and the tracker must drain to zero after every query. A final
+// 1-worker run at peak/24 covers the one-chain (serial) case of every
+// breaker out of core: it must match the reference and every breaker
+// must spill.
 #include <cinttypes>
 #include <cmath>
 
@@ -196,6 +199,32 @@ int main() {
     std::printf("^ expected every breaker to spill at peak/24\n");
   }
 
+  // The serial case out of core: one chain per breaker, same limit.
+  db.config().max_parallelism = 1;
+  db.config().scheduler_workers = 1;
+  db.config().memory_limit = peak / 24;
+  auto serial = session.Execute(GroupByJoinSortPlan());
+  db.config().memory_limit = 0;
+  db.config().max_parallelism = 4;
+  db.config().scheduler_workers = 4;
+  if (!serial.ok()) return 1;
+  int64_t s_build = 0, s_agg = 0, s_sort = 0;
+  for (const OperatorProfile& p : serial->profile.operators) {
+    if (p.op == "JoinBuildSpill" || p.op == "JoinBuildDefer") {
+      s_build += p.spill_bytes;
+    }
+    if (p.op == "AggSpill") s_agg += p.spill_bytes;
+    if (p.op == "SortSpill") s_sort += p.spill_bytes;
+  }
+  const bool serial_same = SameRows(*reference, *serial);
+  const bool serial_ok =
+      serial_same && s_build > 0 && s_agg > 0 && s_sort > 0;
+  std::printf("\n1-worker at peak/24: build=%.2fMB agg=%.2fMB sort=%.2fMB "
+              "determinism=%s -> %s\n",
+              s_build / 1e6, s_agg / 1e6, s_sort / 1e6,
+              serial_same ? "ok" : "MISMATCH",
+              serial_ok ? "ok" : "FAILED (every breaker must spill)");
+
   // The CI gate diffs this line between the SimulatedDisk run and the
   // X100_SPILL_PATH file-backed run. Hash the TIGHTEST run — the one
   // whose rows actually round-tripped through the device — so a
@@ -205,5 +234,5 @@ int main() {
               ResultChecksum(*profiled));
   std::printf("determinism in-memory vs out-of-core: %s\n",
               ok ? "ok" : "MISMATCH");
-  return ok && breakers_ok ? 0 : 1;
+  return ok && breakers_ok && serial_ok ? 0 : 1;
 }

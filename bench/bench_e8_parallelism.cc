@@ -3,10 +3,10 @@
 // sort) whose worker chains run as tasks on the shared work-stealing
 // TaskScheduler, pulling block groups dynamically from one MorselSource
 // per logical scan. Two sweeps at increasing worker counts:
-//   Q1   — scan -> filter -> 8-aggregate group-by (ParallelHashAgg).
+//   Q1   — scan -> filter -> 8-aggregate group-by (HashAgg).
 //   QJ   — group-by-join + sort: orders ⋈ lineitem, aggregate per
-//          o_orderpriority, ORDER BY (JoinBuild / JoinProbe /
-//          ParallelHashAgg / ParallelSort phases).
+//          o_orderpriority, ORDER BY (JoinBuild / JoinProbe / HashAgg /
+//          Sort phases).
 // The QJ run doubles as the CI determinism smoke: results at every
 // worker count must SqlEqual the 1-worker reference, and the process
 // exits non-zero on mismatch. A second sweep re-runs QJ for radix_bits
@@ -141,9 +141,9 @@ int main() {
     for (const OperatorProfile& p : profiled->profile.operators) {
       build |= p.op.rfind("JoinBuildMerge", 0) == 0;
       probe |= p.op.rfind("JoinProbe", 0) == 0;
-      agg |= p.op.rfind("ParallelHashAgg", 0) == 0;
+      agg |= p.op.rfind("HashAgg(", 0) == 0;
       merge |= p.op.rfind("AggMerge", 0) == 0;
-      sort |= p.op.rfind("ParallelSort", 0) == 0;
+      sort |= p.op.rfind("Sort(", 0) == 0;
     }
     phases_ok = build && probe && agg && merge && sort;
     std::printf("\npipeline phases as scheduler tasks: build=%d probe=%d "

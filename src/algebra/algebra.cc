@@ -75,10 +75,7 @@ std::string AlgebraNode::ToString(int indent) const {
   std::string s = pad;
   switch (kind) {
     case Kind::kScan:
-      s += "Scan(" + table +
-           (morsel_group >= 0 ? ", morsel#" + std::to_string(morsel_group)
-                              : "") +
-           ")";
+      s += "Scan(" + table + ")";
       break;
     case Kind::kSelect:
       s += "Select(" + predicate->ToString() + ")";
@@ -111,9 +108,6 @@ std::string AlgebraNode::ToString(int indent) const {
       break;
     case Kind::kOrder:
       s += limit >= 0 ? "TopN(" + std::to_string(limit) + ")" : "Order";
-      break;
-    case Kind::kXchg:
-      s += "Xchg(" + std::to_string(parallelism) + ")";
       break;
   }
   for (const AlgebraPtr& c : children) {

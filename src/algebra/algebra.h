@@ -27,7 +27,6 @@ struct AlgebraNode {
     kAggr,     // group_by + aggs
     kJoin,     // children[0] = build/right, children[1] = probe/left
     kOrder,    // order_keys (+ optional limit)
-    kXchg,     // parallel union of `parallelism` clones of children[0]
   };
 
   Kind kind;
@@ -36,10 +35,6 @@ struct AlgebraNode {
   // kScan
   std::string table;
   std::vector<std::string> scan_columns;  // empty = all columns
-  /// Morsel-driven parallel scan (set by the Parallelizer rule): all scan
-  /// clones carrying the same non-negative id share one MorselSource at
-  /// plan-build time and pull block groups dynamically. -1 = plain scan.
-  int morsel_group = -1;
 
   // kSelect
   ExprPtr predicate;
@@ -66,9 +61,6 @@ struct AlgebraNode {
   std::vector<OrderKey> order_keys;
   int64_t limit = -1;
 
-  // kXchg
-  int parallelism = 1;
-
   std::string ToString(int indent = 0) const;
 };
 
@@ -84,7 +76,8 @@ AlgebraPtr OrderNode(AlgebraPtr child,
                      std::vector<AlgebraNode::OrderKey> keys,
                      int64_t limit = -1);
 
-/// Deep copy (the parallelizer clones subtrees per worker).
+/// Deep copy: expressions included, so the copy can be rewritten without
+/// touching the original.
 AlgebraPtr CloneAlgebra(const AlgebraPtr& node);
 
 }  // namespace x100

@@ -207,6 +207,16 @@ class MemoryReservation {
     charged_ = 0;
   }
 
+  /// Moves up to `bytes` of `from`'s charge here without touching the
+  /// tracker: a component changed owners, its accounting follows.
+  void Adopt(MemoryReservation* from, int64_t bytes) {
+    Init(from->tracker_);
+    if (bytes > from->charged_) bytes = from->charged_;
+    if (bytes <= 0) return;
+    from->charged_ -= bytes;
+    charged_ += bytes;
+  }
+
   int64_t charged() const { return charged_; }
 
  private:

@@ -74,15 +74,7 @@ Result<OperatorPtr> BuildScanOp(const AlgebraNode& node, PlannerContext* pc,
   if (pushdown_pred != nullptr) {
     ExtractScanPushdown(pushdown_pred, schema, &opts.predicates);
   }
-  if (node.morsel_group >= 0) {
-    // Every producer clone with this id pulls from one dynamic source
-    // (legacy rewriter-parallelized plans).
-    MorselSourcePtr& src = pc->morsel_sources[node.morsel_group];
-    if (src == nullptr) {
-      src = std::make_shared<MorselSource>(table->base()->num_groups());
-    }
-    opts.morsels = src;
-  } else if (pc->cloning) {
+  if (pc->cloning) {
     // Pipeline clone: every clone of this scan node pulls block groups
     // dynamically from one shared source — no static partitioning, so a
     // skewed group cannot serialize a worker chain.
@@ -100,7 +92,7 @@ Result<OperatorPtr> BuildScanOp(const AlgebraNode& node, PlannerContext* pc,
 bool IsClonablePipeline(const AlgebraPtr& node) {
   switch (node->kind) {
     case AlgebraNode::Kind::kScan:
-      return node->morsel_group < 0;  // not already rewriter-parallelized
+      return true;
     case AlgebraNode::Kind::kSelect:
     case AlgebraNode::Kind::kProject:
       return IsClonablePipeline(node->children[0]);
@@ -166,6 +158,23 @@ Result<OperatorPtr> ProjectFactory(const AlgebraPtr& node,
       std::make_unique<ProjectOp>(std::move(child), std::move(items)));
 }
 
+/// The input chains of a pipeline-breaker sink: `parallelism` clones of
+/// a streaming input, or one chain when the input cannot be cloned (a
+/// breaker below) or we are already building one clone of an enclosing
+/// pipeline (a breaker inside a join's build side).
+Result<std::vector<OperatorPtr>> BuildSinkChains(
+    const AlgebraPtr& input, PlannerContext* pc,
+    const PhysicalPlanner* planner) {
+  if (!pc->cloning && IsClonablePipeline(input)) {
+    return BuildPipelineChains(input, pc->parallelism, pc, planner);
+  }
+  std::vector<OperatorPtr> chains;
+  OperatorPtr chain;
+  X100_ASSIGN_OR_RETURN(chain, planner->Build(input, pc));
+  chains.push_back(std::move(chain));
+  return chains;
+}
+
 /// Deep-copies the group-by/aggregate lists (each clone binds its own
 /// expressions).
 void CloneAggItems(const AlgebraNode& node, std::vector<ProjectItem>* keys,
@@ -184,23 +193,14 @@ Result<OperatorPtr> AggrFactory(const AlgebraPtr& node, PlannerContext* pc,
   std::vector<ProjectItem> keys;
   std::vector<AggItem> aggs;
   CloneAggItems(*node, &keys, &aggs);
-  // Pipeline decomposition: an aggregation over a streaming chain becomes
-  // the sink of a parallel pipeline — N chain clones drained by scheduler
-  // tasks into per-worker group tables, merged at the barrier.
-  if (pc->parallelism > 1 && !pc->cloning &&
-      IsClonablePipeline(node->children[0])) {
-    std::vector<OperatorPtr> chains;
-    X100_ASSIGN_OR_RETURN(
-        chains, BuildPipelineChains(node->children[0], pc->parallelism, pc,
-                                    planner));
-    return OperatorPtr(std::make_unique<ParallelHashAggOp>(
-        std::move(chains), std::move(keys), std::move(aggs),
-        pc->radix_bits));
-  }
-  OperatorPtr child;
-  X100_ASSIGN_OR_RETURN(child, planner->Build(node->children[0], pc));
+  // Pipeline decomposition: an aggregation is the sink of its input's
+  // pipeline — chains drained by scheduler tasks into per-worker group
+  // tables, merged at the barrier.
+  std::vector<OperatorPtr> chains;
+  X100_ASSIGN_OR_RETURN(chains,
+                        BuildSinkChains(node->children[0], pc, planner));
   return OperatorPtr(std::make_unique<HashAggOp>(
-      std::move(child), std::move(keys), std::move(aggs)));
+      std::move(chains), std::move(keys), std::move(aggs), pc->radix_bits));
 }
 
 /// Upper-bound row estimate for a streaming build spine: a scan's table
@@ -273,54 +273,19 @@ Result<OperatorPtr> JoinFactory(const AlgebraPtr& node, PlannerContext* pc,
 
 Result<OperatorPtr> OrderFactory(const AlgebraPtr& node, PlannerContext* pc,
                                  const PhysicalPlanner* planner) {
-  auto resolve_keys =
-      [&](const Schema& in) -> Result<std::vector<SortKey>> {
-    std::vector<SortKey> keys;
-    for (const AlgebraNode::OrderKey& k : node->order_keys) {
-      const int c = in.FindField(k.column);
-      if (c < 0) return Status::NotFound("order key not found: " + k.column);
-      keys.push_back({c, k.ascending});
-    }
-    return keys;
-  };
-  if (pc->parallelism > 1 && !pc->cloning) {
-    // Parallel sort sink: clone the input chain when it streams; a
-    // non-clonable input (an aggregation, say) is drained by one task and
-    // range-split across `parallelism` sort tasks instead.
-    std::vector<OperatorPtr> chains;
-    if (IsClonablePipeline(node->children[0])) {
-      X100_ASSIGN_OR_RETURN(
-          chains, BuildPipelineChains(node->children[0], pc->parallelism,
-                                      pc, planner));
-    } else {
-      OperatorPtr child;
-      X100_ASSIGN_OR_RETURN(child, planner->Build(node->children[0], pc));
-      chains.push_back(std::move(child));
-    }
-    std::vector<SortKey> keys;
-    X100_ASSIGN_OR_RETURN(keys, resolve_keys(chains[0]->output_schema()));
-    return OperatorPtr(std::make_unique<ParallelSortOp>(
-        std::move(chains), std::move(keys), node->limit,
-        pc->parallelism));
-  }
-  OperatorPtr child;
-  X100_ASSIGN_OR_RETURN(child, planner->Build(node->children[0], pc));
+  // Sort sink: one run per input chain; a single (non-clonable or
+  // serial) chain range-splits its sorting across `parallelism` tasks.
+  std::vector<OperatorPtr> chains;
+  X100_ASSIGN_OR_RETURN(chains,
+                        BuildSinkChains(node->children[0], pc, planner));
   std::vector<SortKey> keys;
-  X100_ASSIGN_OR_RETURN(keys, resolve_keys(child->output_schema()));
-  return OperatorPtr(std::make_unique<SortOp>(std::move(child),
-                                              std::move(keys),
-                                              node->limit));
-}
-
-Result<OperatorPtr> XchgFactory(const AlgebraPtr& node, PlannerContext* pc,
-                                const PhysicalPlanner* planner) {
-  std::vector<OperatorPtr> producers;
-  for (const AlgebraPtr& c : node->children) {
-    OperatorPtr p;
-    X100_ASSIGN_OR_RETURN(p, planner->Build(c, pc));
-    producers.push_back(std::move(p));
+  for (const AlgebraNode::OrderKey& k : node->order_keys) {
+    const int c = chains[0]->output_schema().FindField(k.column);
+    if (c < 0) return Status::NotFound("order key not found: " + k.column);
+    keys.push_back({c, k.ascending});
   }
-  return OperatorPtr(std::make_unique<XchgOp>(std::move(producers)));
+  return OperatorPtr(std::make_unique<SortOp>(
+      std::move(chains), std::move(keys), node->limit, pc->parallelism));
 }
 
 }  // namespace
@@ -393,7 +358,6 @@ const PhysicalPlanner& PhysicalPlanner::Default() {
     p->Register(AlgebraNode::Kind::kAggr, AggrFactory);
     p->Register(AlgebraNode::Kind::kJoin, JoinFactory);
     p->Register(AlgebraNode::Kind::kOrder, OrderFactory);
-    p->Register(AlgebraNode::Kind::kXchg, XchgFactory);
     return p;
   }();
   return *planner;

@@ -6,19 +6,19 @@
 // QueryExecutor::Build, so every new operator meant editing the engine.
 // Factories are now registered per AlgebraNode::Kind; QueryExecutor only
 // dispatches. Embedders can copy the default planner and override or add
-// factories (e.g. swap SortOp for an external-merge sort) without touching
-// engine code.
+// factories (e.g. a different ORDER BY operator) without touching engine
+// code.
 //
-// Pipeline decomposition (replacing the exchange-centric rewrite): when
-// PlannerContext::parallelism > 1, the factories for pipeline breakers
-// (Aggr, Join build sides, Order) build N *clones* of their streaming
-// input chain instead of one operator. Clones of one logical scan share a
-// MorselSource (dynamic block-group handout) and clones of one logical
-// join share a JoinBuildState (table built once, probed by all), both
-// keyed by algebra-node identity in PlannerContext. The resulting
-// operators — ParallelHashAggOp, ParallelSortOp, JoinProbeOp over a
-// shared build — run their chains as scheduler tasks with per-worker
-// state merged at TaskGroup barriers.
+// Pipeline decomposition (replacing the exchange-centric rewrite): the
+// factories for pipeline breakers (Aggr, Join build sides, Order) build
+// PlannerContext::parallelism *clones* of their streaming input chain, or
+// one chain when the input cannot be cloned. Clones of one logical scan
+// share a MorselSource (dynamic block-group handout) and clones of one
+// logical join share a JoinBuildState (table built once, probed by all),
+// both keyed by algebra-node identity in PlannerContext. The resulting
+// sinks — HashAggOp, SortOp, JoinProbeOp over a shared build — run their
+// chains as scheduler tasks with per-worker state merged at TaskGroup
+// barriers; one chain is the serial case of the same operator.
 //
 // PlannerContext carries the per-build shared state: the database (table
 // lookup), the ExecContext (threaded into scans so they report into
@@ -45,12 +45,12 @@ class Database;
 struct PlannerContext {
   Database* db = nullptr;
   ExecContext* exec = nullptr;
-  /// Pipeline width: > 1 makes the breaker factories decompose the plan
-  /// into parallel pipelines of this many worker chains.
+  /// Pipeline width: the number of worker chains a breaker factory clones
+  /// from a streaming input.
   int parallelism = 1;
   /// Effective radix bits for pipeline-breaker merges (already resolved
   /// against the pipeline width via EffectiveRadixBits — 0 disables
-  /// partitioning). Threaded into JoinBuildState / ParallelHashAggOp so
+  /// partitioning). Threaded into JoinBuildState / HashAggOp so
   /// their barrier merges fan out over 2^radix_bits partition tasks.
   int radix_bits = 0;
   /// The raw EngineConfig::radix_bits value. Auto (-1) lets the join
@@ -60,11 +60,9 @@ struct PlannerContext {
   /// settings pass through untouched.
   int configured_radix_bits = -1;
   /// True while building one of the N clones of a pipeline (set by
-  /// BuildPipelineChains): scans then draw from a shared MorselSource.
+  /// BuildPipelineChains): scans then draw from a shared MorselSource,
+  /// and a breaker inside (a join's build side) runs one chain.
   bool cloning = false;
-  /// morsel_group id -> source shared by every scan clone with that id
-  /// (legacy rewriter-parallelized plans; see Rewriter::Parallelize).
-  std::map<int, MorselSourcePtr> morsel_sources;
   /// Clone sharing by algebra-node identity: the same logical scan / join
   /// built N times resolves to one MorselSource / JoinBuildState.
   std::map<const AlgebraNode*, MorselSourcePtr> scan_sources;
@@ -111,8 +109,7 @@ Result<OperatorPtr> BuildScanOp(const AlgebraNode& node, PlannerContext* pc,
 /// True if `node` is a streaming chain a pipeline can clone per worker:
 /// Select/Project over a Scan, with any number of Joins probed along the
 /// way (each join's build side becomes its own pipeline). Pipeline
-/// breakers (Aggr, Order, Xchg) and already-rewriter-parallelized scans
-/// are not clonable. Exposed for tests.
+/// breakers (Aggr, Order) are not clonable. Exposed for tests.
 bool IsClonablePipeline(const AlgebraPtr& node);
 
 /// Builds `n` operator clones of the streaming chain `node`, sharing

@@ -1,10 +1,12 @@
-// XchgOp: exchange union — the operator the rewriter's Parallelizer rule
-// inserts (paper §"Multi-core": "The Vectorwise rewriter was used to
-// implement a Volcano-style query parallelizer").
+// XchgOp: exchange union (paper §"Multi-core": "The Vectorwise rewriter
+// was used to implement a Volcano-style query parallelizer"). Parallelism
+// now comes from pipeline sinks, so the planner uses the union only at the
+// plan root, where a streaming chain with a join has no sink to run its
+// probe clones (BuildRootOperator in engine/physical_plan.h).
 //
-// N producer tasks each drive an independent partial plan (typically a
-// morsel-driven scan + partial aggregate); batches flow through a bounded
-// queue to the single consumer. Producers no longer own dedicated
+// N producer tasks each drive one clone of the chain (morsel-driven scans
+// sharing one MorselSource); batches flow through a bounded queue to the
+// single consumer. Producers no longer own dedicated
 // std::threads: they are TaskGroup tasks on the shared TaskScheduler, so
 // concurrent parallel queries share one hardware-sized pool instead of
 // oversubscribing the machine (§"When more cores hurts"). Cancellation

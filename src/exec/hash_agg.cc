@@ -306,7 +306,6 @@ Status AggBinding::Bind(const Schema& in,
     // Aggregates over empty groups / all-NULL inputs yield NULL (except
     // COUNT), hence nullable.
     out_schema.AddField(Field(a.name, out_type, a.kind != AggKind::kCount));
-    kinds.push_back(a.kind);
     in_types.push_back(in_type);
   }
   return Status::OK();
@@ -341,7 +340,7 @@ Status AggWorkerState::Prepare(const std::vector<ExprPtr>& bound_keys,
     agg_progs_.push_back(std::move(prog).value());
   }
   // Keyless aggregation has exactly one global group — nothing to
-  // partition; the serial operator also always runs unpartitioned.
+  // partition.
   radix_bits_ = bound_keys.empty() || radix_bits < 0 ? 0 : radix_bits;
   kinds_.clear();
   for (const AggItem& a : aggs) kinds_.push_back(a.kind);
@@ -444,10 +443,11 @@ void AggWorkerState::RecordSpillProfile(ExecContext* ctx) const {
   ctx->RecordOperator(std::move(prof));
 }
 
-void AggWorkerState::ForceChargeTables() {
-  int64_t b = 0;
-  for (const auto& t : tables_) b += static_cast<int64_t>(t->MemoryBytes());
-  reserv_.ForceGrowTo(b);
+std::unique_ptr<GroupTable> AggWorkerState::TakeTable(
+    int partition, MemoryReservation* charge) {
+  charge->Adopt(&reserv_,
+                static_cast<int64_t>(tables_[partition]->MemoryBytes()));
+  return std::move(tables_[partition]);
 }
 
 Status AggWorkerState::ConsumeAll(Operator* child, ExecContext* ctx,
@@ -600,7 +600,7 @@ Status AggWorkerState::ConsumeAll(Operator* child, ExecContext* ctx,
 }
 
 // ---------------------------------------------------------------------------
-// Emit (shared by serial and parallel operators)
+// Emit
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -676,72 +676,20 @@ Result<Batch*> EmitGroupBatch(GroupTable* t,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// HashAggOp (serial)
+// HashAggOp (pipeline sink)
 // ---------------------------------------------------------------------------
 
-HashAggOp::HashAggOp(OperatorPtr child, std::vector<ProjectItem> group_by,
-                     std::vector<AggItem> aggs)
-    : child_(std::move(child)),
-      group_items_(std::move(group_by)),
-      agg_items_(std::move(aggs)) {
-  // Bind at construction so output_schema() precedes Open.
-  init_status_ =
-      binding_.Bind(child_->output_schema(), group_items_, agg_items_);
-}
-
-Status HashAggOp::OpenImpl(ExecContext* ctx) {
-  ctx_ = ctx;
-  X100_RETURN_IF_ERROR(init_status_);
-  X100_RETURN_IF_ERROR(child_->Open(ctx));
-  X100_RETURN_IF_ERROR(worker_.Prepare(binding_.bound_keys,
-                                       binding_.bound_aggs,
-                                       binding_.key_schema, agg_items_,
-                                       binding_.in_types,
-                                       ctx->vector_size, /*radix_bits=*/0,
-                                       ctx->simd));
-  out_ = std::make_unique<Batch>(binding_.out_schema, ctx->vector_size);
-  return Status::OK();
-}
-
-void HashAggOp::CloseImpl() {
-  if (child_) child_->Close();
-}
-
-Result<Batch*> HashAggOp::NextImpl() {
-  if (!consumed_) {
-    X100_RETURN_IF_ERROR(worker_.ConsumeAll(child_.get(), ctx_, agg_items_));
-    // Out-of-core drain: fold any spilled chunks back into the (single,
-    // serial) table before emitting; the reloaded result must be
-    // resident, hence the force charge.
-    if (worker_.spilled()) {
-      worker_.RecordSpillProfile(ctx_);
-      X100_RETURN_IF_ERROR(
-          worker_.MergeSpilled(0, worker_.table(0), ctx_->cancel));
-      worker_.ForceChargeTables();
-    }
-    consumed_ = true;
-  }
-  X100_RETURN_IF_ERROR(ctx_->CheckCancel());
-  return EmitGroupBatch(worker_.table(), agg_items_,
-                        binding_.key_schema.num_fields(),
-                        ctx_->vector_size, &emit_pos_, out_.get());
-}
-
-// ---------------------------------------------------------------------------
-// ParallelHashAggOp (pipeline sink)
-// ---------------------------------------------------------------------------
-
-ParallelHashAggOp::ParallelHashAggOp(std::vector<OperatorPtr> chains,
-                                     std::vector<ProjectItem> group_by,
-                                     std::vector<AggItem> aggs,
-                                     int radix_bits)
+HashAggOp::HashAggOp(std::vector<OperatorPtr> chains,
+                     std::vector<ProjectItem> group_by,
+                     std::vector<AggItem> aggs, int radix_bits)
     : chains_(std::move(chains)),
       group_items_(std::move(group_by)),
       agg_items_(std::move(aggs)),
       radix_bits_(radix_bits < 0 ? 0 : radix_bits) {
+  // Bind at construction so output_schema() precedes Open.
   init_status_ = chains_.empty()
                      ? Status::InvalidArgument(
-                           "parallel aggregation needs >= 1 worker chain")
+                           "aggregation needs >= 1 worker chain")
                      : binding_.Bind(chains_[0]->output_schema(),
                                      group_items_, agg_items_);
   // A keyless aggregation has one global group; partitioning it is
@@ -749,22 +697,17 @@ ParallelHashAggOp::ParallelHashAggOp(std::vector<OperatorPtr> chains,
   if (init_status_.ok() && binding_.bound_keys.empty()) radix_bits_ = 0;
 }
 
-Status ParallelHashAggOp::OpenImpl(ExecContext* ctx) {
+Status HashAggOp::OpenImpl(ExecContext* ctx) {
   ctx_ = ctx;
   X100_RETURN_IF_ERROR(init_status_);
   // Worker chains are NOT opened here: each is opened, drained and closed
   // by its pipeline task so the whole chain runs on one pool thread.
-  final_.clear();
-  for (int p = 0; p < (1 << radix_bits_); p++) {
-    final_.push_back(std::make_unique<GroupTable>(
-        binding_.key_schema, binding_.kinds, binding_.in_types));
-  }
   out_ = std::make_unique<Batch>(binding_.out_schema, ctx->vector_size);
   return Status::OK();
 }
 
-void ParallelHashAggOp::CloseImpl() {
-  // Chains were closed by their tasks after ParallelConsume's barrier; a
+void HashAggOp::CloseImpl() {
+  // Chains were closed by their tasks after Consume's barrier; a
   // Close before the pipeline ever ran (error in a sibling operator)
   // closes them here on the caller.
   for (OperatorPtr& c : chains_) {
@@ -772,7 +715,7 @@ void ParallelHashAggOp::CloseImpl() {
   }
 }
 
-Status ParallelHashAggOp::ParallelConsume() {
+Status HashAggOp::Consume() {
   TaskScheduler* sched =
       ctx_->scheduler != nullptr ? ctx_->scheduler : TaskScheduler::Global();
   const int W = static_cast<int>(chains_.size());
@@ -804,26 +747,36 @@ Status ParallelHashAggOp::ParallelConsume() {
 
   // Merge fan-out: one scheduler task per radix partition folds that
   // partition's per-worker tables into the final table — partitions hold
-  // disjoint key sets, so the tasks share nothing and the old serial
-  // barrier merge parallelizes. Each task records an "AggMerge" profile
-  // entry (rows = merged groups) so merge cost and partition skew are
-  // visible. A keyless aggregation still emits its single global row on
-  // empty input.
-  if (binding_.bound_keys.empty()) final_[0]->EnsureGlobalGroup();
+  // disjoint key sets, so the tasks share nothing. The final table IS
+  // worker 0's (adopted with its charge, never copied), so one chain
+  // merges only its spilled chunks and the fold order — worker 0, its
+  // chunks, then workers 1..N-1 each followed by its chunks — matches a
+  // fold into an empty table group for group. Each task records an
+  // "AggMerge" profile entry (rows = merged groups) so merge cost and
+  // partition skew are visible.
+  final_.clear();
   final_mem_.clear();
   final_mem_.resize(P);
+  for (int p = 0; p < P; p++) {
+    final_.push_back(workers_[0]->TakeTable(p, &final_mem_[p]));
+  }
+  // A keyless aggregation still emits its single global row on empty
+  // input.
+  if (binding_.bound_keys.empty()) final_[0]->EnsureGlobalGroup();
   X100_RETURN_IF_ERROR(RunPipelineTasks(
       sched, ctx_->quota, ctx_->cancel, P,
       [this](int p, TaskGroup& group) -> Status {
         X100_RETURN_IF_ERROR(group.CheckCancel());
         const auto t0 = std::chrono::steady_clock::now();
-        for (auto& ws : workers_) {
-          X100_RETURN_IF_ERROR(final_[p]->MergeFrom(*ws->table(p)));
+        for (size_t w = 0; w < workers_.size(); w++) {
+          const AggWorkerState& ws = *workers_[w];
+          if (w > 0) {
+            X100_RETURN_IF_ERROR(final_[p]->MergeFrom(*ws.table(p)));
+          }
           // Merge-on-reload: chunks this worker spilled for partition p
-          // rejoin the fold here, after the live table (order does not
-          // matter — MergeFrom combines by aggregate kind).
+          // rejoin the fold right after its live table.
           X100_RETURN_IF_ERROR(
-              ws->MergeSpilled(p, final_[p].get(), ctx_->cancel));
+              ws.MergeSpilled(p, final_[p].get(), ctx_->cancel));
         }
         // The merged partition must be resident to emit; the drain phase
         // is what spilling bounds. Released when the operator dies.
@@ -843,14 +796,13 @@ Status ParallelHashAggOp::ParallelConsume() {
   return Status::OK();
 }
 
-Result<Batch*> ParallelHashAggOp::NextImpl() {
+Result<Batch*> HashAggOp::NextImpl() {
   if (!consumed_) {
-    X100_RETURN_IF_ERROR(ParallelConsume());
+    X100_RETURN_IF_ERROR(Consume());
     consumed_ = true;
   }
   X100_RETURN_IF_ERROR(ctx_->CheckCancel());
-  // Stream partitions in order; each partition emits exactly like the
-  // single-table path.
+  // Stream partitions in order.
   while (emit_part_ < static_cast<int>(final_.size())) {
     Batch* b;
     X100_ASSIGN_OR_RETURN(

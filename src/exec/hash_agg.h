@@ -1,17 +1,18 @@
-// Hash group-by aggregation — serial and pipeline-parallel.
+// Hash group-by aggregation: the pipeline sink for every Aggr node.
 //
 // The machinery is split so the pipeline executor can reuse it:
 //  * GroupTable      — open-addressed group store (key rows + accumulator
 //                      arrays) with an aggregate-aware MergeFrom, the
 //                      barrier operation of parallel aggregation.
 //  * AggWorkerState  — one worker chain's thread-local state: compiled
-//                      key/aggregate programs + a private GroupTable.
-//  * HashAggOp       — the serial operator (one worker over one child).
-//  * ParallelHashAggOp — N cloned source chains drained by scheduler
+//                      key/aggregate programs + private GroupTables.
+//  * HashAggOp       — N source chains (N >= 1) drained by scheduler
 //                      tasks into per-worker GroupTables, merged at the
 //                      pipeline barrier (Leis-style morsel parallelism:
-//                      no partial/final plan rewrite, no exchange).
-//                      With radix_bits > 0 each worker keeps one
+//                      no partial/final plan rewrite, no exchange). One
+//                      chain is the serial case: the barrier merge then
+//                      only folds spilled chunks back into worker 0's
+//                      table. With radix_bits > 0 each worker keeps one
 //                      GroupTable per radix partition (routed by the top
 //                      bits of the key hash), and the barrier merge runs
 //                      as 2^radix_bits independent scheduler tasks — one
@@ -114,11 +115,10 @@ class GroupTable {
   std::vector<Accum> accums_;
 };
 
-/// One aggregation worker: a source chain plus the thread-local state that
-/// drains it (compiled programs, scratch, private GroupTables — one per
-/// radix partition). Used by both the serial operator (one worker, one
-/// partition) and the parallel one (N workers, each driven by a scheduler
-/// task, with 2^radix_bits partitions merged independently).
+/// One aggregation worker: the thread-local state that drains one source
+/// chain (compiled programs, scratch, private GroupTables — one per radix
+/// partition). HashAggOp runs one per chain, each driven by a scheduler
+/// task; the 2^radix_bits partitions merge independently at the barrier.
 class AggWorkerState {
  public:
   /// Compiles programs and allocates the private tables. `radix_bits` is
@@ -145,24 +145,22 @@ class AggWorkerState {
   }
   int num_partitions() const { return 1 << radix_bits_; }
 
+  /// Moves the `partition` table out — the barrier merge adopts worker
+  /// 0's tables as its base — and hands the table's share of this
+  /// worker's reservation to `charge`, so the tracker never counts the
+  /// table twice.
+  std::unique_ptr<GroupTable> TakeTable(int partition,
+                                        MemoryReservation* charge);
+
   /// Reloads every chunk this worker spilled for `partition` and folds it
   /// into `dst` via MergeFrom — the merge-on-reload half of out-of-core
-  /// aggregation. Called at the pipeline barrier (parallel: by the
-  /// partition's merge task into the final table; serial: back into the
-  /// worker's own table).
+  /// aggregation, run by the partition's merge task at the barrier.
   Status MergeSpilled(int partition, GroupTable* dst,
                       CancellationToken* cancel) const;
 
   /// Records an "AggSpill" profile entry when this worker went out of
   /// core (rows = groups spilled).
   void RecordSpillProfile(ExecContext* ctx) const;
-
-  /// Re-charges the reservation to the tables' current footprint with no
-  /// spill fallback — the post-barrier minimum working set (the serial
-  /// operator's reloaded table must be resident to emit).
-  void ForceChargeTables();
-
-  bool spilled() const { return spill_chunks_ > 0; }
 
  private:
   /// Grows the reservation to the tables' footprint; on failure spills
@@ -192,9 +190,8 @@ class AggWorkerState {
   int64_t spill_rows_ = 0;
 };
 
-/// Binding shared by the serial and parallel operators: resolves group-by
-/// and aggregate expressions against the input schema and derives the key
-/// and output schemas.
+/// HashAggOp's binding: resolves group-by and aggregate expressions
+/// against the input schema and derives the key and output schemas.
 struct AggBinding {
   Status Bind(const Schema& in, const std::vector<ProjectItem>& group_by,
               const std::vector<AggItem>& aggs);
@@ -203,16 +200,23 @@ struct AggBinding {
   Schema out_schema;
   std::vector<ExprPtr> bound_keys;
   std::vector<ExprPtr> bound_aggs;  // nullptr for COUNT(*)
-  std::vector<AggKind> kinds;
   std::vector<TypeId> in_types;
 };
 
+/// The sink of a scan→[probe→]aggregate pipeline. Each of the N source
+/// chains (clones sharing morsel sources and join build states underneath,
+/// or one chain over a non-clonable input) is drained by a scheduler task
+/// into per-worker GroupTables (one per radix partition); at the TaskGroup
+/// barrier each partition is merged by an independent scheduler task
+/// (radix_bits = 0: one table, one merge task), then groups stream out
+/// partition by partition.
 class HashAggOp : public Operator {
  public:
   /// `group_by`: expressions evaluated as grouping keys (usually column
   /// refs); their names become output columns, followed by the aggregates.
-  HashAggOp(OperatorPtr child, std::vector<ProjectItem> group_by,
-            std::vector<AggItem> aggs);
+  HashAggOp(std::vector<OperatorPtr> chains,
+            std::vector<ProjectItem> group_by, std::vector<AggItem> aggs,
+            int radix_bits = 0);
   ~HashAggOp() override { Close(); }
 
   Status OpenImpl(ExecContext* ctx) override;
@@ -221,54 +225,14 @@ class HashAggOp : public Operator {
   const Schema& output_schema() const override {
     return binding_.out_schema;
   }
-  std::string name() const override { return "HashAgg"; }
-
-  int64_t num_groups() const {
-    return worker_.table() ? worker_.table()->num_groups() : 0;
-  }
-
- private:
-  OperatorPtr child_;
-  std::vector<ProjectItem> group_items_;
-  std::vector<AggItem> agg_items_;
-  AggBinding binding_;
-  Status init_status_;
-  ExecContext* ctx_ = nullptr;
-
-  AggWorkerState worker_;
-  bool consumed_ = false;
-  std::unique_ptr<Batch> out_;
-  int64_t emit_pos_ = 0;
-};
-
-/// Pipeline-parallel aggregation: the sink of a scan→[probe→]aggregate
-/// pipeline. Each of the N cloned source chains (sharing morsel sources
-/// and join build states underneath) is drained by a scheduler task into
-/// per-worker GroupTables (one per radix partition); at the TaskGroup
-/// barrier each partition is merged by an independent scheduler task
-/// (radix_bits = 0: one table, one merge task — the serial fallback),
-/// then groups stream out partition by partition.
-class ParallelHashAggOp : public Operator {
- public:
-  ParallelHashAggOp(std::vector<OperatorPtr> chains,
-                    std::vector<ProjectItem> group_by,
-                    std::vector<AggItem> aggs, int radix_bits = 0);
-  ~ParallelHashAggOp() override { Close(); }
-
-  Status OpenImpl(ExecContext* ctx) override;
-  Result<Batch*> NextImpl() override;
-  void CloseImpl() override;
-  const Schema& output_schema() const override {
-    return binding_.out_schema;
-  }
   std::string name() const override {
-    return "ParallelHashAgg(" + std::to_string(chains_.size()) + ")";
+    return "HashAgg(" + std::to_string(chains_.size()) + ")";
   }
 
  private:
   /// Runs the pipeline: spawn tasks (bounded by the query's TaskQuota),
   /// barrier, then a per-partition merge fan-out into `final_`.
-  Status ParallelConsume();
+  Status Consume();
 
   std::vector<OperatorPtr> chains_;
   std::vector<ProjectItem> group_items_;
@@ -280,8 +244,9 @@ class ParallelHashAggOp : public Operator {
 
   std::vector<std::unique_ptr<AggWorkerState>> workers_;
   std::vector<std::unique_ptr<GroupTable>> final_;  // one per partition
-  /// Charges for the merged final tables (force-reserved: they must be
-  /// resident to emit; the drain phase is what spilling bounds).
+  /// Charges for the merged final tables (adopted from worker 0, then
+  /// force-grown: they must be resident to emit; the drain phase is what
+  /// spilling bounds).
   std::vector<MemoryReservation> final_mem_;
   bool consumed_ = false;
   std::unique_ptr<Batch> out_;

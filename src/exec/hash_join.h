@@ -19,12 +19,9 @@
 // partitions with an independent scheduler task (no cross-partition
 // synchronization; radix_bits = 0 degenerates to the single-table path).
 // After the merge fan-out's barrier the table is immutable and any
-// number of probe pipelines read it concurrently:
-//  * JoinProbeOp  — one probe worker chain against the shared table; the
-//                   physical planner clones it per pipeline worker.
-//  * HashJoinOp   — the serial facade (single build chain, single probe
-//                   child) with the same semantics; used by tests and
-//                   directly-constructed plans.
+// number of JoinProbeOps — one per probe worker chain, cloned by the
+// physical planner — read it concurrently. A serial join is one build
+// chain and one JoinProbeOp.
 //
 // Partition-wise (Grace) probe, docs/EXECUTION.md §"Partition-wise
 // probe": a merge task whose partition does not FIT the memory budget
@@ -371,33 +368,6 @@ class JoinProber {
 /// columns — nullable for the padded left-outer side.
 Schema JoinOutputSchema(const Schema& probe, const Schema& build,
                         JoinType type);
-
-/// Serial hash join: owns both children; the build side still executes as
-/// a scheduler task (single-chain build pipeline).
-class HashJoinOp : public Operator {
- public:
-  /// Keys are column indexes into the respective child schemas.
-  HashJoinOp(OperatorPtr build, OperatorPtr probe,
-             std::vector<int> build_keys, std::vector<int> probe_keys,
-             JoinType type);
-  ~HashJoinOp() override { Close(); }
-
-  Status OpenImpl(ExecContext* ctx) override;
-  Result<Batch*> NextImpl() override;
-  void CloseImpl() override;
-  const Schema& output_schema() const override { return out_schema_; }
-  std::string name() const override {
-    return std::string("HashJoin[") + JoinTypeName(type_) + "]";
-  }
-
- private:
-  OperatorPtr probe_child_;
-  JoinType type_;
-  Schema out_schema_;
-  ExecContext* ctx_ = nullptr;
-  JoinBuildStatePtr state_;
-  JoinProber prober_;
-};
 
 /// One probe pipeline worker: probes the shared build table with its own
 /// cloned source chain. The planner creates N of these per parallel join,

@@ -51,13 +51,6 @@ bool ScanOp::GroupCanMatch(int g) const {
 }
 
 bool ScanOp::NextGroupId(int* g) {
-  if (opts_.use_subset) {
-    while (subset_idx_ < opts_.group_subset.size()) {
-      *g = opts_.group_subset[subset_idx_++];
-      return true;
-    }
-    return false;
-  }
   if (opts_.morsels != nullptr) {
     const int got = opts_.morsels->NextGroup();
     if (got < 0) return false;
@@ -78,10 +71,6 @@ bool ScanOp::NextGroupId(int* g) {
 }
 
 int ScanOp::PeekNextGroupId(int ahead) const {
-  if (opts_.use_subset) {
-    const size_t idx = subset_idx_ + static_cast<size_t>(ahead);
-    return idx < opts_.group_subset.size() ? opts_.group_subset[idx] : -1;
-  }
   if (opts_.morsels != nullptr) {
     const int g = opts_.morsels->PeekNext();
     return g < 0 ? -1 : g + ahead;  // advisory: other workers claim too
@@ -318,10 +307,9 @@ Result<Batch*> ScanOp::NextImpl() {
       if (!tail_done_) {
         tail_done_ = true;
         // Morsel-driven scans race for the tail; exactly one clone merges
-        // the in-memory inserts. Static plans use include_tail.
-        const bool tail_mine = opts_.morsels != nullptr
-                                   ? opts_.morsels->ClaimTail()
-                                   : opts_.include_tail;
+        // the in-memory inserts.
+        const bool tail_mine =
+            opts_.morsels == nullptr || opts_.morsels->ClaimTail();
         if (tail_mine) {
           X100_RETURN_IF_ERROR(LoadTail());
           continue;

@@ -1,7 +1,7 @@
 // ScanOp: vectorized table scan over a TableView (base image + PDT stack),
-// with MinMax pushdown, optional cooperative-scan scheduling and optional
-// group partitioning (the parallelizer assigns disjoint group subsets to
-// Xchg workers).
+// with MinMax pushdown and three group orders: sequential, cooperative
+// scan scheduling, or a MorselSource shared by the parallel clones of one
+// logical scan.
 #ifndef X100_EXEC_SCAN_H_
 #define X100_EXEC_SCAN_H_
 
@@ -37,12 +37,6 @@ struct ScanOptions {
   /// that wins ClaimTail() merges the PDT tail inserts. Takes precedence
   /// over `scheduler`.
   MorselSourcePtr morsels;
-  /// When use_subset is set, scan exactly `group_subset` (static parallel
-  /// scan partitions; may be empty for a worker with no groups). The
-  /// worker with include_tail=true also merges tail inserts.
-  bool use_subset = false;
-  std::vector<int> group_subset;
-  bool include_tail = true;
 };
 
 class ScanOp : public Operator {
@@ -78,7 +72,7 @@ class ScanOp : public Operator {
 
   Status LoadGroup(int g);      // decode columns + build merge segments
   Status LoadTail();            // inserts anchored past the last stable row
-  bool NextGroupId(int* g);     // scheduler/subset iteration
+  bool NextGroupId(int* g);     // morsel/scheduler/sequential iteration
   /// The group this scan expects to load `ahead` steps from now (0 =
   /// next). -1 if unknowable, e.g. cooperative scheduling where the
   /// policy decides at claim time. May run past the table end — callers
@@ -116,7 +110,6 @@ class ScanOp : public Operator {
   int64_t seg_off_ = 0;
 
   int scheduler_qid_ = -1;
-  size_t subset_idx_ = 0;
   int seq_next_group_ = 0;
   bool tail_done_ = false;
   bool eos_ = false;

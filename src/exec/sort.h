@@ -1,16 +1,15 @@
-// SortOp / ParallelSortOp: full materializing sort and bounded top-N.
-// NULLs order last ascending, first descending (documented engine rule).
+// SortOp: the pipeline sink for ORDER BY — full materializing sort and
+// bounded top-N. NULLs order last ascending, first descending (documented
+// engine rule).
 //
-// ParallelSortOp is the pipeline-executor sink for ORDER BY: per-worker
-// sorted runs built by scheduler tasks, merged at the pipeline barrier
-// (docs/EXECUTION.md). Two shapes:
-//  * N cloned input chains (morsel-parallel input): each task drains and
-//    sorts its own run.
-//  * one non-clonable input (e.g. an aggregation's output): one task
-//    drains it, then the materialized rows are range-split and sorted by
-//    parallel tasks.
-// A LIMIT truncates each run to the limit before the merge, so top-N never
-// materializes more than runs x limit rows for the merge phase.
+// Per-worker sorted runs built by scheduler tasks, merged at the pipeline
+// barrier (docs/EXECUTION.md). Each of the N >= 1 input chains (clones of
+// a morsel-parallel input, or one chain over a non-clonable input such as
+// an aggregation) is drained by one task into its own run. A single chain
+// whose rows all stayed resident is range-split after the barrier and its
+// ranges sorted by parallel tasks. A LIMIT truncates each run to the limit
+// before the merge, so top-N never materializes more than runs x limit
+// rows for the merge phase.
 //
 // Out-of-core (docs/EXECUTION.md §"Memory accounting & spill"): when a
 // drain worker's memory reservation fails it sorts what it holds and
@@ -52,8 +51,8 @@ struct SortRun {
   bool spilled() const { return !chunks.empty(); }
 };
 
-/// Streaming k-way merge over sorted runs, shared by SortOp and
-/// ParallelSortOp. Ties pick the lowest run index; runs are few, so
+/// Streaming k-way merge over SortOp's sorted runs. Ties pick the lowest
+/// run index; runs are few, so
 /// linear selection beats a heap in simplicity and is cache-friendly for
 /// small k. Spilled runs stream chunk-by-chunk from disk; the resident
 /// chunk is force-charged against the query tracker and released when the
@@ -96,45 +95,14 @@ class SortRunMerger {
 
 class SortOp : public Operator {
  public:
-  /// limit < 0: full sort; otherwise top-`limit` rows.
-  SortOp(OperatorPtr child, std::vector<SortKey> keys, int64_t limit = -1);
+  /// `chains`: >= 1 input chains (clones sharing morsel sources / join
+  /// build states underneath). `split_ways` bounds the range-sort tasks
+  /// of a single chain whose rows stayed resident; with multiple chains
+  /// it is ignored (one run per chain). limit < 0: full sort; otherwise
+  /// top-`limit` rows.
+  SortOp(std::vector<OperatorPtr> chains, std::vector<SortKey> keys,
+         int64_t limit = -1, int split_ways = 1);
   ~SortOp() override { Close(); }
-
-  Status OpenImpl(ExecContext* ctx) override;
-  Result<Batch*> NextImpl() override;
-  void CloseImpl() override { if (child_) child_->Close(); }
-  const Schema& output_schema() const override {
-    return child_->output_schema();
-  }
-  std::string name() const override {
-    return limit_ < 0 ? "Sort" : "TopN";
-  }
-
- private:
-  Status Materialize();
-
-  OperatorPtr child_;
-  std::vector<SortKey> keys_;
-  int64_t limit_;
-  ExecContext* ctx_ = nullptr;
-  std::unique_ptr<RowBuffer> rows_;
-  MemoryReservation rows_mem_;
-  std::vector<SortRun> runs_;
-  SortRunMerger merger_;
-  bool materialized_ = false;
-  std::unique_ptr<Batch> out_;
-};
-
-/// Pipeline-parallel sort: run-per-worker, k-way merge at the barrier.
-class ParallelSortOp : public Operator {
- public:
-  /// `chains`: >= 1 input worker chains (clones sharing morsel sources /
-  /// join build states underneath). With a single chain, `split_ways`
-  /// controls how many range-sort tasks run after materialization; with
-  /// multiple chains it is ignored (one run per chain).
-  ParallelSortOp(std::vector<OperatorPtr> chains, std::vector<SortKey> keys,
-                 int64_t limit = -1, int split_ways = 1);
-  ~ParallelSortOp() override { Close(); }
 
   Status OpenImpl(ExecContext* ctx) override;
   Result<Batch*> NextImpl() override;
@@ -143,23 +111,24 @@ class ParallelSortOp : public Operator {
     return chains_[0]->output_schema();
   }
   std::string name() const override {
-    return (limit_ < 0 ? "ParallelSort(" : "ParallelTopN(") +
-           std::to_string(num_runs()) + ")";
+    return (limit_ < 0 ? "Sort(" : "TopN(") + std::to_string(num_runs()) +
+           ")";
   }
 
  private:
   /// Planned width before the pipeline ran; the achieved run count after
-  /// (a range-split sort caps its ways by the data size, so the profile
-  /// must report what actually executed).
+  /// (a range-split sort caps its ways by the data size, and spilling
+  /// adds runs, so the profile must report what actually executed).
   int num_runs() const {
     if (materialized_) return static_cast<int>(runs_.size());
     return chains_.size() > 1 ? static_cast<int>(chains_.size())
                               : split_ways_;
   }
-  /// Phase 1: drain input(s) into per-run buffers + sorted index runs
-  /// (scheduler tasks, barrier), spilling sorted runs under memory
-  /// pressure. Phase 2 is the streaming merge in NextImpl.
-  Status ParallelMaterialize();
+  /// Phase 1: drain the input chains into per-worker buffers + sorted
+  /// runs (scheduler tasks, barrier), spilling sorted runs under memory
+  /// pressure; a lone resident chain is then range-sorted in parallel.
+  /// Phase 2 is the streaming merge in NextImpl.
+  Status Materialize();
 
   std::vector<OperatorPtr> chains_;
   std::vector<SortKey> keys_;

@@ -190,130 +190,6 @@ Result<ExprPtr> Rewriter::RewriteExpr(ExprPtr e) {
   return e;
 }
 
-namespace {
-
-/// True if the subtree is a Select/Project chain over a single Scan —
-/// the shape the parallelizer clones per producer.
-bool IsPartitionablePipeline(const AlgebraPtr& node) {
-  if (node->kind == AlgebraNode::Kind::kScan) {
-    return node->morsel_group < 0;  // not already parallelized
-  }
-  if (node->kind == AlgebraNode::Kind::kSelect ||
-      node->kind == AlgebraNode::Kind::kProject) {
-    return IsPartitionablePipeline(node->children[0]);
-  }
-  return false;
-}
-
-/// Marks the pipeline's scan as morsel-driven. Clones sharing `group_id`
-/// draw block groups from one dynamic MorselSource at execution time —
-/// no static partitioning, so a skewed group cannot serialize a producer.
-void MarkMorselDriven(const AlgebraPtr& node, int group_id) {
-  if (node->kind == AlgebraNode::Kind::kScan) {
-    node->morsel_group = group_id;
-    return;
-  }
-  MarkMorselDriven(node->children[0], group_id);
-}
-
-}  // namespace
-
-Result<AlgebraPtr> Rewriter::Parallelize(AlgebraPtr plan, int workers) {
-  if (workers <= 1) return plan;
-  if (plan->kind != AlgebraNode::Kind::kAggr ||
-      !IsPartitionablePipeline(plan->children[0])) {
-    // Recurse: parallelizable aggregations may sit under Order/Project.
-    for (auto& c : plan->children) {
-      X100_ASSIGN_OR_RETURN(c, Parallelize(c, workers));
-    }
-    return plan;
-  }
-  stats_["parallelize.aggr"]++;
-
-  // Decompose AVG into SUM + COUNT so partials are mergeable.
-  std::vector<AggItem> partial_aggs;
-  struct FinalSpec {
-    AggKind merge_kind;     // how the final Aggr merges the partial
-    std::string partial;    // partial column name
-    std::string partial2;   // count column for avg
-    std::string name;       // output name
-    bool is_avg;
-  };
-  std::vector<FinalSpec> finals;
-  for (const AggItem& a : plan->aggs) {
-    if (a.kind == AggKind::kAvg) {
-      partial_aggs.push_back(
-          {AggKind::kSum, CloneExpr(a.input), a.name + "$sum"});
-      partial_aggs.push_back(
-          {AggKind::kCount, CloneExpr(a.input), a.name + "$cnt"});
-      finals.push_back(
-          {AggKind::kSum, a.name + "$sum", a.name + "$cnt", a.name, true});
-    } else {
-      partial_aggs.push_back(
-          {a.kind, a.input ? CloneExpr(a.input) : nullptr, a.name});
-      // COUNT partials merge by summing.
-      finals.push_back({a.kind == AggKind::kCount ? AggKind::kSum : a.kind,
-                        a.name, "", a.name, false});
-    }
-  }
-
-  // One partial pipeline per worker; all clones share one morsel source
-  // and pull block groups dynamically (morsel-driven parallelism).
-  const int morsel_group = next_morsel_group_++;
-  auto xchg = std::make_shared<AlgebraNode>();
-  xchg->kind = AlgebraNode::Kind::kXchg;
-  xchg->parallelism = workers;
-  for (int w = 0; w < workers; w++) {
-    AlgebraPtr partial = CloneAlgebra(plan->children[0]);
-    MarkMorselDriven(partial, morsel_group);
-    std::vector<ProjectItem> keys;
-    for (const ProjectItem& k : plan->group_by) {
-      keys.push_back({k.name, CloneExpr(k.expr)});
-    }
-    std::vector<AggItem> aggs;
-    for (const AggItem& a : partial_aggs) {
-      aggs.push_back({a.kind, a.input ? CloneExpr(a.input) : nullptr,
-                      a.name});
-    }
-    xchg->children.push_back(
-        AggrNode(std::move(partial), std::move(keys), std::move(aggs)));
-  }
-
-  // Final merge aggregation over the exchange.
-  std::vector<ProjectItem> final_keys;
-  bool any_avg = false;
-  for (const ProjectItem& k : plan->group_by) {
-    final_keys.push_back({k.name, Col(k.name)});
-  }
-  std::vector<AggItem> final_aggs;
-  for (const FinalSpec& f : finals) {
-    any_avg |= f.is_avg;
-    if (f.is_avg) {
-      final_aggs.push_back({AggKind::kSum, Col(f.partial), f.partial});
-      final_aggs.push_back({AggKind::kSum, Col(f.partial2), f.partial2});
-    } else {
-      final_aggs.push_back({f.merge_kind, Col(f.partial), f.name});
-    }
-  }
-  AlgebraPtr final_aggr =
-      AggrNode(xchg, std::move(final_keys), std::move(final_aggs));
-  if (!any_avg) return final_aggr;
-
-  // Post-project to materialize avg = sum / count and restore column order.
-  std::vector<ProjectItem> post;
-  for (const ProjectItem& k : plan->group_by) {
-    post.push_back({k.name, Col(k.name)});
-  }
-  for (const FinalSpec& f : finals) {
-    if (f.is_avg) {
-      post.push_back({f.name, Div(Col(f.partial), Col(f.partial2))});
-    } else {
-      post.push_back({f.name, Col(f.name)});
-    }
-  }
-  return ProjectNode(final_aggr, std::move(post));
-}
-
 Result<AlgebraPtr> Rewriter::RewriteNode(AlgebraPtr node) {
   for (auto& c : node->children) {
     X100_ASSIGN_OR_RETURN(c, RewriteNode(c));
@@ -345,12 +221,7 @@ Result<AlgebraPtr> Rewriter::RewriteNode(AlgebraPtr node) {
 }
 
 Result<AlgebraPtr> Rewriter::Rewrite(AlgebraPtr plan) {
-  X100_ASSIGN_OR_RETURN(plan, RewriteNode(std::move(plan)));
-  if (opts_.parallelism > 1) {
-    X100_ASSIGN_OR_RETURN(plan, Parallelize(std::move(plan),
-                                            opts_.parallelism));
-  }
-  return plan;
+  return RewriteNode(std::move(plan));
 }
 
 }  // namespace x100

@@ -9,18 +9,14 @@
 //    SIGN, integer ABS, NOT LIKE, date_trunc…)
 //  * ConstantFolding     — evaluate constant subtrees at rewrite time.
 //  * PredicateSimplify   — boolean identities (AND true, OR false, NOT NOT).
-//  * Parallelizer        — §"Multi-core": rewrites Aggr over a scan
-//    pipeline into FinalAggr(Xchg(N × PartialAggr(morsel-driven scan))).
-//    Producer clones share one MorselSource and pull block groups
-//    dynamically (no static partitioning). AVG decomposes to SUM+COUNT.
-//    LEGACY: the engine's default path no longer routes parallelism
-//    through this rule — the physical planner decomposes plans into
-//    morsel-parallel pipelines directly (engine/physical_plan.h). The
-//    rule remains for explicitly-rewritten plans and as the exchange-
-//    based reference implementation.
 //  * AntiJoinNullRule    — §"NULL intricacies": NOT-IN joins with nullable
 //    keys become null-aware anti joins; non-nullable keys downgrade to the
 //    cheaper plain anti join.
+//
+// §"Multi-core" parallelized Vectorwise with a rewriter rule inserting
+// Xchg operators. Parallelism is no longer a rewrite: the physical planner
+// decomposes every plan into morsel-parallel pipelines whose breakers are
+// the sinks (engine/physical_plan.h).
 //
 // The NULL two-column decomposition of §"NULLs" lives structurally in the
 // executor (ExprProgram evaluates values NULL-obliviously and ORs
@@ -45,8 +41,6 @@ class Rewriter {
     bool expand_functions = true;
     bool fold_constants = true;
     bool simplify_predicates = true;
-    /// > 1 enables the parallelizer with this worker count.
-    int parallelism = 1;
     bool rewrite_anti_joins = true;
   };
 
@@ -62,7 +56,6 @@ class Rewriter {
   Result<ExprPtr> ExpandFunctions(ExprPtr e);
   ExprPtr FoldConstants(ExprPtr e);
   ExprPtr SimplifyPredicate(ExprPtr e);
-  Result<AlgebraPtr> Parallelize(AlgebraPtr plan, int workers);
 
  private:
   Result<AlgebraPtr> RewriteNode(AlgebraPtr node);
@@ -70,9 +63,6 @@ class Rewriter {
 
   Options opts_;
   RewriteStats stats_;
-  /// Distinct id per parallelized scan: clones sharing an id share one
-  /// MorselSource when the physical plan is built.
-  int next_morsel_group_ = 0;
 };
 
 }  // namespace x100

@@ -1,13 +1,13 @@
 // MorselSource: dynamic work distribution for parallel scans.
 //
-// The seed's Parallelizer assigned block groups to Xchg producers
-// *statically* (g % parts == part, fixed at rewrite time), so one
+// Static partitioning (g % parts == part, fixed at plan time) lets one
 // expensive group — heavy PDT deltas, no MinMax skip while siblings skip —
-// serialized the whole pipeline on a single producer. A MorselSource is
-// shared by all producer clones of one logical scan and hands out groups
-// ("morsels", Leis et al.) one at a time on demand: fast producers simply
+// serialize the whole pipeline on a single worker. A MorselSource is
+// shared by all clones of one logical scan and hands out groups
+// ("morsels", Leis et al.) one at a time on demand: fast workers simply
 // take more groups, and elasticity comes for free (any number of
-// consumers, decided at plan-build time, not data-layout time).
+// consumers, decided at plan-build time, not data-layout time). A
+// one-chain pipeline is the single-consumer case.
 //
 // The in-memory PDT tail (inserts past the last stable row) is a single
 // indivisible morsel; exactly one consumer wins ClaimTail().

@@ -88,35 +88,6 @@ TEST(RewriterTest, SimplifiesPredicates) {
   EXPECT_FALSE(dead->constant.AsBool());
 }
 
-TEST(RewriterTest, ParallelizesAggregationPipeline) {
-  Rewriter rw;
-  AlgebraPtr plan = AggrNode(
-      SelectNode(ScanNode("t"), Gt(Col("x"), Lit(Value::I64(0)))),
-      {}, {{AggKind::kSum, Col("x"), "s"}, {AggKind::kCount, nullptr, "c"}});
-  auto out = rw.Parallelize(plan, 4);
-  ASSERT_TRUE(out.ok());
-  // Final Aggr over Xchg over 4 partial Aggrs.
-  EXPECT_EQ((*out)->kind, AlgebraNode::Kind::kAggr);
-  ASSERT_EQ((*out)->children.size(), 1u);
-  const AlgebraPtr& xchg = (*out)->children[0];
-  EXPECT_EQ(xchg->kind, AlgebraNode::Kind::kXchg);
-  EXPECT_EQ(xchg->children.size(), 4u);
-  // COUNT partials merge via SUM.
-  EXPECT_EQ((*out)->aggs[1].kind, AggKind::kSum);
-}
-
-TEST(RewriterTest, ParallelizeDecomposesAvg) {
-  Rewriter rw;
-  AlgebraPtr plan =
-      AggrNode(ScanNode("t"), {}, {{AggKind::kAvg, Col("x"), "a"}});
-  auto out = rw.Parallelize(plan, 2);
-  ASSERT_TRUE(out.ok());
-  // Post-project computes a = sum/cnt.
-  EXPECT_EQ((*out)->kind, AlgebraNode::Kind::kProject);
-  EXPECT_EQ((*out)->items[0].name, "a");
-  EXPECT_EQ((*out)->items[0].expr->fn, "div");
-}
-
 TEST(RewriterTest, AntiJoinDowngradeWhenNotNullable) {
   Rewriter rw;
   AlgebraPtr join = JoinNode(ScanNode("b"), ScanNode("p"),
@@ -367,28 +338,6 @@ TEST_F(SessionTest, FlippedComparisonStillSkipsGroups) {
 // Morsel-driven parallelism + per-operator profiling
 // ---------------------------------------------------------------------------
 
-TEST_F(SessionTest, ParallelPlanHasNoStaticPartitions) {
-  Rewriter rw({/*expand*/ true, /*fold*/ true, /*simplify*/ true,
-               /*parallelism*/ 4, /*anti*/ true});
-  AlgebraPtr plan = AggrNode(ScanNode("emp"), {},
-                            {{AggKind::kSum, Col("salary"), "s"}});
-  auto out = rw.Rewrite(std::move(plan));
-  ASSERT_TRUE(out.ok());
-  const AlgebraPtr& xchg = (*out)->children[0];
-  ASSERT_EQ(xchg->kind, AlgebraNode::Kind::kXchg);
-  ASSERT_EQ(xchg->children.size(), 4u);
-  // Every producer clone shares ONE morsel group — dynamic handout, no
-  // g % parts == part partitioning anywhere in the plan.
-  for (const AlgebraPtr& partial : xchg->children) {
-    const AlgebraNode* scan = partial.get();
-    while (scan->kind != AlgebraNode::Kind::kScan) {
-      scan = scan->children[0].get();
-    }
-    EXPECT_EQ(scan->morsel_group, 0);
-  }
-  EXPECT_NE((*out)->ToString().find("morsel#0"), std::string::npos);
-}
-
 TEST_F(SessionTest, SkewedGroupsDeterministicAcrossWorkerCounts) {
   // `id < 140` makes group 0 heavy (128 matches), group 1 nearly empty
   // (12) and lets MinMax skip groups 2..7 — a skewed morsel workload.
@@ -437,7 +386,7 @@ TEST_F(SessionTest, QueryResultCarriesOperatorProfile) {
       scans++;
       scan_rows += p.rows;
     }
-    saw_parallel_agg |= p.op == "ParallelHashAgg(2)";
+    saw_parallel_agg |= p.op == "HashAgg(2)";
   }
   EXPECT_EQ(scans, 2);  // one per pipeline worker chain
   EXPECT_TRUE(saw_parallel_agg);
@@ -472,8 +421,10 @@ TEST_F(SessionTest, PhysicalPlannerIsPluggable) {
           keys.push_back({child->output_schema().FindField(k.column),
                           k.ascending});
         }
+        std::vector<OperatorPtr> chains;
+        chains.push_back(std::move(child));
         return OperatorPtr(std::make_unique<SortOp>(
-            std::move(child), std::move(keys), node->limit));
+            std::move(chains), std::move(keys), node->limit));
       });
   session_->executor()->set_planner(&custom);
   auto res = session_->ExecuteSql(

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <thread>
 
@@ -260,6 +261,34 @@ class MemoryLimitTest : public ::testing::Test {
     return OrderNode(std::move(aggr), {{"label", true}});
   }
 
+  /// A join whose build side is an aggregation (one group per fact key),
+  /// ordered by the unique label: the build drain runs a one-chain
+  /// aggregation sink, which must spill and merge on its own.
+  AlgebraPtr AggBuildJoinPlan() {
+    AlgebraPtr per_fk = AggrNode(ScanNode("fact"), {{"fk", Col("fk")}},
+                                 {{AggKind::kSum, Col("val"), "s"},
+                                  {AggKind::kCount, nullptr, "c"}});
+    AlgebraPtr join = JoinNode(std::move(per_fk), ScanNode("dim"),
+                               JoinType::kInner, {"fk"}, {"k"});
+    return OrderNode(std::move(join), {{"label", true}});
+  }
+
+  /// A join whose build side is ORDER BY ... LIMIT over the fact table: a
+  /// one-chain top-N sink inside the build drain. Integer aggregates over
+  /// the join make the answer exact, and keep the nested top-N the only
+  /// sort that can spill.
+  AlgebraPtr TopNBuildJoinPlan() {
+    AlgebraPtr top = OrderNode(ScanNode("fact"), {{"val", false}},
+                               /*limit=*/kFactRows / 4);
+    AlgebraPtr join = JoinNode(std::move(top), ScanNode("dim"),
+                               JoinType::kInner, {"fk"}, {"k"});
+    return AggrNode(std::move(join), {},
+                    {{AggKind::kCount, nullptr, "n"},
+                     {AggKind::kSum, Col("val"), "s"},
+                     {AggKind::kMin, Col("val"), "lo"},
+                     {AggKind::kMax, Col("k"), "hi"}});
+  }
+
   static void ExpectSameRows(const QueryResult& a, const QueryResult& b,
                              const std::string& what) {
     ASSERT_EQ(a.rows.size(), b.rows.size()) << what;
@@ -318,6 +347,49 @@ TEST_F(MemoryLimitTest, OutOfCoreSweepMatchesInMemory) {
         ASSERT_TRUE(res.ok()) << what << ": " << res.status().ToString();
         ExpectSameRows(*reference, *res, what);
         ExpectTrackerDrained(what);
+      }
+    }
+  }
+
+  // A breaker nested inside a join's build side: a one-chain sink that
+  // spawns its own tasks from within a build-drain task. At the tight
+  // limit the nested breaker itself must go out of core.
+  struct Nested {
+    const char* name;
+    std::function<AlgebraPtr()> plan;
+    const char* spill_op;
+  };
+  const Nested nested[] = {
+      {"agg-build-join", [this] { return AggBuildJoinPlan(); }, "AggSpill"},
+      {"topn-build-join", [this] { return TopNBuildJoinPlan(); },
+       "SortSpill"},
+  };
+  db_->config().radix_bits = -1;
+  for (const Nested& n : nested) {
+    SetWorkers(1);
+    db_->config().memory_limit = 0;
+    db_->memory()->ResetPeak();
+    auto nested_ref = session_->Execute(n.plan());
+    ASSERT_TRUE(nested_ref.ok()) << nested_ref.status().ToString();
+    ASSERT_FALSE(nested_ref->rows.empty()) << n.name;
+    const int64_t nested_peak = db_->memory()->peak();
+    for (const int64_t limit : {int64_t{0}, nested_peak / 24}) {
+      for (const int workers : {1, 2, 8}) {
+        const std::string what = std::string(n.name) +
+                                 " memory_limit=" + std::to_string(limit) +
+                                 " workers=" + std::to_string(workers);
+        SetWorkers(workers);
+        db_->config().memory_limit = limit;
+        auto res = session_->Execute(n.plan());
+        ASSERT_TRUE(res.ok()) << what << ": " << res.status().ToString();
+        ExpectSameRows(*nested_ref, *res, what);
+        ExpectTrackerDrained(what);
+        if (limit == 0) continue;
+        int64_t spilled = 0;
+        for (const OperatorProfile& p : res->profile.operators) {
+          if (p.op == n.spill_op) spilled += p.spill_bytes;
+        }
+        EXPECT_GT(spilled, 0) << what << "\n" << res->profile.ToString();
       }
     }
   }

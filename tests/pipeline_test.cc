@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <thread>
 
 #include "common/config.h"
@@ -128,6 +129,29 @@ class PipelineTest : public ::testing::Test {
     return OrderNode(std::move(aggr), {{"label", true}});
   }
 
+  /// A join whose build side is an aggregation (per-fk sums) probed by
+  /// dim, ordered by the unique dim key: the build drain runs a one-chain
+  /// aggregation sink that spawns its own tasks.
+  AlgebraPtr AggBuildJoinPlan() {
+    AlgebraPtr per_fk = AggrNode(ScanNode("fact"), {{"fk", Col("fk")}},
+                                 {{AggKind::kSum, Col("val"), "s"},
+                                  {AggKind::kCount, nullptr, "c"}});
+    AlgebraPtr join = JoinNode(std::move(per_fk), ScanNode("dim"),
+                               JoinType::kInner, {"fk"}, {"k"});
+    return OrderNode(std::move(join), {{"k", true}});
+  }
+
+  /// A join whose build side is ORDER BY ... LIMIT (the top fact rows),
+  /// ordered by the unique fact value: a one-chain top-N sink inside the
+  /// build drain.
+  AlgebraPtr TopNBuildJoinPlan() {
+    AlgebraPtr top = OrderNode(ScanNode("fact"), {{"val", false}},
+                               /*limit=*/50);
+    AlgebraPtr join = JoinNode(std::move(top), ScanNode("dim"),
+                               JoinType::kInner, {"fk"}, {"k"});
+    return OrderNode(std::move(join), {{"val", true}});
+  }
+
   static void ExpectSameRows(const QueryResult& a, const QueryResult& b,
                              const std::string& what) {
     ASSERT_EQ(a.rows.size(), b.rows.size()) << what;
@@ -178,7 +202,7 @@ TEST_F(PipelineTest, JoinPhasesRunAsSchedulerTasks) {
     if (p.op == "JoinProbe[inner]") probe_clones++;
     if (p.op == "Scan") scans++;
     if (p.op == "JoinBuildMerge") merge_tasks++;
-    saw_parallel_sort |= p.op.rfind("ParallelSort", 0) == 0;
+    saw_parallel_sort |= p.op.rfind("Sort(", 0) == 0;
   }
   // The build's barrier merge fans out one task per radix partition.
   EXPECT_EQ(merge_tasks, 1 << 3);
@@ -231,9 +255,9 @@ TEST_F(PipelineTest, GroupByJoinAllPhasesProfiled) {
   for (const OperatorProfile& p : res->profile.operators) {
     build |= p.op == "JoinBuildMerge";
     probe |= p.op == "JoinProbe[inner]";
-    agg |= p.op == "ParallelHashAgg(4)";
+    agg |= p.op == "HashAgg(4)";
     agg_merge |= p.op == "AggMerge";
-    sort |= p.op.rfind("ParallelSort", 0) == 0;
+    sort |= p.op.rfind("Sort(", 0) == 0;
   }
   EXPECT_TRUE(build);
   EXPECT_TRUE(probe);
@@ -294,21 +318,35 @@ TEST(EffectiveRadixBitsTest, TinyBuildsSkipPartitioning) {
 
 TEST_F(PipelineTest, RadixSweepDeterministicAcrossWorkersAndBits) {
   // The acceptance sweep: radix_bits in {0, 2, 4} x workers in {1, 2, 8}
-  // must all produce the single-table serial reference, groups included.
-  SetWorkers(1);
-  SetRadixBits(0);
-  auto reference = session_->Execute(GroupByJoinPlan());
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  ASSERT_EQ(reference->rows.size(), 7u);
-  for (int bits : {0, 2, 4}) {
-    for (int workers : {1, 2, 8}) {
-      SetWorkers(workers);
-      SetRadixBits(bits);
-      auto res = session_->Execute(GroupByJoinPlan());
-      ASSERT_TRUE(res.ok()) << res.status().ToString();
-      ExpectSameRows(*reference, *res,
-                     "radix_bits=" + std::to_string(bits) +
-                         " workers=" + std::to_string(workers));
+  // must all produce the single-table serial reference, groups included —
+  // also when a breaker sits inside a join's build side.
+  struct Case {
+    const char* name;
+    std::function<AlgebraPtr()> plan;
+    size_t rows;
+  };
+  const Case cases[] = {
+      {"group-by-join", [this] { return GroupByJoinPlan(); }, 7},
+      {"agg-build-join", [this] { return AggBuildJoinPlan(); }, 100},
+      {"topn-build-join", [this] { return TopNBuildJoinPlan(); }, 50},
+  };
+  for (const Case& c : cases) {
+    SetWorkers(1);
+    SetRadixBits(0);
+    auto reference = session_->Execute(c.plan());
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    ASSERT_EQ(reference->rows.size(), c.rows) << c.name;
+    for (int bits : {0, 2, 4}) {
+      for (int workers : {1, 2, 8}) {
+        SetWorkers(workers);
+        SetRadixBits(bits);
+        auto res = session_->Execute(c.plan());
+        ASSERT_TRUE(res.ok()) << res.status().ToString();
+        ExpectSameRows(*reference, *res,
+                       std::string(c.name) +
+                           " radix_bits=" + std::to_string(bits) +
+                           " workers=" + std::to_string(workers));
+      }
     }
   }
   SetWorkers(0);
@@ -515,7 +553,7 @@ TEST_F(PipelineTest, ParallelSortOverAggregationUsesRangeSplit) {
   ExpectSameRows(*reference, *res, "sort-over-agg");
   bool saw_parallel_sort = false;
   for (const OperatorProfile& p : res->profile.operators) {
-    saw_parallel_sort |= p.op.rfind("ParallelSort", 0) == 0;
+    saw_parallel_sort |= p.op.rfind("Sort(", 0) == 0;
   }
   EXPECT_TRUE(saw_parallel_sort);
 }
@@ -662,22 +700,24 @@ TEST_F(PipelineTest, QuotaConstrainedQueryStillCorrect) {
 }
 
 TEST_F(PipelineTest, ExclusiveTimeSubtractsChildTime) {
-  // Serial plan: Sort pulls Scan inside its own Next, so the sort's
-  // child_ns must be populated and exclusive <= inclusive.
+  // Serial plan: inside the sort's one chain, Select pulls Scan within its
+  // own Next, so the select's child_ns must be populated and exclusive <=
+  // inclusive everywhere.
   SetWorkers(0);
-  auto res = session_->Execute(
-      OrderNode(ScanNode("fact"), {{"val", true}}));
+  auto res = session_->Execute(OrderNode(
+      SelectNode(ScanNode("fact"), Ge(Col("val"), Lit(Value::I64(0)))),
+      {{"val", true}}));
   ASSERT_TRUE(res.ok()) << res.status().ToString();
-  bool checked_sort = false;
+  bool checked_select = false;
   for (const OperatorProfile& p : res->profile.operators) {
     EXPECT_GE(p.exclusive_ns(), 0);
     EXPECT_LE(p.exclusive_ns(), p.open_ns + p.next_ns);
-    if (p.op == "Sort") {
-      checked_sort = true;
-      EXPECT_GT(p.child_ns, 0);  // the scan ran inside the sort's Next
+    if (p.op == "Select") {
+      checked_select = true;
+      EXPECT_GT(p.child_ns, 0);  // the scan ran inside the select's Next
     }
   }
-  EXPECT_TRUE(checked_sort);
+  EXPECT_TRUE(checked_select);
   EXPECT_NE(res->profile.ToString().find("self(us)"), std::string::npos);
 }
 
@@ -696,10 +736,6 @@ TEST(ClonablePipelineTest, RecognizesStreamingChains) {
       AggrNode(ScanNode("t"), {}, {{AggKind::kCount, nullptr, "n"}})));
   EXPECT_FALSE(IsClonablePipeline(
       OrderNode(ScanNode("t"), {{"x", true}})));
-  // Rewriter-parallelized scans keep the legacy exchange path.
-  AlgebraPtr morsel_scan = ScanNode("t");
-  morsel_scan->morsel_group = 0;
-  EXPECT_FALSE(IsClonablePipeline(morsel_scan));
 }
 
 }  // namespace

@@ -38,6 +38,25 @@ std::vector<std::vector<Value>> RandomKv(int n, int64_t domain,
   return rows;
 }
 
+/// One-element chain list: the serial case of a pipeline sink.
+std::vector<OperatorPtr> OneChain(OperatorPtr op) {
+  std::vector<OperatorPtr> chains;
+  chains.push_back(std::move(op));
+  return chains;
+}
+
+/// A serial hash join: one build chain behind a JoinBuildState, probed by
+/// one JoinProbeOp.
+std::unique_ptr<JoinProbeOp> SerialJoin(OperatorPtr build, OperatorPtr probe,
+                                        std::vector<int> build_keys,
+                                        std::vector<int> probe_keys,
+                                        JoinType type) {
+  auto state = std::make_shared<JoinBuildState>(OneChain(std::move(build)),
+                                                std::move(build_keys));
+  return std::make_unique<JoinProbeOp>(std::move(probe), std::move(state),
+                                       std::move(probe_keys), type);
+}
+
 Schema KvSchema() {
   return Schema(
       {Field("k", TypeId::kI64, true), Field("tag", TypeId::kI64)});
@@ -65,10 +84,10 @@ TEST_P(JoinPropertyTest, InnerJoinMatchesNestedLoop) {
 
   ExecContext ctx;
   ctx.vector_size = 64;  // force multi-batch paths
-  HashJoinOp join(std::make_unique<ValuesOp>(KvSchema(), right),
-                  std::make_unique<ValuesOp>(KvSchema(), left), {0}, {0},
-                  JoinType::kInner);
-  auto res = CollectRows(&join, &ctx);
+  auto join = SerialJoin(std::make_unique<ValuesOp>(KvSchema(), right),
+                         std::make_unique<ValuesOp>(KvSchema(), left), {0}, {0},
+                         JoinType::kInner);
+  auto res = CollectRows(join.get(), &ctx);
   ASSERT_TRUE(res.ok());
   std::multiset<std::pair<int64_t, int64_t>> got;
   for (const auto& row : res->rows) {
@@ -87,10 +106,10 @@ TEST_P(JoinPropertyTest, SemiAntiPartitionProbeSide) {
   auto run = [&](JoinType t) {
     ExecContext ctx;
     ctx.vector_size = 64;
-    HashJoinOp join(std::make_unique<ValuesOp>(KvSchema(), right),
-                    std::make_unique<ValuesOp>(KvSchema(), left), {0}, {0},
-                    t);
-    auto res = CollectRows(&join, &ctx);
+    auto join = SerialJoin(std::make_unique<ValuesOp>(KvSchema(), right),
+                           std::make_unique<ValuesOp>(KvSchema(), left), {0},
+                           {0}, t);
+    auto res = CollectRows(join.get(), &ctx);
     EXPECT_TRUE(res.ok());
     std::multiset<int64_t> tags;
     for (const auto& row : res->rows) tags.insert(row[1].AsI64());
@@ -123,10 +142,10 @@ TEST_P(JoinPropertyTest, LeftOuterCoversAllProbeRows) {
 
   ExecContext ctx;
   ctx.vector_size = 64;
-  HashJoinOp join(std::make_unique<ValuesOp>(KvSchema(), right),
-                  std::make_unique<ValuesOp>(KvSchema(), left), {0}, {0},
-                  JoinType::kLeftOuter);
-  auto res = CollectRows(&join, &ctx);
+  auto join = SerialJoin(std::make_unique<ValuesOp>(KvSchema(), right),
+                         std::make_unique<ValuesOp>(KvSchema(), left), {0}, {0},
+                         JoinType::kLeftOuter);
+  auto res = CollectRows(join.get(), &ctx);
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(static_cast<int64_t>(res->rows.size()), expect_rows) << c.name;
   // Unmatched rows have NULL build columns.
@@ -197,8 +216,8 @@ TEST_P(AggPropertyTest, GroupSumCountMinMaxMatchReference) {
   aggs.push_back({AggKind::kSum, Col("x"), "sum"});
   aggs.push_back({AggKind::kMin, Col("x"), "mn"});
   aggs.push_back({AggKind::kMax, Col("x"), "mx"});
-  HashAggOp agg(std::make_unique<ValuesOp>(s, rows), std::move(keys),
-                std::move(aggs));
+  HashAggOp agg(OneChain(std::make_unique<ValuesOp>(s, rows)),
+                std::move(keys), std::move(aggs));
   auto res = CollectRows(&agg, &ctx);
   ASSERT_TRUE(res.ok());
   ASSERT_EQ(res->rows.size(), ref.size()) << c.name;
@@ -252,7 +271,7 @@ TEST(SortPropertyTest, MatchesStdSortAcrossSeeds) {
     ExecContext ctx;
     ctx.vector_size = 64;
     Schema s({Field("k", TypeId::kI64), Field("i", TypeId::kI64)});
-    SortOp sort(std::make_unique<ValuesOp>(s, rows), {{0, true}});
+    SortOp sort(OneChain(std::make_unique<ValuesOp>(s, rows)), {{0, true}});
     auto res = CollectRows(&sort, &ctx);
     ASSERT_TRUE(res.ok());
     ASSERT_EQ(res->rows.size(), ref.size());
@@ -260,7 +279,8 @@ TEST(SortPropertyTest, MatchesStdSortAcrossSeeds) {
       EXPECT_EQ(res->rows[i][0].AsI64(), ref[i].first) << "seed " << seed;
     }
     // TopN prefix agrees with the full sort's key prefix.
-    SortOp topn(std::make_unique<ValuesOp>(s, rows), {{0, true}}, 25);
+    SortOp topn(OneChain(std::make_unique<ValuesOp>(s, rows)), {{0, true}},
+                25);
     auto top = CollectRows(&topn, &ctx);
     ASSERT_TRUE(top.ok());
     ASSERT_EQ(top->rows.size(), 25u);
