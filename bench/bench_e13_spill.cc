@@ -15,8 +15,8 @@
 // tight configurations must actually spill (nonzero spilled bytes in the
 // profile), and the tracker must drain to zero after every query. A final
 // 1-worker run at peak/24 covers the one-chain (serial) case of every
-// breaker out of core: it must match the reference and every breaker
-// must spill.
+// breaker out of core: it must match the reference, every breaker must
+// spill and the tracker must drain.
 #include <cinttypes>
 #include <cmath>
 
@@ -87,6 +87,26 @@ int64_t SpilledBytes(const QueryProfile& p) {
   int64_t b = 0;
   for (const OperatorProfile& op : p.operators) b += op.spill_bytes;
   return b;
+}
+
+/// Spilled bytes per pipeline breaker, from the breakers' profile entries.
+struct BreakerSpill {
+  int64_t build = 0, probe = 0, agg = 0, sort = 0, pairs = 0;
+  bool every_breaker() const { return build > 0 && agg > 0 && sort > 0; }
+};
+
+BreakerSpill SumBreakerSpill(const QueryProfile& prof) {
+  BreakerSpill s;
+  for (const OperatorProfile& p : prof.operators) {
+    if (p.op == "JoinBuildSpill" || p.op == "JoinBuildDefer") {
+      s.build += p.spill_bytes;
+    }
+    if (p.op == "JoinProbeSpill") s.probe += p.spill_bytes;
+    if (p.op == "JoinProbePair") s.pairs++;
+    if (p.op == "AggSpill") s.agg += p.spill_bytes;
+    if (p.op == "SortSpill") s.sort += p.spill_bytes;
+  }
+  return s;
 }
 
 }  // namespace
@@ -178,23 +198,14 @@ int main() {
   auto profiled = session.Execute(GroupByJoinSortPlan());
   db.config().memory_limit = 0;
   if (!profiled.ok()) return 1;
-  int64_t build = 0, agg = 0, sort = 0, probe = 0, pairs = 0;
-  for (const OperatorProfile& p : profiled->profile.operators) {
-    if (p.op == "JoinBuildSpill" || p.op == "JoinBuildDefer") {
-      build += p.spill_bytes;
-    }
-    if (p.op == "JoinProbeSpill") probe += p.spill_bytes;
-    if (p.op == "JoinProbePair") pairs++;
-    if (p.op == "AggSpill") agg += p.spill_bytes;
-    if (p.op == "SortSpill") sort += p.spill_bytes;
-  }
+  const BreakerSpill spill = SumBreakerSpill(profiled->profile);
   std::printf("\nper-breaker spill at peak/24: build=%.2fMB probe=%.2fMB "
               "agg=%.2fMB sort=%.2fMB (grace pairs: %lld)\n",
-              build / 1e6, probe / 1e6, agg / 1e6, sort / 1e6,
-              static_cast<long long>(pairs));
+              spill.build / 1e6, spill.probe / 1e6, spill.agg / 1e6,
+              spill.sort / 1e6, static_cast<long long>(spill.pairs));
   std::printf("\nvery-tight profile:\n%s",
               profiled->profile.ToString().c_str());
-  const bool breakers_ok = build > 0 && agg > 0 && sort > 0;
+  const bool breakers_ok = spill.every_breaker();
   if (!breakers_ok) {
     std::printf("^ expected every breaker to spill at peak/24\n");
   }
@@ -208,22 +219,18 @@ int main() {
   db.config().max_parallelism = 4;
   db.config().scheduler_workers = 4;
   if (!serial.ok()) return 1;
-  int64_t s_build = 0, s_agg = 0, s_sort = 0;
-  for (const OperatorProfile& p : serial->profile.operators) {
-    if (p.op == "JoinBuildSpill" || p.op == "JoinBuildDefer") {
-      s_build += p.spill_bytes;
-    }
-    if (p.op == "AggSpill") s_agg += p.spill_bytes;
-    if (p.op == "SortSpill") s_sort += p.spill_bytes;
-  }
+  const BreakerSpill s_spill = SumBreakerSpill(serial->profile);
   const bool serial_same = SameRows(*reference, *serial);
+  const int64_t serial_leak = db.memory()->used();
   const bool serial_ok =
-      serial_same && s_build > 0 && s_agg > 0 && s_sort > 0;
+      serial_same && serial_leak == 0 && s_spill.every_breaker();
   std::printf("\n1-worker at peak/24: build=%.2fMB agg=%.2fMB sort=%.2fMB "
-              "determinism=%s -> %s\n",
-              s_build / 1e6, s_agg / 1e6, s_sort / 1e6,
+              "leak=%lldB determinism=%s -> %s\n",
+              s_spill.build / 1e6, s_spill.agg / 1e6, s_spill.sort / 1e6,
+              static_cast<long long>(serial_leak),
               serial_same ? "ok" : "MISMATCH",
-              serial_ok ? "ok" : "FAILED (every breaker must spill)");
+              serial_ok ? "ok"
+                        : "FAILED (every breaker must spill, no leak)");
 
   // The CI gate diffs this line between the SimulatedDisk run and the
   // X100_SPILL_PATH file-backed run. Hash the TIGHTEST run — the one

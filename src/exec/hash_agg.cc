@@ -733,8 +733,9 @@ Status HashAggOp::Consume() {
 
   X100_RETURN_IF_ERROR(RunPipelineTasks(
       sched, ctx_->quota, ctx_->cancel, W,
-      [this](int w, TaskGroup& group) -> Status {
+      [this, W](int w, TaskGroup& group) -> Status {
         X100_RETURN_IF_ERROR(group.CheckCancel());
+        ChainProfileScope prof_scope(W == 1 ? this : nullptr);
         Operator* chain = chains_[w].get();
         Status s = chain->Open(ctx_);
         if (s.ok()) {

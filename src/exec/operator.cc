@@ -16,10 +16,21 @@ inline int64_t NowNs() {
 // child_ns, which is how exclusive (self) time is derived without the
 // base class knowing the tree shape. Pipeline worker chains each run on
 // one pool thread, so nesting stays thread-local; an operator whose
-// children run on *other* threads (exchange consumer) accrues no
-// child_ns and its exclusive time includes the cross-thread wait.
+// children run on *other* threads (exchange consumer, a breaker over
+// several chains) accrues no child_ns and its exclusive time includes
+// the cross-thread wait. A breaker's lone chain is charged to the
+// breaker through ChainProfileScope.
 thread_local Operator* g_profiling_caller = nullptr;
 }  // namespace
+
+Operator::ChainProfileScope::ChainProfileScope(Operator* sink)
+    : saved_(g_profiling_caller) {
+  if (sink != nullptr) g_profiling_caller = sink;
+}
+
+Operator::ChainProfileScope::~ChainProfileScope() {
+  g_profiling_caller = saved_;
+}
 
 Status Operator::Open(ExecContext* ctx) {
   profile_ctx_ = ctx;

@@ -117,6 +117,26 @@ class Operator {
   virtual Result<Batch*> NextImpl() = 0;
   virtual void CloseImpl() = 0;
 
+  /// Names the operator that a pipeline task's chain charges its Open/Next
+  /// time to, for the task's lifetime on the running thread. A breaker
+  /// draining its lone input chain passes itself: the chain then counts
+  /// as child time exactly as if the breaker pulled it from its own Next,
+  /// whichever thread runs the task (one chain runs on one thread at a
+  /// time, and the task barrier orders its writes before the breaker's
+  /// profile is read). nullptr keeps the thread's current caller: a
+  /// breaker over several chains passes it, so only a chain its waiting
+  /// thread runs inline counts as its child time.
+  class ChainProfileScope {
+   public:
+    explicit ChainProfileScope(Operator* sink);
+    ~ChainProfileScope();
+    ChainProfileScope(const ChainProfileScope&) = delete;
+    ChainProfileScope& operator=(const ChainProfileScope&) = delete;
+
+   private:
+    Operator* saved_;
+  };
+
  private:
   ExecContext* profile_ctx_ = nullptr;
   OperatorProfile prof_;

@@ -349,6 +349,7 @@ Status SortOp::Materialize() {
       sched, ctx_->quota, ctx_->cancel, W,
       [this, W, &schema, &worker_runs](int w, TaskGroup& group) -> Status {
         X100_RETURN_IF_ERROR(group.CheckCancel());
+        ChainProfileScope prof_scope(W == 1 ? this : nullptr);
         buffers_[w] = std::make_unique<RowBuffer>(schema);
         buffer_mem_[w].Init(ctx_->memory);
         RunBuildState st;

@@ -118,7 +118,10 @@ class SimulatedDisk : public BlockDevice, public SpillDevice {
 
   int64_t blocks_read() const override { return blocks_read_.load(); }
   int64_t bytes_read() const override { return bytes_read_.load(); }
-  int64_t bytes_written() const override { return bytes_written_; }
+  int64_t bytes_written() const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return bytes_written_;
+  }
   int64_t bytes_freed() const {
     std::lock_guard<std::mutex> lock(mu_);
     return bytes_freed_;

@@ -6,8 +6,10 @@
 //  * SpillFile + RowBuffer serialization round trips.
 //  * The determinism sweep: the bench_e8-shaped group-by-join+sort query
 //    at memory_limit {unlimited, tight, very tight} x workers {1, 2, 8}
-//    x radix_bits {0, 2, 4}, every configuration compared value-for-value
-//    against the in-memory serial reference.
+//    x radix_bits {0, 2, 4}, plus joins whose build side is an
+//    aggregation or a top-N at {unlimited, very tight} x workers, every
+//    configuration compared value-for-value against the in-memory serial
+//    reference.
 //  * Error paths: enable_spill = false + a tight limit surfaces
 //    kResourceExhausted mid-build / mid-agg / mid-sort with a clean
 //    TaskGroup unwind; cancellation mid-spill releases reservations.
@@ -16,9 +18,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/config.h"
 #include "common/memory_tracker.h"
@@ -249,7 +251,7 @@ class MemoryLimitTest : public ::testing::Test {
   /// The bench_e8 shape: group-by-join + sort. Integer aggregates and a
   /// unique sort key keep the result bit-stable across worker counts,
   /// radix bits and spill schedules.
-  AlgebraPtr GroupByJoinSortPlan() {
+  static AlgebraPtr GroupByJoinSortPlan() {
     AlgebraPtr join =
         JoinNode(ScanNode("dim"), ScanNode("fact"), JoinType::kInner,
                  {"k"}, {"fk"});
@@ -264,7 +266,7 @@ class MemoryLimitTest : public ::testing::Test {
   /// A join whose build side is an aggregation (one group per fact key),
   /// ordered by the unique label: the build drain runs a one-chain
   /// aggregation sink, which must spill and merge on its own.
-  AlgebraPtr AggBuildJoinPlan() {
+  static AlgebraPtr AggBuildJoinPlan() {
     AlgebraPtr per_fk = AggrNode(ScanNode("fact"), {{"fk", Col("fk")}},
                                  {{AggKind::kSum, Col("val"), "s"},
                                   {AggKind::kCount, nullptr, "c"}});
@@ -277,7 +279,7 @@ class MemoryLimitTest : public ::testing::Test {
   /// one-chain top-N sink inside the build drain. Integer aggregates over
   /// the join make the answer exact, and keep the nested top-N the only
   /// sort that can spill.
-  AlgebraPtr TopNBuildJoinPlan() {
+  static AlgebraPtr TopNBuildJoinPlan() {
     AlgebraPtr top = OrderNode(ScanNode("fact"), {{"val", false}},
                                /*limit=*/kFactRows / 4);
     AlgebraPtr join = JoinNode(std::move(top), ScanNode("dim"),
@@ -319,77 +321,66 @@ class MemoryLimitTest : public ::testing::Test {
 // ---------------------------------------------------------------------------
 
 TEST_F(MemoryLimitTest, OutOfCoreSweepMatchesInMemory) {
-  // In-memory serial reference; its peak sizes the tight limits.
-  SetWorkers(1);
-  db_->config().radix_bits = 0;
-  db_->config().memory_limit = 0;
-  db_->memory()->ResetPeak();
-  auto reference = session_->Execute(GroupByJoinSortPlan());
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  ASSERT_EQ(reference->rows.size(), static_cast<size_t>(kDimRows));
-  ExpectTrackerDrained("reference");
-  const int64_t peak = db_->memory()->peak();
-  ASSERT_GT(peak, 0);
-
-  // tight ~ half the observed peak (a sizable fraction of breaker state
-  // spills), very tight ~ 1/24th (nearly everything spills).
-  const int64_t limits[] = {0, peak / 2, peak / 24};
-  for (const int64_t limit : limits) {
-    for (const int bits : {0, 2, 4}) {
-      for (const int workers : {1, 2, 8}) {
-        const std::string what = "memory_limit=" + std::to_string(limit) +
-                                 " radix_bits=" + std::to_string(bits) +
-                                 " workers=" + std::to_string(workers);
-        SetWorkers(workers);
-        db_->config().radix_bits = bits;
-        db_->config().memory_limit = limit;
-        auto res = session_->Execute(GroupByJoinSortPlan());
-        ASSERT_TRUE(res.ok()) << what << ": " << res.status().ToString();
-        ExpectSameRows(*reference, *res, what);
-        ExpectTrackerDrained(what);
-      }
-    }
-  }
-
-  // A breaker nested inside a join's build side: a one-chain sink that
-  // spawns its own tasks from within a build-drain task. At the tight
-  // limit the nested breaker itself must go out of core.
-  struct Nested {
+  // Each plan runs at limits peak/divisor (0 = unlimited) against its own
+  // in-memory 1-worker reference, whose peak sizes the limits: tight ~
+  // half the observed peak (a sizable fraction of breaker state spills),
+  // very tight ~ 1/24th (nearly everything spills). The nested cases put
+  // a breaker inside a join's build side — a one-chain sink that spawns
+  // its own tasks from within a build-drain task — and at the tight limit
+  // that nested breaker itself must go out of core (spill_op).
+  struct Case {
     const char* name;
-    std::function<AlgebraPtr()> plan;
-    const char* spill_op;
+    AlgebraPtr (*plan)();
+    std::vector<int64_t> divisors;
+    std::vector<int> radix_bits;  // the first one builds the reference
+    const char* spill_op;         // nullptr = spilling not checked
+    size_t rows;                  // reference row count; 0 = any nonempty
   };
-  const Nested nested[] = {
-      {"agg-build-join", [this] { return AggBuildJoinPlan(); }, "AggSpill"},
-      {"topn-build-join", [this] { return TopNBuildJoinPlan(); },
-       "SortSpill"},
+  const Case cases[] = {
+      {"group-by-join-sort", &MemoryLimitTest::GroupByJoinSortPlan,
+       {0, 2, 24}, {0, 2, 4}, nullptr, static_cast<size_t>(kDimRows)},
+      {"agg-build-join", &MemoryLimitTest::AggBuildJoinPlan, {0, 24}, {-1},
+       "AggSpill", 0},
+      {"topn-build-join", &MemoryLimitTest::TopNBuildJoinPlan, {0, 24},
+       {-1}, "SortSpill", 1},
   };
-  db_->config().radix_bits = -1;
-  for (const Nested& n : nested) {
+  for (const Case& c : cases) {
     SetWorkers(1);
+    db_->config().radix_bits = c.radix_bits.front();
     db_->config().memory_limit = 0;
     db_->memory()->ResetPeak();
-    auto nested_ref = session_->Execute(n.plan());
-    ASSERT_TRUE(nested_ref.ok()) << nested_ref.status().ToString();
-    ASSERT_FALSE(nested_ref->rows.empty()) << n.name;
-    const int64_t nested_peak = db_->memory()->peak();
-    for (const int64_t limit : {int64_t{0}, nested_peak / 24}) {
-      for (const int workers : {1, 2, 8}) {
-        const std::string what = std::string(n.name) +
-                                 " memory_limit=" + std::to_string(limit) +
-                                 " workers=" + std::to_string(workers);
-        SetWorkers(workers);
-        db_->config().memory_limit = limit;
-        auto res = session_->Execute(n.plan());
-        ASSERT_TRUE(res.ok()) << what << ": " << res.status().ToString();
-        ExpectSameRows(*nested_ref, *res, what);
-        ExpectTrackerDrained(what);
-        if (limit == 0) continue;
-        int64_t spilled = 0;
-        for (const OperatorProfile& p : res->profile.operators) {
-          if (p.op == n.spill_op) spilled += p.spill_bytes;
+    auto reference = session_->Execute(c.plan());
+    ASSERT_TRUE(reference.ok()) << c.name << ": "
+                                << reference.status().ToString();
+    ASSERT_FALSE(reference->rows.empty()) << c.name;
+    if (c.rows != 0) {
+      ASSERT_EQ(reference->rows.size(), c.rows) << c.name;
+    }
+    ExpectTrackerDrained(std::string(c.name) + " reference");
+    const int64_t peak = db_->memory()->peak();
+    ASSERT_GT(peak, 0) << c.name;
+    for (const int64_t divisor : c.divisors) {
+      const int64_t limit = divisor == 0 ? 0 : peak / divisor;
+      for (const int bits : c.radix_bits) {
+        for (const int workers : {1, 2, 8}) {
+          const std::string what =
+              std::string(c.name) + " memory_limit=" + std::to_string(limit) +
+              " radix_bits=" + std::to_string(bits) +
+              " workers=" + std::to_string(workers);
+          SetWorkers(workers);
+          db_->config().radix_bits = bits;
+          db_->config().memory_limit = limit;
+          auto res = session_->Execute(c.plan());
+          ASSERT_TRUE(res.ok()) << what << ": " << res.status().ToString();
+          ExpectSameRows(*reference, *res, what);
+          ExpectTrackerDrained(what);
+          if (limit == 0 || c.spill_op == nullptr) continue;
+          int64_t spilled = 0;
+          for (const OperatorProfile& p : res->profile.operators) {
+            if (p.op == c.spill_op) spilled += p.spill_bytes;
+          }
+          EXPECT_GT(spilled, 0) << what << "\n" << res->profile.ToString();
         }
-        EXPECT_GT(spilled, 0) << what << "\n" << res->profile.ToString();
       }
     }
   }

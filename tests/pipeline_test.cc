@@ -700,25 +700,40 @@ TEST_F(PipelineTest, QuotaConstrainedQueryStillCorrect) {
 }
 
 TEST_F(PipelineTest, ExclusiveTimeSubtractsChildTime) {
-  // Serial plan: inside the sort's one chain, Select pulls Scan within its
-  // own Next, so the select's child_ns must be populated and exclusive <=
-  // inclusive everywhere.
+  // Serial plans: a breaker's lone chain counts as the breaker's child
+  // time wherever its task runs, so the sort's (and the aggregation's)
+  // child_ns must be populated and exclusive <= inclusive. Repeated
+  // because the chain lands on a pool thread on some runs and inline on
+  // the waiting thread on others.
   SetWorkers(0);
-  auto res = session_->Execute(OrderNode(
-      SelectNode(ScanNode("fact"), Ge(Col("val"), Lit(Value::I64(0)))),
-      {{"val", true}}));
-  ASSERT_TRUE(res.ok()) << res.status().ToString();
-  bool checked_select = false;
-  for (const OperatorProfile& p : res->profile.operators) {
-    EXPECT_GE(p.exclusive_ns(), 0);
-    EXPECT_LE(p.exclusive_ns(), p.open_ns + p.next_ns);
-    if (p.op == "Select") {
-      checked_select = true;
-      EXPECT_GT(p.child_ns, 0);  // the scan ran inside the select's Next
+  for (int rep = 0; rep < 5; rep++) {
+    for (bool with_agg : {false, true}) {
+      AlgebraPtr input = ScanNode("fact");
+      if (with_agg) {
+        input = AggrNode(std::move(input), {{"fk", Col("fk")}},
+                         {{AggKind::kSum, Col("val"), "val"}});
+      }
+      auto res =
+          session_->Execute(OrderNode(std::move(input), {{"val", true}}));
+      ASSERT_TRUE(res.ok()) << res.status().ToString();
+      bool checked_sort = false, checked_agg = false;
+      for (const OperatorProfile& p : res->profile.operators) {
+        EXPECT_GE(p.exclusive_ns(), 0);
+        EXPECT_LE(p.exclusive_ns(), p.open_ns + p.next_ns);
+        if (p.op.rfind("Sort(", 0) == 0) {
+          checked_sort = true;
+          EXPECT_GT(p.child_ns, 0);  // the input ran inside the sort
+        }
+        if (p.op == "HashAgg(1)") {
+          checked_agg = true;
+          EXPECT_GT(p.child_ns, 0);  // the scan ran inside the aggregation
+        }
+      }
+      EXPECT_TRUE(checked_sort);
+      EXPECT_EQ(checked_agg, with_agg);
+      EXPECT_NE(res->profile.ToString().find("self(us)"), std::string::npos);
     }
   }
-  EXPECT_TRUE(checked_select);
-  EXPECT_NE(res->profile.ToString().find("self(us)"), std::string::npos);
 }
 
 // The planner helpers drive the decomposition; pin their contract.
