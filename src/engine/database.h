@@ -183,12 +183,13 @@ class Database {
 
   /// Starts a table definition; finish with RegisterTable(builder.Finish()).
   /// Blocks go to the durable device when data_path is configured, else to
-  /// the SimulatedDisk.
+  /// the SimulatedDisk. Column chunks compress on scheduler().
   std::unique_ptr<TableBuilder> CreateTable(const std::string& name,
                                             Schema schema, Layout layout,
                                             int64_t group_rows = 0) {
     return std::make_unique<TableBuilder>(name, std::move(schema), layout,
-                                          block_device(), group_rows);
+                                          block_device(), group_rows,
+                                          scheduler());
   }
 
   Result<UpdatableTable*> RegisterTable(std::unique_ptr<Table> table) {

@@ -170,33 +170,32 @@ Status TransactionManager::Checkpoint(UpdatableTable* table,
   TableBuilder builder(base->name(), base->schema(), base->layout(),
                        base->device());
   Status status = Status::OK();
-  auto emit_stable_range = [&](int64_t a, int64_t b) {
-    for (int64_t sid = a; sid < b && status.ok(); sid++) {
-      auto row = ReadStableRow(base.get(), &reader, sid, {});
-      if (!row.ok()) {
-        status = row.status();
-        return;
-      }
-      status = builder.AppendRow(*row);
-    }
-  };
+  // The dirty group being rewritten, decoded once: one read per column
+  // chunk, whatever the number of rows.
+  std::unique_ptr<Batch> decoded;
+  int64_t decoded_lo = 0;  // SID of decoded's first row
   auto on_clean_run = [&](int64_t a, int64_t b) {
-    if (status.ok()) emit_stable_range(a, b);
+    if (!status.ok()) return;
+    sel_t* sel = decoded->MutableSel();
+    for (int64_t sid = a; sid < b; sid++) {
+      sel[sid - a] = static_cast<sel_t>(sid - decoded_lo);
+    }
+    decoded->SetSelCount(static_cast<int>(b - a));
+    status = builder.AppendBatch(*decoded);
   };
   auto on_slot = [&](const VisibleSlot& slot) {
     if (!status.ok()) return;
+    std::vector<Value> row;
     if (slot.is_insert) {
-      std::vector<Value> row = slot.row->values;
-      for (const auto& [col, v] : slot.mods) row[col] = *v;
-      status = builder.AppendRow(row);
+      row = slot.row->values;
     } else {
-      auto row = ReadStableRow(base.get(), &reader, slot.sid, slot.mods);
-      if (!row.ok()) {
-        status = row.status();
-        return;
+      const int off = static_cast<int>(slot.sid - decoded_lo);
+      for (int c = 0; c < decoded->num_columns(); c++) {
+        row.push_back(CellValue(*decoded->column(c), off));
       }
-      status = builder.AppendRow(*row);
     }
+    for (const auto& [col, v] : slot.mods) row[col] = *v;
+    status = builder.AppendRow(row);
   };
 
   std::vector<BlockId> retired;  // blocks of rewritten (dirty) groups
@@ -217,8 +216,14 @@ Status TransactionManager::Checkpoint(UpdatableTable* table,
       continue;
     }
     Table::AppendGroupBlockIds(gm, &retired);
-    view.ForEachVisible(lo, hi, /*include_tail=*/last, on_clean_run,
-                        on_slot);
+    decoded = std::make_unique<Batch>(base->schema(),
+                                      static_cast<int>(gm.rows));
+    decoded_lo = lo;
+    status = reader.ReadGroup(g, decoded.get());
+    if (status.ok()) {
+      view.ForEachVisible(lo, hi, /*include_tail=*/last, on_clean_run,
+                          on_slot);
+    }
     // Close the rewritten group at the original boundary so neighbouring
     // clean groups keep alignment with their stored SID ranges.
     if (status.ok()) status = builder.Flush();

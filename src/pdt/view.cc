@@ -187,51 +187,31 @@ Result<std::vector<Value>> ReadStableRow(
   }
   if (g < 0) return Status::OutOfRange("sid outside table");
   const GroupMeta& gm = base->group(g);
+  Batch decoded(base->schema(), static_cast<int>(gm.rows));
+  X100_RETURN_IF_ERROR(reader->ReadGroup(g, &decoded));
   const int off = static_cast<int>(sid - gm.first_sid);
-  const Schema& schema = base->schema();
-  std::vector<Value> row(schema.num_fields());
-  StringHeap heap;
-  std::vector<uint8_t> buf;
-  std::vector<uint8_t> nulls(gm.rows);
-  for (int c = 0; c < schema.num_fields(); c++) {
-    const Field& f = schema.field(c);
-    buf.resize(static_cast<size_t>(gm.rows) * TypeWidth(f.type));
-    X100_RETURN_IF_ERROR(
-        reader->ReadColumn(g, c, buf.data(), nulls.data(), &heap));
-    if (nulls[off]) {
-      row[c] = Value::Null(f.type);
-      continue;
-    }
-    switch (f.type) {
-      case TypeId::kBool:
-        row[c] = Value::Bool(reinterpret_cast<uint8_t*>(buf.data())[off]);
-        break;
-      case TypeId::kI8:
-        row[c] = Value::I8(reinterpret_cast<int8_t*>(buf.data())[off]);
-        break;
-      case TypeId::kI16:
-        row[c] = Value::I16(reinterpret_cast<int16_t*>(buf.data())[off]);
-        break;
-      case TypeId::kI32:
-        row[c] = Value::I32(reinterpret_cast<int32_t*>(buf.data())[off]);
-        break;
-      case TypeId::kDate:
-        row[c] = Value::Date(reinterpret_cast<int32_t*>(buf.data())[off]);
-        break;
-      case TypeId::kI64:
-        row[c] = Value::I64(reinterpret_cast<int64_t*>(buf.data())[off]);
-        break;
-      case TypeId::kF64:
-        row[c] = Value::F64(reinterpret_cast<double*>(buf.data())[off]);
-        break;
-      case TypeId::kStr:
-        row[c] = Value::Str(
-            reinterpret_cast<StrRef*>(buf.data())[off].ToString());
-        break;
-    }
+  std::vector<Value> row;
+  row.reserve(decoded.num_columns());
+  for (int c = 0; c < decoded.num_columns(); c++) {
+    row.push_back(CellValue(*decoded.column(c), off));
   }
   for (const auto& [col, v] : mods) row[col] = *v;
   return row;
+}
+
+Value CellValue(const Vector& v, int i) {
+  if (v.IsNull(i)) return Value::Null(v.type());
+  switch (v.type()) {
+    case TypeId::kBool: return Value::Bool(v.Data<uint8_t>()[i]);
+    case TypeId::kI8: return Value::I8(v.Data<int8_t>()[i]);
+    case TypeId::kI16: return Value::I16(v.Data<int16_t>()[i]);
+    case TypeId::kI32: return Value::I32(v.Data<int32_t>()[i]);
+    case TypeId::kDate: return Value::Date(v.Data<int32_t>()[i]);
+    case TypeId::kI64: return Value::I64(v.Data<int64_t>()[i]);
+    case TypeId::kF64: return Value::F64(v.Data<double>()[i]);
+    case TypeId::kStr: return Value::Str(v.Data<StrRef>()[i].ToString());
+  }
+  return Value::Null(v.type());
 }
 
 Result<std::vector<Value>> TableView::ReadRow(int64_t rid,

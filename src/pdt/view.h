@@ -63,11 +63,15 @@ struct TableView {
   Result<StackLocator> Locate(int64_t rid) const;
 };
 
-/// Reads one stable row of `base` as Values (checkpoint / ReadRow helper).
+/// Reads one stable row of `base` as Values (ReadRow helper). Decodes
+/// the row's whole group: bulk readers use TableReader::ReadGroup.
 Result<std::vector<Value>> ReadStableRow(const Table* base,
                                          TableReader* reader, int64_t sid,
                                          const std::vector<std::pair<
                                              int, const Value*>>& mods);
+
+/// The value at position `i` of `v` (Value::Null at a NULL).
+Value CellValue(const Vector& v, int i);
 
 }  // namespace x100
 

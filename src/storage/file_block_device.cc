@@ -93,6 +93,11 @@ int64_t FileBlockDevice::file_bytes() const {
   return static_cast<int64_t>(st.st_size);
 }
 
+int64_t FileBlockDevice::live_slots() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return next_slot_ - static_cast<int64_t>(free_slots_.size());
+}
+
 void FileBlockDevice::RestoreAllocated(const std::vector<BlockId>& live) {
   std::vector<bool> used(static_cast<size_t>(next_slot_), false);
   for (BlockId id : live) {

@@ -101,6 +101,8 @@ class FileBlockDevice : public BlockDevice {
   int64_t slots_recycled() const {
     return slots_recycled_.load(std::memory_order_relaxed);
   }
+  /// Slots holding a block that has not been freed.
+  int64_t live_slots() const;
 
   void set_fault_hook(FaultHook hook);
 

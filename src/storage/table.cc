@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
+
+#include "common/task_scheduler.h"
 
 namespace x100 {
 
@@ -27,6 +30,12 @@ Result<std::vector<BlockId>> PlaceBytes(BlockDevice* device,
     off += len;
   } while (off < bytes.size());
   return blocks;
+}
+
+/// Writes one staged cell (the staging is a byte array).
+template <typename T>
+void StoreCell(uint8_t* dst, T v) {
+  std::memcpy(dst, &v, sizeof(T));
 }
 
 }  // namespace
@@ -64,16 +73,9 @@ bool Table::GroupMayMatch(int g, int col, RangeOp op, const Value& v) const {
 int64_t Table::compressed_bytes() const {
   int64_t total = 0;
   for (const GroupMeta& g : groups_) {
-    if (!g.pax_blocks.empty()) {
-      for (const ColumnChunkMeta& c : g.cols) {
-        total += static_cast<int64_t>(c.loc.length) +
-                 static_cast<int64_t>(c.null_loc.length);
-      }
-    } else {
-      for (const ColumnChunkMeta& c : g.cols) {
-        total += static_cast<int64_t>(c.loc.length) +
-                 static_cast<int64_t>(c.null_loc.length);
-      }
+    for (const ColumnChunkMeta& c : g.cols) {
+      total += static_cast<int64_t>(c.loc.length) +
+               static_cast<int64_t>(c.null_loc.length);
     }
   }
   return total;
@@ -83,27 +85,122 @@ int64_t Table::compressed_bytes() const {
 // TableBuilder
 // ---------------------------------------------------------------------------
 
+/// The rows of the group being filled, one typed byte array per column
+/// (StrRefs into the group's heap for strings). NULL slots hold zero bytes
+/// (an empty string) whichever entry point staged them. Null flags exist
+/// only from a column's first NULL on. Nothing is reserved up front: a
+/// checkpoint stages a short group, and the arrays grow as rows arrive.
 struct TableBuilder::Staging {
   struct Col {
-    std::vector<uint8_t> fixed;     // raw bytes for fixed-width types
-    std::vector<std::string> strs;  // owned strings for kStr
-    std::vector<uint8_t> nulls;
+    std::vector<uint8_t> data;   // rows * TypeWidth(type) bytes
+    std::vector<uint8_t> nulls;  // rows flags once any_null, else empty
     bool any_null = false;
+
+    uint8_t* Grow(size_t bytes) {
+      const size_t off = data.size();
+      data.resize(off + bytes);
+      return data.data() + off;
+    }
+    /// Turns the flags on at the column's first NULL (`rows` staged so
+    /// far, none of them NULL).
+    void MarkNullable(int64_t rows) {
+      if (any_null) return;
+      nulls.assign(static_cast<size_t>(rows), 0);
+      any_null = true;
+    }
   };
+
+  explicit Staging(int num_cols) : cols(num_cols) {}
+
+  /// Appends live rows [from, from + n) of `v` (positions through `sel`
+  /// when non-null) to column `c`; `rows` is not advanced.
+  void AppendColumn(int c, const Vector& v, const sel_t* sel, int from,
+                    int n);
+
   std::vector<Col> cols;
+  StringHeap heap;
   int64_t rows = 0;
 };
 
+void TableBuilder::Staging::AppendColumn(int c, const Vector& v,
+                                         const sel_t* sel, int from, int n) {
+  Col& col = cols[c];
+  auto at = [&](int j) { return sel ? sel[from + j] : from + j; };
+  const uint8_t* vnulls = v.has_nulls() ? v.nulls() : nullptr;
+  bool null_seen = false;
+  for (int j = 0; vnulls != nullptr && j < n; j++) {
+    null_seen |= vnulls[at(j)] != 0;
+  }
+  if (null_seen) col.MarkNullable(rows);
+  if (col.any_null) {
+    const size_t off = col.nulls.size();
+    col.nulls.resize(off + n, 0);
+    for (int j = 0; null_seen && j < n; j++) {
+      col.nulls[off + j] = vnulls[at(j)] != 0 ? 1 : 0;
+    }
+  }
+  const int w = TypeWidth(v.type());
+  uint8_t* dst = col.Grow(static_cast<size_t>(n) * w);
+  if (v.type() == TypeId::kStr) {
+    const StrRef* src = v.Data<StrRef>();
+    for (int j = 0; j < n; j++) {
+      const int i = at(j);
+      StoreCell(dst + static_cast<size_t>(j) * w,
+                null_seen && vnulls[i] != 0 ? StrRef("", 0)
+                                            : heap.Add(src[i].view()));
+    }
+    return;
+  }
+  const auto* src = static_cast<const uint8_t*>(v.RawData());
+  if (sel == nullptr) {
+    std::memcpy(dst, src + static_cast<size_t>(from) * w,
+                static_cast<size_t>(n) * w);
+  } else {
+    for (int j = 0; j < n; j++) {
+      std::memcpy(dst + static_cast<size_t>(j) * w,
+                  src + static_cast<size_t>(at(j)) * w, w);
+    }
+  }
+  for (int j = 0; null_seen && j < n; j++) {
+    if (vnulls[at(j)] != 0) {
+      std::memset(dst + static_cast<size_t>(j) * w, 0, w);
+    }
+  }
+}
+
+/// A staged group while its column chunks compress (one task each), until
+/// the loading thread places it.
+struct TableBuilder::InFlight {
+  std::unique_ptr<Staging> staging;
+  GroupMeta gm;
+  std::vector<std::vector<uint8_t>> payloads;
+  std::vector<std::vector<uint8_t>> null_payloads;
+  Status inline_status;  // no scheduler: the chunks compressed in place
+  // Declared last, so destroyed first: cancels the tasks not yet started
+  // and waits for the running ones before the buffers they use are freed.
+  std::unique_ptr<TaskGroup> tasks;
+
+  /// Waits for every chunk; the staged input is released either way.
+  Status Wait() {
+    const Status s = tasks != nullptr ? tasks->Wait() : inline_status;
+    staging.reset();
+    return s;
+  }
+};
+
 TableBuilder::TableBuilder(std::string name, Schema schema, Layout layout,
-                           BlockDevice* device, int64_t group_rows)
+                           BlockDevice* device, int64_t group_rows,
+                           TaskScheduler* scheduler)
     : table_(std::make_unique<Table>(std::move(name), std::move(schema),
                                      layout, device)),
       group_rows_(group_rows > 0 ? group_rows : kBlockGroupRows),
-      staging_(std::make_unique<Staging>()) {
-  staging_->cols.resize(table_->schema().num_fields());
-}
+      scheduler_(scheduler),
+      staging_(std::make_unique<Staging>(table_->schema().num_fields())) {}
 
 TableBuilder::~TableBuilder() {
+  // Stop the compressing group first: its tasks read the staging and
+  // write the payloads the reset frees.
+  in_flight_.reset();
   // An unfinished build (error unwind, aborted checkpoint) must not leak
   // device blocks: a durable file would otherwise grow with every failed
   // attempt. Table may be null if Finish() moved it out but `finished_`
@@ -120,45 +217,50 @@ Status TableBuilder::AppendRow(const std::vector<Value>& row) {
     return Status::InvalidArgument("row arity mismatch");
   }
   for (int c = 0; c < schema.num_fields(); c++) {
-    const Field& f = schema.field(c);
-    Staging::Col& st = staging_->cols[c];
-    const bool null = row[c].is_null();
-    if (null && !f.nullable) {
-      return Status::InvalidArgument("NULL in non-nullable column " + f.name);
+    if (row[c].is_null() && !schema.field(c).nullable) {
+      return Status::InvalidArgument("NULL in non-nullable column " +
+                                     schema.field(c).name);
     }
-    st.nulls.push_back(null ? 1 : 0);
-    st.any_null |= null;
-    auto push_fixed = [&](auto v) {
-      const auto* p = reinterpret_cast<const uint8_t*>(&v);
-      st.fixed.insert(st.fixed.end(), p, p + sizeof(v));
-    };
-    switch (f.type) {
+  }
+  Staging& st = *staging_;
+  for (int c = 0; c < schema.num_fields(); c++) {
+    const TypeId type = schema.field(c).type;
+    const Value& v = row[c];
+    Staging::Col& col = st.cols[c];
+    if (v.is_null()) col.MarkNullable(st.rows);
+    if (col.any_null) col.nulls.push_back(v.is_null() ? 1 : 0);
+    uint8_t* dst = col.Grow(TypeWidth(type));
+    if (v.is_null()) {
+      if (type == TypeId::kStr) StoreCell(dst, StrRef("", 0));
+      continue;  // fixed-width NULL slots stay zero
+    }
+    switch (type) {
       case TypeId::kBool:
-        push_fixed(static_cast<uint8_t>(null ? 0 : row[c].AsBool()));
+        StoreCell(dst, static_cast<uint8_t>(v.AsBool()));
         break;
       case TypeId::kI8:
-        push_fixed(static_cast<int8_t>(null ? 0 : row[c].AsI64()));
+        StoreCell(dst, static_cast<int8_t>(v.AsI64()));
         break;
       case TypeId::kI16:
-        push_fixed(static_cast<int16_t>(null ? 0 : row[c].AsI64()));
+        StoreCell(dst, static_cast<int16_t>(v.AsI64()));
         break;
       case TypeId::kI32:
       case TypeId::kDate:
-        push_fixed(static_cast<int32_t>(null ? 0 : row[c].AsI64()));
+        StoreCell(dst, static_cast<int32_t>(v.AsI64()));
         break;
       case TypeId::kI64:
-        push_fixed(static_cast<int64_t>(null ? 0 : row[c].AsI64()));
+        StoreCell(dst, v.AsI64());
         break;
       case TypeId::kF64:
-        push_fixed(null ? 0.0 : row[c].AsF64());
+        StoreCell(dst, v.AsF64());
         break;
       case TypeId::kStr:
-        st.strs.push_back(null ? std::string() : row[c].AsStr());
+        StoreCell(dst, st.heap.Add(v.AsStr()));
         break;
     }
   }
-  staging_->rows++;
-  if (staging_->rows >= group_rows_) return FlushGroup();
+  st.rows++;
+  if (st.rows >= group_rows_) return FlushGroup();
   return Status::OK();
 }
 
@@ -169,29 +271,29 @@ Status TableBuilder::AppendBatch(const Batch& batch) {
   }
   const int n = batch.ActiveRows();
   const sel_t* sel = batch.sel();
-  for (int j = 0; j < n; j++) {
-    const int i = sel ? sel[j] : j;
-    for (int c = 0; c < schema.num_fields(); c++) {
-      const Vector& v = *batch.column(c);
-      Staging::Col& st = staging_->cols[c];
-      const bool null = v.IsNull(i);
-      if (null && !schema.field(c).nullable) {
+  for (int c = 0; c < schema.num_fields(); c++) {
+    const Field& f = schema.field(c);
+    const Vector& v = *batch.column(c);
+    if (v.type() != f.type) {
+      return Status::InvalidArgument("batch column type mismatch for " +
+                                     f.name);
+    }
+    if (f.nullable || !v.has_nulls()) continue;
+    for (int j = 0; j < n; j++) {
+      if (v.IsNull(sel ? sel[j] : j)) {
         return Status::InvalidArgument("NULL in non-nullable column " +
-                                       schema.field(c).name);
-      }
-      st.nulls.push_back(null ? 1 : 0);
-      st.any_null |= null;
-      if (schema.field(c).type == TypeId::kStr) {
-        st.strs.push_back(std::string(v.Data<StrRef>()[i].view()));
-      } else {
-        const int w = TypeWidth(v.type());
-        const uint8_t* p =
-            static_cast<const uint8_t*>(v.RawData()) +
-            static_cast<size_t>(i) * w;
-        st.fixed.insert(st.fixed.end(), p, p + w);
+                                       f.name);
       }
     }
-    staging_->rows++;
+  }
+  for (int done = 0; done < n;) {
+    const int take = static_cast<int>(
+        std::min<int64_t>(n - done, group_rows_ - staging_->rows));
+    for (int c = 0; c < schema.num_fields(); c++) {
+      staging_->AppendColumn(c, *batch.column(c), sel, done, take);
+    }
+    staging_->rows += take;
+    done += take;
     if (staging_->rows >= group_rows_) X100_RETURN_IF_ERROR(FlushGroup());
   }
   return Status::OK();
@@ -199,114 +301,134 @@ Status TableBuilder::AppendBatch(const Batch& batch) {
 
 namespace {
 
+/// Compresses one fixed-width column chunk and computes its MinMax over
+/// the non-NULL values (`nulls` may be nullptr).
 template <typename T>
-Status CompressTyped(const std::vector<uint8_t>& fixed, int n,
-                     std::vector<uint8_t>* out, int64_t* imin, int64_t* imax,
-                     double* dmin, double* dmax, bool* has_mm,
-                     const std::vector<uint8_t>& nulls, bool any_null) {
-  const T* data = reinterpret_cast<const T*>(fixed.data());
+Status CompressFixed(const uint8_t* bytes, const uint8_t* nulls, int n,
+                     ColumnChunkMeta* meta, std::vector<uint8_t>* out) {
+  const T* data = reinterpret_cast<const T*>(bytes);
   const CodecId codec = ChooseCodec<T>(data, n);
   X100_RETURN_IF_ERROR(CompressColumn<T>(codec, data, n, out));
-  // MinMax over non-NULL values.
   bool first = true;
   for (int i = 0; i < n; i++) {
-    if (any_null && nulls[i]) continue;
+    if (nulls != nullptr && nulls[i]) continue;
     const T v = data[i];
     if constexpr (std::is_same_v<T, double>) {
-      if (first || v < *dmin) *dmin = v;
-      if (first || v > *dmax) *dmax = v;
+      if (first || v < meta->dmin) meta->dmin = v;
+      if (first || v > meta->dmax) meta->dmax = v;
     } else {
-      if (first || static_cast<int64_t>(v) < *imin) *imin = v;
-      if (first || static_cast<int64_t>(v) > *imax) *imax = v;
+      if (first || static_cast<int64_t>(v) < meta->imin) meta->imin = v;
+      if (first || static_cast<int64_t>(v) > meta->imax) meta->imax = v;
     }
     first = false;
   }
-  *has_mm = !first;
+  meta->has_min_max = !first;
+  return Status::OK();
+}
+
+/// The per-column unit of work of a group flush: compresses a staged
+/// column chunk (and its null chunk when `nulls` is non-null) and fills
+/// the chunk's metadata. Runs on a scheduler task or inline.
+Status CompressChunk(TypeId type, const uint8_t* data, const uint8_t* nulls,
+                     int n, ColumnChunkMeta* meta, std::vector<uint8_t>* out,
+                     std::vector<uint8_t>* null_out) {
+  switch (type) {
+    case TypeId::kBool:
+      X100_RETURN_IF_ERROR(CompressFixed<uint8_t>(data, nulls, n, meta, out));
+      meta->has_min_max = false;  // no range pruning on bool
+      break;
+    case TypeId::kI8:
+      X100_RETURN_IF_ERROR(CompressFixed<int8_t>(data, nulls, n, meta, out));
+      break;
+    case TypeId::kI16:
+      X100_RETURN_IF_ERROR(CompressFixed<int16_t>(data, nulls, n, meta, out));
+      break;
+    case TypeId::kI32:
+    case TypeId::kDate:
+      X100_RETURN_IF_ERROR(CompressFixed<int32_t>(data, nulls, n, meta, out));
+      break;
+    case TypeId::kI64:
+      X100_RETURN_IF_ERROR(CompressFixed<int64_t>(data, nulls, n, meta, out));
+      break;
+    case TypeId::kF64:
+      X100_RETURN_IF_ERROR(CompressFixed<double>(data, nulls, n, meta, out));
+      break;
+    case TypeId::kStr: {
+      const StrRef* refs = reinterpret_cast<const StrRef*>(data);
+      const CodecId codec = ChooseStrCodec(refs, n);
+      X100_RETURN_IF_ERROR(CompressStrColumn(codec, refs, n, out));
+      break;
+    }
+  }
+  meta->loc.length = out->size();
+  if (nulls != nullptr) {
+    meta->has_nulls = true;
+    const CodecId codec = ChooseCodec<uint8_t>(nulls, n);
+    X100_RETURN_IF_ERROR(CompressColumn<uint8_t>(codec, nulls, n, null_out));
+    meta->null_loc.length = null_out->size();
+  }
   return Status::OK();
 }
 
 }  // namespace
 
-Status TableBuilder::FlushGroup() {
-  if (staging_->rows == 0) return Status::OK();
+std::unique_ptr<TableBuilder::InFlight> TableBuilder::StartCompression() {
   const Schema& schema = table_->schema();
-  const int n = static_cast<int>(staging_->rows);
-  GroupMeta gm;
-  gm.first_sid = table_->num_rows_;
-  gm.rows = static_cast<uint32_t>(n);
-  gm.cols.resize(schema.num_fields());
-
-  // Compress every column chunk (+ null chunks) into byte buffers.
-  std::vector<std::vector<uint8_t>> payloads(schema.num_fields());
-  std::vector<std::vector<uint8_t>> null_payloads(schema.num_fields());
-  for (int c = 0; c < schema.num_fields(); c++) {
-    const Field& f = schema.field(c);
-    Staging::Col& st = staging_->cols[c];
-    ColumnChunkMeta& meta = gm.cols[c];
-    std::vector<uint8_t>* out = &payloads[c];
-    switch (f.type) {
-      case TypeId::kBool:
-        X100_RETURN_IF_ERROR(CompressTyped<uint8_t>(
-            st.fixed, n, out, &meta.imin, &meta.imax, &meta.dmin, &meta.dmax,
-            &meta.has_min_max, st.nulls, st.any_null));
-        meta.has_min_max = false;  // no range pruning on bool
-        break;
-      case TypeId::kI8:
-        X100_RETURN_IF_ERROR(CompressTyped<int8_t>(
-            st.fixed, n, out, &meta.imin, &meta.imax, &meta.dmin, &meta.dmax,
-            &meta.has_min_max, st.nulls, st.any_null));
-        break;
-      case TypeId::kI16:
-        X100_RETURN_IF_ERROR(CompressTyped<int16_t>(
-            st.fixed, n, out, &meta.imin, &meta.imax, &meta.dmin, &meta.dmax,
-            &meta.has_min_max, st.nulls, st.any_null));
-        break;
-      case TypeId::kI32:
-      case TypeId::kDate:
-        X100_RETURN_IF_ERROR(CompressTyped<int32_t>(
-            st.fixed, n, out, &meta.imin, &meta.imax, &meta.dmin, &meta.dmax,
-            &meta.has_min_max, st.nulls, st.any_null));
-        break;
-      case TypeId::kI64:
-        X100_RETURN_IF_ERROR(CompressTyped<int64_t>(
-            st.fixed, n, out, &meta.imin, &meta.imax, &meta.dmin, &meta.dmax,
-            &meta.has_min_max, st.nulls, st.any_null));
-        break;
-      case TypeId::kF64:
-        X100_RETURN_IF_ERROR(CompressTyped<double>(
-            st.fixed, n, out, &meta.imin, &meta.imax, &meta.dmin, &meta.dmax,
-            &meta.has_min_max, st.nulls, st.any_null));
-        break;
-      case TypeId::kStr: {
-        std::vector<StrRef> refs(n);
-        for (int i = 0; i < n; i++) refs[i] = StrRef(st.strs[i]);
-        const CodecId codec = ChooseStrCodec(refs.data(), n);
-        X100_RETURN_IF_ERROR(
-            CompressStrColumn(codec, refs.data(), n, out));
-        break;
-      }
-    }
-    meta.loc.length = out->size();
-    if (st.any_null) {
-      meta.has_nulls = true;
-      const CodecId codec = ChooseCodec<uint8_t>(st.nulls.data(), n);
-      X100_RETURN_IF_ERROR(CompressColumn<uint8_t>(codec, st.nulls.data(), n,
-                                                   &null_payloads[c]));
-      meta.null_loc.length = null_payloads[c].size();
+  const int num_cols = schema.num_fields();
+  auto group = std::make_unique<InFlight>();
+  group->staging = std::move(staging_);
+  staging_ = std::make_unique<Staging>(num_cols);
+  group->gm.rows = static_cast<uint32_t>(group->staging->rows);
+  group->gm.cols.resize(num_cols);
+  group->payloads.resize(num_cols);
+  group->null_payloads.resize(num_cols);
+  if (scheduler_ != nullptr) {
+    group->tasks = std::make_unique<TaskGroup>(scheduler_);
+  }
+  InFlight* g = group.get();
+  for (int c = 0; c < num_cols; c++) {
+    auto compress = [g, c, type = schema.field(c).type]() {
+      const Staging::Col& col = g->staging->cols[c];
+      return CompressChunk(type, col.data.data(),
+                           col.any_null ? col.nulls.data() : nullptr,
+                           static_cast<int>(g->gm.rows), &g->gm.cols[c],
+                           &g->payloads[c], &g->null_payloads[c]);
+    };
+    if (g->tasks != nullptr) {
+      g->tasks->Spawn(std::move(compress));
+    } else if (g->inline_status.ok()) {
+      g->inline_status = compress();
     }
   }
+  return group;
+}
 
-  // Place on the device. A failed write aborts the group; the blocks
-  // already placed stay in blocks_written_ and are freed by the dtor.
+Status TableBuilder::FlushGroup() {
+  // Finish the previous group before handing over this one, so at most
+  // one group compresses; then place the previous group while this one
+  // compresses.
+  std::unique_ptr<InFlight> prev = std::move(in_flight_);
+  if (prev != nullptr) X100_RETURN_IF_ERROR(prev->Wait());
+  if (staging_->rows > 0) in_flight_ = StartCompression();
+  return prev != nullptr ? Place(prev.get()) : Status::OK();
+}
+
+Status TableBuilder::Place(InFlight* group) {
+  // A failed write aborts the group; the blocks already placed stay in
+  // blocks_written_ and are freed by the dtor.
+  const Schema& schema = table_->schema();
+  GroupMeta& gm = group->gm;
+  gm.first_sid = table_->num_rows_;
   BlockDevice* device = table_->device();
   if (table_->layout() == Layout::kDsm) {
     for (int c = 0; c < schema.num_fields(); c++) {
-      X100_ASSIGN_OR_RETURN(gm.cols[c].loc.blocks,
-                            PlaceBytes(device, payloads[c], &blocks_written_));
+      X100_ASSIGN_OR_RETURN(
+          gm.cols[c].loc.blocks,
+          PlaceBytes(device, group->payloads[c], &blocks_written_));
       if (gm.cols[c].has_nulls) {
         X100_ASSIGN_OR_RETURN(
             gm.cols[c].null_loc.blocks,
-            PlaceBytes(device, null_payloads[c], &blocks_written_));
+            PlaceBytes(device, group->null_payloads[c], &blocks_written_));
       }
     }
   } else {
@@ -314,26 +436,31 @@ Status TableBuilder::FlushGroup() {
     std::vector<uint8_t> region;
     for (int c = 0; c < schema.num_fields(); c++) {
       gm.cols[c].loc.offset = region.size();
-      region.insert(region.end(), payloads[c].begin(), payloads[c].end());
+      region.insert(region.end(), group->payloads[c].begin(),
+                    group->payloads[c].end());
       if (gm.cols[c].has_nulls) {
         gm.cols[c].null_loc.offset = region.size();
-        region.insert(region.end(), null_payloads[c].begin(),
-                      null_payloads[c].end());
+        region.insert(region.end(), group->null_payloads[c].begin(),
+                      group->null_payloads[c].end());
       }
     }
     X100_ASSIGN_OR_RETURN(gm.pax_blocks,
                           PlaceBytes(device, region, &blocks_written_));
   }
-
+  table_->num_rows_ += gm.rows;
   table_->groups_.push_back(std::move(gm));
-  table_->num_rows_ += n;
-  staging_ = std::make_unique<Staging>();
-  staging_->cols.resize(schema.num_fields());
   return Status::OK();
 }
 
+Status TableBuilder::Flush() {
+  // The first pass hands the staged rows over; the second waits for them
+  // and places them.
+  X100_RETURN_IF_ERROR(FlushGroup());
+  return FlushGroup();
+}
+
 Status TableBuilder::AppendStoredGroup(const GroupMeta& gm) {
-  X100_RETURN_IF_ERROR(FlushGroup());  // preserve row order
+  X100_RETURN_IF_ERROR(Flush());  // preserve row order
   GroupMeta copy = gm;
   copy.first_sid = table_->num_rows_;
   table_->num_rows_ += copy.rows;
@@ -342,7 +469,7 @@ Status TableBuilder::AppendStoredGroup(const GroupMeta& gm) {
 }
 
 Result<std::unique_ptr<Table>> TableBuilder::Finish() {
-  X100_RETURN_IF_ERROR(FlushGroup());
+  X100_RETURN_IF_ERROR(Flush());
   finished_ = true;
   return std::move(table_);
 }
@@ -447,6 +574,23 @@ Status TableReader::ReadColumn(int g, int col, void* out, uint8_t* nulls,
       std::memset(nulls, 0, gm.rows);
     }
   }
+  return Status::OK();
+}
+
+Status TableReader::ReadGroup(int g, Batch* out, CancellationToken* cancel) {
+  const GroupMeta& gm = table_->group(g);
+  if (out->capacity() < static_cast<int64_t>(gm.rows)) {
+    return Status::InvalidArgument("batch too small for the group");
+  }
+  for (int c = 0; c < table_->schema().num_fields(); c++) {
+    Vector* v = out->column(c);
+    v->ClearNulls();
+    uint8_t* nulls = gm.cols[c].has_nulls ? v->MutableNulls() : nullptr;
+    X100_RETURN_IF_ERROR(
+        ReadColumn(g, c, v->RawData(), nulls, v->heap(), cancel));
+  }
+  out->ClearSel();
+  out->set_rows(static_cast<int>(gm.rows));
   return Status::OK();
 }
 

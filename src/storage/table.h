@@ -135,28 +135,46 @@ class Table {
   int64_t num_rows_ = 0;
 };
 
-/// Builds a table group-by-group: stage rows, compress, place on device.
+/// Builds a table group-by-group: stage rows column by column, compress,
+/// place on device (docs/STORAGE.md, "Loading a table").
+///
+/// With a scheduler, a full group's column chunks compress as one task
+/// each while the next group stages; at most one group compresses at a
+/// time. The calling thread places groups on the device in group order,
+/// so no byte of the image depends on which thread compressed it. Without
+/// a scheduler the same per-column compression runs inline.
+///
 /// If the builder is destroyed without Finish() (a failed build or an
-/// aborted checkpoint), every block it wrote is freed — a durable device
-/// must not accrete orphan slots from unwound work.
+/// aborted checkpoint), the in-flight group's tasks are cancelled and
+/// awaited, and every block it wrote is freed — a durable device must not
+/// accrete orphan slots from unwound work.
 class TableBuilder {
  public:
   /// group_rows lets tests use small groups; 0 = kBlockGroupRows.
+  /// `scheduler` (may be nullptr) runs the compression tasks.
   TableBuilder(std::string name, Schema schema, Layout layout,
-               BlockDevice* device, int64_t group_rows = 0);
+               BlockDevice* device, int64_t group_rows = 0,
+               TaskScheduler* scheduler = nullptr);
   ~TableBuilder();
+
+  TableBuilder(const TableBuilder&) = delete;
+  TableBuilder& operator=(const TableBuilder&) = delete;
 
   /// Appends one row; `row` must match the schema (Value::Null for NULLs in
   /// nullable columns).
   Status AppendRow(const std::vector<Value>& row);
 
-  /// Appends all live rows of a batch.
+  /// Appends all live rows of a batch (its column types must match the
+  /// schema), a column at a time; a batch that crosses a group boundary
+  /// is split there. A NULL in a non-nullable column rejects the whole
+  /// batch before anything is staged.
   Status AppendBatch(const Batch& batch);
 
-  /// Flushes staged rows as a (possibly short) group now. Checkpoints use
-  /// this to close a rewritten group at the original group boundary so
-  /// clean groups on either side keep their SID ranges.
-  Status Flush() { return FlushGroup(); }
+  /// Flushes staged rows as a (possibly short) group now and waits until
+  /// every group is placed, so blocks_written() is complete on return.
+  /// Checkpoints use this to close a rewritten group at the original group
+  /// boundary so clean groups on either side keep their SID ranges.
+  Status Flush();
 
   /// Adopts an already-stored group verbatim (block reuse): the group's
   /// blocks stay where they are, only the metadata is appended with
@@ -168,18 +186,26 @@ class TableBuilder {
   Result<std::unique_ptr<Table>> Finish();
 
   /// Blocks newly written by this builder so far (excludes blocks adopted
-  /// via AppendStoredGroup — those belong to the old image).
+  /// via AppendStoredGroup — those belong to the old image). Complete
+  /// after Flush() or Finish().
   const std::vector<BlockId>& blocks_written() const {
     return blocks_written_;
   }
 
  private:
   struct Staging;
+  struct InFlight;
+  /// Hands the staged rows to compression and places the group that was
+  /// compressing before (it is awaited first).
   Status FlushGroup();
+  std::unique_ptr<InFlight> StartCompression();
+  Status Place(InFlight* group);
 
   std::unique_ptr<Table> table_;
   int64_t group_rows_;
+  TaskScheduler* scheduler_;
   std::unique_ptr<Staging> staging_;
+  std::unique_ptr<InFlight> in_flight_;  // at most one compressing group
   std::vector<BlockId> blocks_written_;
   bool finished_ = false;
 };
@@ -195,6 +221,11 @@ class TableReader {
   /// hold group(g).rows values; strings are materialized into `heap`.
   Status ReadColumn(int g, int col, void* out, uint8_t* nulls,
                     StringHeap* heap, CancellationToken* cancel = nullptr);
+
+  /// Decompresses every column of group `g` into `out`, whose capacity
+  /// must be at least group(g).rows: one read per column chunk. Strings
+  /// land in the columns' heaps; the selection is cleared.
+  Status ReadGroup(int g, Batch* out, CancellationToken* cancel = nullptr);
 
   const Table* table() const { return table_; }
 

@@ -1,5 +1,9 @@
 #include "tpch/tpch.h"
 
+#include <charconv>
+#include <cstring>
+#include <string_view>
+
 #include "engine/query_executor.h"
 
 #include "common/rng.h"
@@ -116,49 +120,116 @@ Schema RegionSchema() {
 
 namespace {
 
-std::string Comment(Rng* rng, int max_len) {
-  static const char* words[] = {"carefully", "final", "deposits", "sleep",
-                                "quickly",   "bold",  "requests", "haggle",
-                                "furiously", "even",  "accounts", "ideas"};
-  std::string s;
-  const int n = static_cast<int>(rng->Uniform(2, 5));
-  for (int i = 0; i < n; i++) {
-    if (i) s += ' ';
-    s += words[rng->Uniform(0, 11)];
-    if (static_cast<int>(s.size()) >= max_len) break;
+/// Loads one generated table a vector at a time: the generator writes each
+/// row straight into a batch's columns, and every full batch goes to the
+/// builder through AppendBatch.
+class VectorLoader {
+ public:
+  VectorLoader(Database* db, const std::string& name, const Schema& schema,
+               Layout layout)
+      : db_(db),
+        builder_(db->CreateTable(name, schema, layout)),
+        batch_(schema, db->config().vector_size) {}
+
+  /// The cell of column `col` in the row being generated.
+  template <typename T>
+  T& At(int col) {
+    return batch_.column(col)->Data<T>()[batch_.rows()];
   }
-  return s;
-}
+
+  /// A string cell copied into the column's heap.
+  void Str(int col, std::string_view s) {
+    At<StrRef>(col) = batch_.column(col)->heap()->Add(s);
+  }
+
+  /// A string cell pointing at static storage (a literal, a table entry).
+  void Literal(int col, const char* s) {
+    At<StrRef>(col) = StrRef(std::string_view(s));
+  }
+
+  /// `prefix` followed by the decimal digits of `n`.
+  void Numbered(int col, std::string_view prefix, int64_t n) {
+    char buf[48];
+    std::memcpy(buf, prefix.data(), prefix.size());
+    char* end = std::to_chars(buf + prefix.size(), buf + sizeof(buf), n).ptr;
+    Str(col, std::string_view(buf, end - buf));
+  }
+
+  /// Two to five random words, cut short once `max_len` is reached.
+  void Comment(int col, Rng* rng, int max_len) {
+    static const char* words[] = {"carefully", "final", "deposits", "sleep",
+                                  "quickly",   "bold",  "requests", "haggle",
+                                  "furiously", "even",  "accounts", "ideas"};
+    char buf[64];  // at most 5 words of 9 letters and 4 spaces
+    size_t len = 0;
+    const int n = static_cast<int>(rng->Uniform(2, 5));
+    for (int i = 0; i < n; i++) {
+      if (i) buf[len++] = ' ';
+      const char* w = words[rng->Uniform(0, 11)];
+      const size_t wlen = std::strlen(w);
+      std::memcpy(buf + len, w, wlen);
+      len += wlen;
+      if (static_cast<int>(len) >= max_len) break;
+    }
+    Str(col, std::string_view(buf, len));
+  }
+
+  /// Closes the row being generated; a full batch is loaded.
+  Status EndRow() {
+    batch_.set_rows(batch_.rows() + 1);
+    return batch_.rows() == batch_.capacity() ? Load() : Status::OK();
+  }
+
+  /// Loads the remaining rows, then finishes and registers the table.
+  Status Finish() {
+    X100_RETURN_IF_ERROR(Load());
+    auto t = builder_->Finish();
+    X100_RETURN_IF_ERROR(t.status());
+    return db_->RegisterTable(std::move(t).value()).status();
+  }
+
+ private:
+  Status Load() {
+    if (batch_.rows() == 0) return Status::OK();
+    const Status s = builder_->AppendBatch(batch_);
+    batch_.Reset();
+    return s;
+  }
+
+  Database* db_;
+  std::unique_ptr<TableBuilder> builder_;
+  Batch batch_;
+};
 
 Status GenerateSmallTables(Database* db, Layout layout) {
   {
-    auto b = db->CreateTable("region", RegionSchema(), layout);
+    VectorLoader b(db, "region", RegionSchema(), layout);
     for (int r = 0; r < 5; r++) {
-      X100_RETURN_IF_ERROR(b->AppendRow(
-          {Value::I32(r), Value::Str(kRegions[r]), Value::Str("")}));
+      b.At<int32_t>(0) = r;
+      b.Literal(1, kRegions[r]);
+      b.Literal(2, "");
+      X100_RETURN_IF_ERROR(b.EndRow());
     }
-    auto t = b->Finish();
-    X100_RETURN_IF_ERROR(t.status());
-    X100_RETURN_IF_ERROR(
-        db->RegisterTable(std::move(t).value()).status());
+    X100_RETURN_IF_ERROR(b.Finish());
   }
   {
-    auto b = db->CreateTable("nation", NationSchema(), layout);
+    VectorLoader b(db, "nation", NationSchema(), layout);
     for (int n = 0; n < 25; n++) {
-      X100_RETURN_IF_ERROR(
-          b->AppendRow({Value::I32(n), Value::Str(kNations[n]),
-                        Value::I32(n % 5), Value::Str("")}));
+      b.At<int32_t>(0) = n;
+      b.Literal(1, kNations[n]);
+      b.At<int32_t>(2) = n % 5;
+      b.Literal(3, "");
+      X100_RETURN_IF_ERROR(b.EndRow());
     }
-    auto t = b->Finish();
-    X100_RETURN_IF_ERROR(t.status());
-    X100_RETURN_IF_ERROR(
-        db->RegisterTable(std::move(t).value()).status());
+    X100_RETURN_IF_ERROR(b.Finish());
   }
   return Status::OK();
 }
 
 }  // namespace
 
+// Every generator draws its random numbers in column order, one row at a
+// time, so the data does not depend on how rows are batched.
 Status Generate(Database* db, double sf, Layout layout) {
   InitDates();
   X100_RETURN_IF_ERROR(GenerateSmallTables(db, layout));
@@ -170,63 +241,60 @@ Status Generate(Database* db, double sf, Layout layout) {
 
   {
     Rng rng(101);
-    auto b = db->CreateTable("customer", CustomerSchema(), layout);
+    VectorLoader b(db, "customer", CustomerSchema(), layout);
     for (int64_t c = 1; c <= n_customers; c++) {
-      X100_RETURN_IF_ERROR(b->AppendRow(
-          {Value::I64(c), Value::Str("Customer#" + std::to_string(c)),
-           Value::Str("addr-" + std::to_string(rng.Uniform(0, 99999))),
-           Value::I32(static_cast<int32_t>(rng.Uniform(0, 24))),
-           Value::Str("phone"),
-           Value::F64(rng.Uniform(-99999, 999999) / 100.0),
-           Value::Str(kSegments[rng.Uniform(0, 4)]),
-           Value::Str(Comment(&rng, 40))}));
+      b.At<int64_t>(0) = c;
+      b.Numbered(1, "Customer#", c);
+      b.Numbered(2, "addr-", rng.Uniform(0, 99999));
+      b.At<int32_t>(3) = static_cast<int32_t>(rng.Uniform(0, 24));
+      b.Literal(4, "phone");
+      b.At<double>(5) = rng.Uniform(-99999, 999999) / 100.0;
+      b.Literal(6, kSegments[rng.Uniform(0, 4)]);
+      b.Comment(7, &rng, 40);
+      X100_RETURN_IF_ERROR(b.EndRow());
     }
-    auto t = b->Finish();
-    X100_RETURN_IF_ERROR(t.status());
-    X100_RETURN_IF_ERROR(db->RegisterTable(std::move(t).value()).status());
+    X100_RETURN_IF_ERROR(b.Finish());
   }
   {
     Rng rng(102);
-    auto b = db->CreateTable("supplier", SupplierSchema(), layout);
+    VectorLoader b(db, "supplier", SupplierSchema(), layout);
     for (int64_t s = 1; s <= n_suppliers; s++) {
-      X100_RETURN_IF_ERROR(b->AppendRow(
-          {Value::I64(s), Value::Str("Supplier#" + std::to_string(s)),
-           Value::Str("addr"), Value::I32(static_cast<int32_t>(
-                                   rng.Uniform(0, 24))),
-           Value::Str("phone"),
-           Value::F64(rng.Uniform(-99999, 999999) / 100.0),
-           Value::Str(Comment(&rng, 30))}));
+      b.At<int64_t>(0) = s;
+      b.Numbered(1, "Supplier#", s);
+      b.Literal(2, "addr");
+      b.At<int32_t>(3) = static_cast<int32_t>(rng.Uniform(0, 24));
+      b.Literal(4, "phone");
+      b.At<double>(5) = rng.Uniform(-99999, 999999) / 100.0;
+      b.Comment(6, &rng, 30);
+      X100_RETURN_IF_ERROR(b.EndRow());
     }
-    auto t = b->Finish();
-    X100_RETURN_IF_ERROR(t.status());
-    X100_RETURN_IF_ERROR(db->RegisterTable(std::move(t).value()).status());
+    X100_RETURN_IF_ERROR(b.Finish());
   }
   {
     Rng rng(103);
-    static const char* kTypes[] = {"STANDARD", "SMALL", "MEDIUM", "LARGE",
-                                   "ECONOMY", "PROMO"};
-    auto b = db->CreateTable("part", PartSchema(), layout);
+    static const char* kTypes[] = {"STANDARD BRUSHED", "SMALL BRUSHED",
+                                   "MEDIUM BRUSHED",   "LARGE BRUSHED",
+                                   "ECONOMY BRUSHED",  "PROMO BRUSHED"};
+    VectorLoader b(db, "part", PartSchema(), layout);
     for (int64_t p = 1; p <= n_parts; p++) {
-      X100_RETURN_IF_ERROR(b->AppendRow(
-          {Value::I64(p), Value::Str("part-" + std::to_string(p)),
-           Value::Str("Manufacturer#" +
-                      std::to_string(rng.Uniform(1, 5))),
-           Value::Str("Brand#" + std::to_string(rng.Uniform(11, 55))),
-           Value::Str(std::string(kTypes[rng.Uniform(0, 5)]) + " BRUSHED"),
-           Value::I32(static_cast<int32_t>(rng.Uniform(1, 50))),
-           Value::Str("JUMBO PKG"),
-           Value::F64(900 + (p % 1000) / 10.0),
-           Value::Str(Comment(&rng, 20))}));
+      b.At<int64_t>(0) = p;
+      b.Numbered(1, "part-", p);
+      b.Numbered(2, "Manufacturer#", rng.Uniform(1, 5));
+      b.Numbered(3, "Brand#", rng.Uniform(11, 55));
+      b.Literal(4, kTypes[rng.Uniform(0, 5)]);
+      b.At<int32_t>(5) = static_cast<int32_t>(rng.Uniform(1, 50));
+      b.Literal(6, "JUMBO PKG");
+      b.At<double>(7) = 900 + (p % 1000) / 10.0;
+      b.Comment(8, &rng, 20);
+      X100_RETURN_IF_ERROR(b.EndRow());
     }
-    auto t = b->Finish();
-    X100_RETURN_IF_ERROR(t.status());
-    X100_RETURN_IF_ERROR(db->RegisterTable(std::move(t).value()).status());
+    X100_RETURN_IF_ERROR(b.Finish());
   }
 
   // orders + lineitem generated together (1..7 lines per order).
   Rng rng(104);
-  auto ob = db->CreateTable("orders", OrdersSchema(), layout);
-  auto lb = db->CreateTable("lineitem", LineitemSchema(), layout);
+  VectorLoader ob(db, "orders", OrdersSchema(), layout);
+  VectorLoader lb(db, "lineitem", LineitemSchema(), layout);
   for (int64_t o = 1; o <= n_orders; o++) {
     const int32_t orderdate = static_cast<int32_t>(
         rng.Uniform(kStartDate, kEndDate - 151));
@@ -247,35 +315,40 @@ Status Generate(Database* db, double sf, Layout layout) {
           shipdate + static_cast<int32_t>(rng.Uniform(1, 30));
       const bool shipped = shipdate <= kCurrentDate;
       total += price * (1 + tax);
-      X100_RETURN_IF_ERROR(lb->AppendRow(
-          {Value::I64(o), Value::I64(partkey),
-           Value::I64(rng.Uniform(1, n_suppliers)), Value::I32(l),
-           Value::F64(qty), Value::F64(price), Value::F64(discount),
-           Value::F64(tax),
-           Value::Str(shipped ? (receiptdate <= kCurrentDate
-                                     ? (rng.Bernoulli(0.5) ? "R" : "A")
-                                     : "N")
-                              : "N"),
-           Value::Str(shipped ? "F" : "O"), Value::Date(shipdate),
-           Value::Date(commitdate), Value::Date(receiptdate),
-           Value::Str(kShipInstruct[rng.Uniform(0, 3)]),
-           Value::Str(kShipModes[rng.Uniform(0, 6)]),
-           Value::Str(Comment(&rng, 27))}));
+      lb.At<int64_t>(0) = o;
+      lb.At<int64_t>(1) = partkey;
+      lb.At<int64_t>(2) = rng.Uniform(1, n_suppliers);
+      lb.At<int32_t>(3) = l;
+      lb.At<double>(4) = qty;
+      lb.At<double>(5) = price;
+      lb.At<double>(6) = discount;
+      lb.At<double>(7) = tax;
+      lb.Literal(8, shipped ? (receiptdate <= kCurrentDate
+                                   ? (rng.Bernoulli(0.5) ? "R" : "A")
+                                   : "N")
+                            : "N");
+      lb.Literal(9, shipped ? "F" : "O");
+      lb.At<int32_t>(10) = shipdate;
+      lb.At<int32_t>(11) = commitdate;
+      lb.At<int32_t>(12) = receiptdate;
+      lb.Literal(13, kShipInstruct[rng.Uniform(0, 3)]);
+      lb.Literal(14, kShipModes[rng.Uniform(0, 6)]);
+      lb.Comment(15, &rng, 27);
+      X100_RETURN_IF_ERROR(lb.EndRow());
     }
-    X100_RETURN_IF_ERROR(ob->AppendRow(
-        {Value::I64(o), Value::I64(custkey),
-         Value::Str(orderdate + 151 < kCurrentDate ? "F" : "O"),
-         Value::F64(total), Value::Date(orderdate),
-         Value::Str(kPriorities[rng.Uniform(0, 4)]),
-         Value::Str("Clerk#" + std::to_string(rng.Uniform(1, 1000))),
-         Value::I32(0), Value::Str(Comment(&rng, 19))}));
+    ob.At<int64_t>(0) = o;
+    ob.At<int64_t>(1) = custkey;
+    ob.Literal(2, orderdate + 151 < kCurrentDate ? "F" : "O");
+    ob.At<double>(3) = total;
+    ob.At<int32_t>(4) = orderdate;
+    ob.Literal(5, kPriorities[rng.Uniform(0, 4)]);
+    ob.Numbered(6, "Clerk#", rng.Uniform(1, 1000));
+    ob.At<int32_t>(7) = 0;
+    ob.Comment(8, &rng, 19);
+    X100_RETURN_IF_ERROR(ob.EndRow());
   }
-  auto ot = ob->Finish();
-  X100_RETURN_IF_ERROR(ot.status());
-  X100_RETURN_IF_ERROR(db->RegisterTable(std::move(ot).value()).status());
-  auto lt = lb->Finish();
-  X100_RETURN_IF_ERROR(lt.status());
-  X100_RETURN_IF_ERROR(db->RegisterTable(std::move(lt).value()).status());
+  X100_RETURN_IF_ERROR(ob.Finish());
+  X100_RETURN_IF_ERROR(lb.Finish());
   db->events()->Info("TPC-H generated at SF " + std::to_string(sf));
   return Status::OK();
 }

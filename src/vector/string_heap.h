@@ -31,7 +31,9 @@ class StringHeap {
   /// Reserves `n` writable bytes (for functions building strings in place,
   /// e.g. concat / upper). Caller wraps the result in a StrRef.
   char* Allocate(size_t n) {
-    if (used_ + n > cur_size_) Grow(n);
+    // Even a zero-byte reservation gets a chunk, so the result is never
+    // null: decoders memcpy zero bytes into it.
+    if (cur_ == nullptr || used_ + n > cur_size_) Grow(n);
     char* p = cur_ + used_;
     used_ += n;
     bytes_allocated_ += n;

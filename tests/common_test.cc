@@ -264,15 +264,21 @@ TEST(TaskSchedulerTest, StealsFromBusyWorker) {
   TaskScheduler pool(2);
   // Block one worker, then enqueue many quick tasks: the other worker
   // must steal the ones round-robined onto the blocked worker's deque.
+  // The quick tasks are enqueued only once the blocker runs: queued
+  // behind it, the idle worker could drain its own deque and steal the
+  // blocker itself, leaving the quick tasks to their own workers.
   std::atomic<bool> release{false};
+  std::atomic<bool> blocking{false};
   std::atomic<int> done{0};
   TaskGroup group(&pool);
   group.Spawn([&] {
+    blocking.store(true);
     while (!release.load()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     return Status::OK();
   });
+  while (!blocking.load()) std::this_thread::yield();
   for (int i = 0; i < 40; i++) {
     group.Spawn([&] {
       done.fetch_add(1);

@@ -9,6 +9,7 @@
 #include "pdt/pdt.h"
 #include "pdt/transaction.h"
 #include "pdt/view.h"
+#include "storage/buffer_manager.h"
 #include "storage/simulated_disk.h"
 
 namespace x100 {
@@ -449,6 +450,69 @@ TEST_F(TxnTest, CheckpointWithoutRetiredOutFreesImmediately) {
   ASSERT_TRUE(tm_.Checkpoint(table_.get(), buffers_.get()).ok());
   // No durable catalog to protect: the legacy path frees on the spot.
   EXPECT_GT(disk_.bytes_freed(), 0);
+}
+
+// Value of row `r`, column `c` in the checkpoint cost test.
+int64_t WideCell(int64_t r, int c) { return (r * (c + 1)) % 1000 + c; }
+
+// Checkpoints a one-group, 16-column table of `rows` rows after one update
+// and returns the pool pins (hits + misses) the checkpoint took. The rows
+// read back from the rewritten image must be the rows before it.
+int64_t CheckpointPins(int rows) {
+  constexpr int kCols = 16;
+  std::vector<Field> fields;
+  for (int c = 0; c < kCols; c++) {
+    fields.emplace_back("c" + std::to_string(c), TypeId::kI64);
+  }
+  const Schema schema(fields);
+  SimulatedDisk disk;
+  TableBuilder b("t", schema, Layout::kDsm, &disk, rows);
+  for (int64_t r = 0; r < rows; r++) {
+    std::vector<Value> row;
+    for (int c = 0; c < kCols; c++) row.push_back(Value::I64(WideCell(r, c)));
+    EXPECT_TRUE(b.AppendRow(row).ok());
+  }
+  auto base = b.Finish();
+  EXPECT_TRUE(base.ok());
+  UpdatableTable table(std::move(base).value());
+  BufferManager buffers(&disk, 64 << 20);
+  TransactionManager tm;
+  auto txn = tm.Begin(&table);
+  EXPECT_TRUE(txn->Update(rows / 2, 3, Value::I64(-1)).ok());
+  EXPECT_TRUE(tm.Commit(txn.get()).ok());
+
+  const int64_t pins_before = buffers.hits() + buffers.misses();
+  EXPECT_TRUE(tm.Checkpoint(&table, &buffers).ok());
+  const int64_t pins = buffers.hits() + buffers.misses() - pins_before;
+
+  const Table* image = table.base();
+  EXPECT_EQ(image->num_rows(), rows);
+  EXPECT_EQ(image->num_groups(), 1);
+  Batch decoded(schema, rows);
+  TableReader reader(image, &buffers);
+  EXPECT_TRUE(reader.ReadGroup(0, &decoded).ok());
+  for (int c = 0; c < kCols; c++) {
+    const int64_t* v = decoded.column(c)->Data<int64_t>();
+    for (int64_t r = 0; r < rows; r++) {
+      const int64_t expect = r == rows / 2 && c == 3 ? -1 : WideCell(r, c);
+      if (v[r] != expect) {
+        ADD_FAILURE() << "row " << r << " column " << c << ": " << v[r]
+                      << " != " << expect;
+        return pins;
+      }
+    }
+  }
+  return pins;
+}
+
+// A checkpoint decodes each column chunk of a dirty group once, so its
+// pool pins do not grow with the group's rows (one decode per row made
+// them grow with rows x columns).
+TEST(CheckpointCostTest, PoolPinsDoNotGrowWithGroupRows) {
+  const int64_t small = CheckpointPins(1024);
+  const int64_t large = CheckpointPins(16384);
+  EXPECT_EQ(small, large);
+  EXPECT_LE(large, 16);  // one single-block chunk per column
 }
 
 // ---------------------------------------------------------------------------

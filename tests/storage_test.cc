@@ -1,5 +1,6 @@
 // Storage tests: simulated disk, buffer manager, PAX/DSM table round-trips,
-// MinMax pushdown, NULL chunks, and cooperative-scan scheduling policies.
+// MinMax pushdown, NULL chunks, cooperative-scan scheduling policies, and
+// the load path (the stored image does not depend on how rows arrive).
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -7,6 +8,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <thread>
 
 #include "common/rng.h"
@@ -19,6 +21,7 @@
 #include "storage/file_block_device.h"
 #include "storage/simulated_disk.h"
 #include "storage/table.h"
+#include "tpch/tpch.h"
 
 namespace x100 {
 namespace {
@@ -1129,6 +1132,327 @@ TEST(RestartTest, MissingDataPathFailsOpenLoudly) {
             db.open_status().code());
   EXPECT_EQ(db.DropTable("t").code(), db.open_status().code());
   EXPECT_EQ(db.Checkpoint("t").code(), db.open_status().code());
+}
+
+// ---------------------------------------------------------------------------
+// Loading: the stored image does not depend on how rows arrive
+// ---------------------------------------------------------------------------
+
+// FNV-1a over everything a stored table image consists of: per group the
+// SID range, block ids, chunk locations, MinMax and null metadata, and the
+// chunk bytes read back from the device.
+class ImageHasher {
+ public:
+  void Bytes(const void* p, size_t n) {
+    const auto* b = static_cast<const uint8_t*>(p);
+    for (size_t i = 0; i < n; i++) h_ = (h_ ^ b[i]) * 1099511628211ull;
+  }
+  template <typename T>
+  void Pod(const T& v) {
+    Bytes(&v, sizeof(v));
+  }
+  void Blocks(BlockDevice* device, const std::vector<BlockId>& ids) {
+    Pod(ids.size());
+    for (BlockId id : ids) {
+      Pod(id);
+      auto data = device->ReadBlock(id);
+      ASSERT_TRUE(data.ok()) << data.status().ToString();
+      Pod(data->size());
+      Bytes(data->data(), data->size());
+    }
+  }
+  void Loc(BlockDevice* device, const ChunkLoc& loc) {
+    Blocks(device, loc.blocks);
+    Pod(loc.offset);
+    Pod(loc.length);
+  }
+  void Add(const Table& t) {
+    Bytes(t.name().data(), t.name().size());
+    Pod(t.num_rows());
+    Pod(t.num_groups());
+    for (int g = 0; g < t.num_groups(); g++) {
+      const GroupMeta& gm = t.group(g);
+      Pod(gm.first_sid);
+      Pod(gm.rows);
+      Blocks(t.device(), gm.pax_blocks);
+      for (const ColumnChunkMeta& c : gm.cols) {
+        Loc(t.device(), c.loc);
+        Pod(c.has_min_max);
+        Pod(c.imin);
+        Pod(c.imax);
+        Pod(c.dmin);
+        Pod(c.dmax);
+        Pod(c.has_nulls);
+        Loc(t.device(), c.null_loc);
+      }
+    }
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 14695981039346656037ull;
+};
+
+uint64_t ImageHash(const Table& t) {
+  ImageHasher hasher;
+  hasher.Add(t);
+  return hasher.value();
+}
+
+uint64_t TpchImageHash(Layout layout) {
+  Database db;
+  EXPECT_TRUE(tpch::Generate(&db, 0.01, layout).ok());
+  ImageHasher hasher;
+  for (const char* name : {"region", "nation", "customer", "supplier", "part",
+                           "orders", "lineitem"}) {
+    auto t = db.GetTable(name);
+    EXPECT_TRUE(t.ok()) << name;
+    if (t.ok()) hasher.Add(*(*t)->base());
+  }
+  return hasher.value();
+}
+
+// The constants were recorded by running this hash over the image the
+// row-at-a-time serial builder produced (tpch::Generate feeding AppendRow,
+// every chunk compressed on the loading thread). At SF 0.01 every table is
+// one group, so even the block ids must come out the same.
+TEST(LoadImageTest, TpchImageMatchesRecordedHash) {
+  EXPECT_EQ(TpchImageHash(Layout::kDsm), 0xca19a5f5aee94e47ull);
+  EXPECT_EQ(TpchImageHash(Layout::kPax), 0x160fb658a9b96755ull);
+}
+
+Schema LoadSchema() {
+  return Schema({Field("b", TypeId::kBool, /*nullable=*/true),
+                 Field("i8", TypeId::kI8, true),
+                 Field("i16", TypeId::kI16, true),
+                 Field("i32", TypeId::kI32),
+                 Field("d", TypeId::kDate, true),
+                 Field("i64", TypeId::kI64, true),
+                 Field("f", TypeId::kF64, true),
+                 Field("s", TypeId::kStr, true),
+                 Field("t", TypeId::kStr)});
+}
+
+// Row `i` of the load tests: NULLs at a different stride per column, and
+// i64 NULL only in rows 150-159, so only one group carries its null chunk.
+std::vector<Value> LoadRow(int i) {
+  auto maybe_null = [i](int k, Value v) {
+    return (i + k) % (3 + k) == 0 ? Value::Null(v.type()) : v;
+  };
+  return {maybe_null(0, Value::Bool(i % 2 == 1)),
+          maybe_null(1, Value::I8(static_cast<int8_t>(i % 100 - 50))),
+          maybe_null(2, Value::I16(static_cast<int16_t>(i * 7 % 3000))),
+          Value::I32(i),
+          maybe_null(3, Value::Date(9000 + i % 400)),
+          i >= 150 && i < 160 && i % 2 == 0 ? Value::Null(TypeId::kI64)
+                                           : Value::I64(int64_t{i} * 1000003),
+          maybe_null(4, Value::F64(i / 8.0)),
+          maybe_null(5, Value::Str(std::string(i % 23, 'a' + i % 26))),
+          Value::Str("row-" + std::to_string(i))};
+}
+
+// Writes `v` at position `i` of `out`. A NULL slot gets garbage bytes and
+// an unselected slot a random NULL flag, which the builder must ignore.
+void PutCell(Vector* out, int i, const Value& v) {
+  static const char kGarbage[] = "garbage";
+  if (v.is_null()) {
+    out->MutableNulls()[i] = 1;
+    if (out->type() == TypeId::kStr) {
+      out->Data<StrRef>()[i] = StrRef(kGarbage, sizeof(kGarbage) - 1);
+    } else {
+      std::memset(static_cast<uint8_t*>(out->RawData()) +
+                      static_cast<size_t>(i) * TypeWidth(out->type()),
+                  0x5a, TypeWidth(out->type()));
+    }
+    return;
+  }
+  switch (out->type()) {
+    case TypeId::kBool:
+      out->Data<uint8_t>()[i] = v.AsBool();
+      break;
+    case TypeId::kI8:
+      out->Data<int8_t>()[i] = static_cast<int8_t>(v.AsI64());
+      break;
+    case TypeId::kI16:
+      out->Data<int16_t>()[i] = static_cast<int16_t>(v.AsI64());
+      break;
+    case TypeId::kI32:
+    case TypeId::kDate:
+      out->Data<int32_t>()[i] = static_cast<int32_t>(v.AsI64());
+      break;
+    case TypeId::kI64:
+      out->Data<int64_t>()[i] = v.AsI64();
+      break;
+    case TypeId::kF64:
+      out->Data<double>()[i] = v.AsF64();
+      break;
+    case TypeId::kStr:
+      out->Data<StrRef>()[i] = out->heap()->Add(v.AsStr());
+      break;
+  }
+}
+
+TEST_P(TableLayoutTest, AppendRowAndAppendBatchStoreIdenticalChunks) {
+  constexpr int kRows = 450;
+  constexpr int kGroupRows = 100;
+  const Schema schema = LoadSchema();
+
+  SimulatedDisk row_disk;
+  TableBuilder by_row("t", schema, GetParam(), &row_disk, kGroupRows);
+  for (int i = 0; i < kRows; i++) {
+    ASSERT_TRUE(by_row.AppendRow(LoadRow(i)).ok());
+  }
+  auto row_table = by_row.Finish();
+  ASSERT_TRUE(row_table.ok());
+
+  // Batches of 48 live rows cross the 100-row group boundaries. Odd
+  // batches are dense; even ones hold their rows at odd positions behind
+  // a selection vector, with junk rows in between.
+  SimulatedDisk batch_disk;
+  TaskScheduler sched(2);
+  TableBuilder by_batch("t", schema, GetParam(), &batch_disk, kGroupRows,
+                        &sched);
+  Batch batch(schema, 96);
+  Rng rng(7);
+  for (int next = 0, k = 0; next < kRows; k++) {
+    batch.Reset();
+    const bool selective = k % 2 == 0;
+    const int live = std::min(48, kRows - next);
+    const int physical = selective ? 2 * live : live;
+    int sel_count = 0;
+    for (int p = 0; p < physical; p++) {
+      const bool junk = selective && p % 2 == 0;
+      const std::vector<Value> row = LoadRow(junk ? 7777 : next);
+      for (int c = 0; c < schema.num_fields(); c++) {
+        Vector* v = batch.column(c);
+        PutCell(v, p, row[c]);
+        if (junk && schema.field(c).nullable) {
+          v->MutableNulls()[p] = rng.Bernoulli(0.5);
+        }
+      }
+      if (selective && !junk) batch.MutableSel()[sel_count++] = p;
+      if (!junk) next++;
+    }
+    batch.set_rows(physical);
+    if (selective) batch.SetSelCount(sel_count);
+    ASSERT_TRUE(by_batch.AppendBatch(batch).ok());
+  }
+  auto batch_table = by_batch.Finish();
+  ASSERT_TRUE(batch_table.ok());
+
+  const Table& a = **row_table;
+  const Table& b = **batch_table;
+  ASSERT_EQ(a.num_groups(), 5);
+  ASSERT_EQ(b.num_groups(), 5);
+  // NULL flags are stored per group, only where a NULL occurs.
+  EXPECT_FALSE(a.group(0).cols[5].has_nulls);
+  EXPECT_TRUE(a.group(1).cols[5].has_nulls);
+  EXPECT_EQ(ImageHash(a), ImageHash(b));
+}
+
+TEST(TableBuilderTest, AppendBatchRejectsNullInNonNullableBeforeStaging) {
+  SimulatedDisk disk;
+  const Schema schema({Field("a", TypeId::kI32)});
+  TableBuilder b("t", schema, Layout::kDsm, &disk);
+  Batch batch(schema, 4);
+  for (int i = 0; i < 4; i++) batch.column(0)->Data<int32_t>()[i] = i;
+  batch.column(0)->SetNull(3);
+  batch.set_rows(4);
+  EXPECT_EQ(b.AppendBatch(batch).code(), StatusCode::kInvalidArgument);
+  auto t = b.Finish();
+  ASSERT_TRUE(t.ok());
+  EXPECT_EQ((*t)->num_rows(), 0);
+}
+
+Schema FourInts() {
+  return Schema({Field("a", TypeId::kI64), Field("b", TypeId::kI64),
+                 Field("c", TypeId::kI32), Field("d", TypeId::kI32)});
+}
+
+// Appends `batches` batches of 500 rows (every 1000-row group is two).
+Status LoadFourInts(TableBuilder* b, int batches) {
+  Batch batch(FourInts(), 500);
+  for (int k = 0; k < batches; k++) {
+    for (int i = 0; i < 500; i++) {
+      const int r = k * 500 + i;
+      batch.column(0)->Data<int64_t>()[i] = r;
+      batch.column(1)->Data<int64_t>()[i] = int64_t{r} * r;
+      batch.column(2)->Data<int32_t>()[i] = r % 7;
+      batch.column(3)->Data<int32_t>()[i] = -r;
+    }
+    batch.set_rows(500);
+    X100_RETURN_IF_ERROR(b->AppendBatch(batch));
+  }
+  return b->Finish().status();
+}
+
+TEST(TableBuilderTest, FailedWriteWhileAGroupCompressesUnwinds) {
+  const std::string dir = MakeTempDir();
+  auto dev = FileBlockDevice::Open(dir);
+  ASSERT_TRUE(dev.ok()) << dev.status().ToString();
+  FileBlockDevice* device = dev->get();
+  // An earlier table's blocks stay live throughout.
+  TableBuilder earlier("earlier", FourInts(), Layout::kDsm, device, 1000);
+  ASSERT_TRUE(LoadFourInts(&earlier, 1).ok());
+  const int64_t live_before = device->live_slots();
+  ASSERT_GT(live_before, 0);
+
+  // Each group writes one block per column; write 7 falls in group 1's
+  // placement, which starts after group 2's chunks were handed over.
+  int writes = 0;
+  int fail_at = 7;
+  int64_t queued_at_fault = -1;
+  TaskScheduler* current = nullptr;
+  device->set_fault_hook(
+      [&](FileBlockDevice::Op op, BlockId, std::vector<uint8_t>*) {
+        if (op != FileBlockDevice::Op::kWrite || ++writes != fail_at) {
+          return Status::OK();
+        }
+        queued_at_fault = current->queue_depth();
+        return Status::IoError("injected write failure");
+      });
+
+  {
+    // The only worker is held by a gate, so group 2's compression tasks
+    // are still queued when the write fails: the builder must cancel them
+    // on the way out, not leave them behind.
+    TaskScheduler sched(1);
+    std::atomic<bool> started{false}, release{false};
+    sched.Submit([&] {
+      started = true;
+      while (!release) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+    while (!started) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    current = &sched;
+    Status st;
+    {
+      TableBuilder b("t", FourInts(), Layout::kDsm, device, 1000, &sched);
+      st = LoadFourInts(&b, 12);
+    }
+    EXPECT_EQ(sched.queue_depth(), 0);  // nothing outlived the builder
+    release = true;
+    EXPECT_EQ(st.code(), StatusCode::kIoError) << st.ToString();
+    EXPECT_EQ(queued_at_fault, 4);  // group 2's four chunks
+    EXPECT_EQ(device->live_slots(), live_before);
+  }
+
+  // Free-running workers: compression races the failing placements.
+  TaskScheduler sched(2);
+  current = &sched;
+  for (fail_at = 1; fail_at <= 24; fail_at += 3) {
+    writes = 0;
+    Status st;
+    {
+      TableBuilder b("t", FourInts(), Layout::kDsm, device, 1000, &sched);
+      st = LoadFourInts(&b, 12);
+    }
+    EXPECT_EQ(st.code(), StatusCode::kIoError) << "fail_at " << fail_at;
+    EXPECT_EQ(device->live_slots(), live_before) << "fail_at " << fail_at;
+  }
+  device->set_fault_hook(nullptr);
+  RemoveTree(dir);
 }
 
 }  // namespace
