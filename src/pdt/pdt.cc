@@ -254,14 +254,7 @@ void Pdt::ForEachDelta(
 }
 
 std::unique_ptr<Pdt> Pdt::Clone() const {
-  auto copy = std::make_unique<Pdt>(base_rows_);
-  copy->by_sid_ = by_sid_;
-  copy->ins_counts_ = ins_counts_;
-  copy->del_counts_ = del_counts_;
-  copy->deleted_iids_ = deleted_iids_;
-  copy->mod_iids_ = mod_iids_;
-  copy->iid_sid_ = iid_sid_;
-  return copy;
+  return std::make_unique<Pdt>(*this);
 }
 
 }  // namespace x100

@@ -17,6 +17,13 @@
 // Fenwick trees over SID-space give O(log n) SID->RID arithmetic and
 // O(log^2 n) RID->locate.
 //
+// The Fenwick counters are blocked (pdt/fenwick.h): a dense tree over
+// 4,096-SID blocks plus a tree per block allocated on the first insert or
+// delete in it. A PDT without deltas — every table's read-PDT until it is
+// updated, each fresh write-PDT — costs about base_rows/64 bytes of
+// counters; each touched block adds 32 KiB per tree (inserts and deletes
+// count separately). Clone copies only the allocated blocks.
+//
 // Transactions stack PDTs (read-PDT / write-PDT — transaction.h); inserted
 // rows carry a unique iid so an upper layer can delete or modify a lower
 // layer's insert.
@@ -151,6 +158,11 @@ class Pdt {
 
   /// Deep copy (clone-on-commit snapshot isolation, transaction.h).
   std::unique_ptr<Pdt> Clone() const;
+
+  /// Counter blocks allocated across the insert and delete trees.
+  int64_t allocated_counter_blocks() const {
+    return ins_counts_.allocated_blocks() + del_counts_.allocated_blocks();
+  }
 
   /// Process-unique insert-id allocator.
   static uint64_t NextIid();

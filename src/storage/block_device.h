@@ -14,6 +14,9 @@
 //  * Read returns exactly the bytes written for that id, or kIoError — a
 //    freed, truncated, corrupted or vanished block must surface as a
 //    clean error, not as wrong bytes (devices are expected to verify).
+//    The bytes are shared and immutable: the buffer pool caches the very
+//    object the device returned, so a RAM-backed device can hand out its
+//    stored block and the pool holds a second reference, not a copy.
 //  * Free releases the block's storage for recycling. Unlike spill
 //    blocks, table blocks are only freed by checkpoints retiring a
 //    rewritten group — the caller must guarantee no reader still resolves
@@ -24,6 +27,7 @@
 #define X100_STORAGE_BLOCK_DEVICE_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/cancellation.h"
@@ -40,9 +44,10 @@ class BlockDevice {
   /// error (ENOSPC and friends) when the device cannot take it.
   virtual Result<BlockId> WriteBlock(std::vector<uint8_t> data) = 0;
 
-  /// Returns the block's bytes. The wait (simulated bandwidth or real
-  /// disk) is interruptible via `cancel` (may be nullptr).
-  virtual Result<std::vector<uint8_t>> ReadBlock(
+  /// Returns the block's bytes (never null). The wait (simulated
+  /// bandwidth or real disk) is interruptible via `cancel` (may be
+  /// nullptr).
+  virtual Result<std::shared_ptr<const std::vector<uint8_t>>> ReadBlock(
       BlockId id, CancellationToken* cancel = nullptr) = 0;
 
   /// Releases the block's storage (idempotent per id); reading a freed id

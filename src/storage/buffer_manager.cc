@@ -139,8 +139,8 @@ Result<BufferManager::Pin> BufferManager::PinBlock(BlockId id,
     inf->cv.notify_all();
     return read.status();
   }
-  auto data =
-      std::make_shared<const std::vector<uint8_t>>(std::move(read).value());
+  // The device's own bytes, not a copy (RAM devices share their block).
+  std::shared_ptr<const std::vector<uint8_t>> data = std::move(read).value();
   inf->done = true;
   inf->data = data;
   inf->cv.notify_all();
@@ -251,8 +251,7 @@ void BufferManager::RunPrefetch(BlockId id, std::shared_ptr<Inflight> inf) {
     prefetch_wasted_.fetch_add(1, std::memory_order_relaxed);
     if (!demanded) parked_errors_[id] = read.status();
   } else {
-    auto data =
-        std::make_shared<const std::vector<uint8_t>>(std::move(read).value());
+    std::shared_ptr<const std::vector<uint8_t>> data = std::move(read).value();
     const int64_t bytes = static_cast<int64_t>(data->size());
     inf->done = true;
     inf->data = data;

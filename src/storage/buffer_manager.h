@@ -25,7 +25,10 @@
 //    The wait is woken by query cancellation through a token callback —
 //    no timed polling.
 //  * Cached blocks are shared (shared_ptr) so eviction never invalidates
-//    a reader already holding the data.
+//    a reader already holding the data. The pool caches the bytes object
+//    the device returned: over a RAM device that is the device's own
+//    block, so an entry is a second reference rather than a second copy
+//    (bytes_cached still counts it against the budget).
 //
 // Read-ahead (docs/STORAGE.md §"Read-ahead"):
 //  * Prefetch(id) schedules the device read as a background task on the

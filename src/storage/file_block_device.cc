@@ -188,7 +188,7 @@ Result<BlockId> FileBlockDevice::WriteBlock(std::vector<uint8_t> data) {
   return id;
 }
 
-Result<std::vector<uint8_t>> FileBlockDevice::ReadBlock(
+Result<std::shared_ptr<const std::vector<uint8_t>>> FileBlockDevice::ReadBlock(
     BlockId id, CancellationToken* cancel) {
   if (cancel != nullptr) {
     X100_RETURN_IF_ERROR(cancel->Check());
@@ -253,7 +253,7 @@ Result<std::vector<uint8_t>> FileBlockDevice::ReadBlock(
   blocks_read_.fetch_add(1, std::memory_order_relaxed);
   bytes_read_.fetch_add(static_cast<int64_t>(data.size()),
                         std::memory_order_relaxed);
-  return data;
+  return std::make_shared<const std::vector<uint8_t>>(std::move(data));
 }
 
 void FileBlockDevice::FreeBlock(BlockId id) {

@@ -70,8 +70,8 @@ class FileBlockDevice : public BlockDevice {
   FileBlockDevice& operator=(const FileBlockDevice&) = delete;
 
   Result<BlockId> WriteBlock(std::vector<uint8_t> data) override;
-  Result<std::vector<uint8_t>> ReadBlock(BlockId id,
-                                         CancellationToken* cancel) override;
+  Result<std::shared_ptr<const std::vector<uint8_t>>> ReadBlock(
+      BlockId id, CancellationToken* cancel) override;
   void FreeBlock(BlockId id) override;
 
   /// Rebuilds the free list after a catalog load: every slot below the

@@ -16,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -39,9 +40,10 @@ class SimulatedDisk : public BlockDevice, public SpillDevice {
   /// Never fails (RAM-backed), but carries the BlockDevice contract's
   /// Result so callers handle the file-backed device identically.
   Result<BlockId> WriteBlock(std::vector<uint8_t> data) override {
+    auto block = std::make_shared<const std::vector<uint8_t>>(std::move(data));
     std::lock_guard<std::mutex> lock(mu_);
-    blocks_.push_back(std::move(data));
-    bytes_written_ += blocks_.back().size();
+    bytes_written_ += block->size();
+    blocks_.push_back(std::move(block));
     return BlockId{blocks_.size() - 1};
   }
 
@@ -49,20 +51,22 @@ class SimulatedDisk : public BlockDevice, public SpillDevice {
   /// retirement; this device keeps "disk" contents in RAM, so without a
   /// free path every spilling query would grow the process forever). Ids
   /// stay stable — freed slots are never reused — and a read of a freed
-  /// block returns empty bytes, which callers reject as truncation.
+  /// block returns empty bytes, which callers reject as truncation. A
+  /// reader still holding the block's bytes keeps them alive.
   void FreeBlock(BlockId id) override {
     std::lock_guard<std::mutex> lock(mu_);
-    if (id < blocks_.size()) {
-      bytes_freed_ += blocks_[id].size();
-      std::vector<uint8_t>().swap(blocks_[id]);
+    if (id < blocks_.size() && blocks_[id] != nullptr) {
+      bytes_freed_ += blocks_[id]->size();
+      blocks_[id].reset();
     }
   }
 
   /// Reads a block. Charges simulated IO time; the wait is interruptible
-  /// via `cancel` (may be nullptr). Returns a *copy* of the block bytes.
-  Result<std::vector<uint8_t>> ReadBlock(
+  /// via `cancel` (may be nullptr). Returns the stored bytes themselves,
+  /// not a copy: blocks are immutable once written.
+  Result<std::shared_ptr<const std::vector<uint8_t>>> ReadBlock(
       BlockId id, CancellationToken* cancel = nullptr) override {
-    std::vector<uint8_t> data;
+    std::shared_ptr<const std::vector<uint8_t>> data;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (id >= blocks_.size()) {
@@ -71,9 +75,10 @@ class SimulatedDisk : public BlockDevice, public SpillDevice {
       }
       data = blocks_[id];
     }
-    X100_RETURN_IF_ERROR(ChargeIo(data.size(), cancel));
+    if (data == nullptr) data = std::make_shared<const std::vector<uint8_t>>();
+    X100_RETURN_IF_ERROR(ChargeIo(data->size(), cancel));
     blocks_read_.fetch_add(1, std::memory_order_relaxed);
-    bytes_read_.fetch_add(data.size(), std::memory_order_relaxed);
+    bytes_read_.fetch_add(data->size(), std::memory_order_relaxed);
     return data;
   }
 
@@ -90,18 +95,19 @@ class SimulatedDisk : public BlockDevice, public SpillDevice {
   }
   Result<std::vector<uint8_t>> ReadSpill(BlockId id,
                                          CancellationToken* cancel) override {
-    auto data = ReadBlock(id, cancel);
-    if (data.ok()) {
-      spill_read_.fetch_add(static_cast<int64_t>(data->size()),
-                            std::memory_order_relaxed);
-    }
-    return data;
+    std::shared_ptr<const std::vector<uint8_t>> data;
+    X100_ASSIGN_OR_RETURN(data, ReadBlock(id, cancel));
+    spill_read_.fetch_add(static_cast<int64_t>(data->size()),
+                          std::memory_order_relaxed);
+    return std::vector<uint8_t>(*data);
   }
   void FreeSpill(BlockId id) override {
     int64_t n = 0;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (id < blocks_.size()) n = static_cast<int64_t>(blocks_[id].size());
+      if (id < blocks_.size() && blocks_[id] != nullptr) {
+        n = static_cast<int64_t>(blocks_[id]->size());
+      }
     }
     spill_in_use_.fetch_sub(n, std::memory_order_relaxed);
     FreeBlock(id);
@@ -165,7 +171,8 @@ class SimulatedDisk : public BlockDevice, public SpillDevice {
   }
 
   mutable std::mutex mu_;
-  std::vector<std::vector<uint8_t>> blocks_;
+  // Stored blocks, shared with readers; null once freed.
+  std::vector<std::shared_ptr<const std::vector<uint8_t>>> blocks_;
   int64_t bytes_written_ = 0;
   int64_t bytes_freed_ = 0;
   std::atomic<int64_t> spill_written_{0};

@@ -502,6 +502,10 @@ Result<std::vector<uint8_t>> TableReader::ReadChunkBytes(
       const size_t off = pos % kDiskBlockBytes;
       if (bi >= region.size()) return Status::IoError("pax region overrun");
       const auto& blk = region[bi].data();
+      if (off >= blk.size()) {
+        return Status::IoError("truncated pax block " +
+                               std::to_string(gm.pax_blocks[bi]));
+      }
       const size_t take = std::min<uint64_t>(remaining, blk.size() - off);
       bytes.insert(bytes.end(), blk.begin() + off, blk.begin() + off + take);
       pos += take;
@@ -516,7 +520,13 @@ Result<std::vector<uint8_t>> TableReader::ReadChunkBytes(
       const auto& blk = pin.data();
       bytes.insert(bytes.end(), blk.begin(), blk.end());
     }
-    bytes.resize(loc.length);
+    // The blocks must add up to the recorded length: a freed or truncated
+    // block reads short, and padding it out would decode zeros as data.
+    if (bytes.size() != loc.length) {
+      return Status::IoError("column chunk reads " +
+                             std::to_string(bytes.size()) + " of " +
+                             std::to_string(loc.length) + " bytes");
+    }
   }
   // Note: compressed chunks already carry the 8-byte bitpack slack inside
   // their payload (PackedBytes), so no extra padding is needed here.

@@ -30,7 +30,66 @@ TEST(FenwickTest, PrefixSums) {
   EXPECT_EQ(f.Prefix(3), 5);
 }
 
+// The blocked tree against a plain prefix-sum array, at sizes around the
+// block edge and over several blocks.
+TEST(FenwickTest, BlockedTreeMatchesPlainPrefixSums) {
+  const int64_t kB = Fenwick::kBlockPositions;
+  for (int64_t n : {int64_t{1}, kB - 1, kB, kB + 1, 3 * kB + 5}) {
+    Fenwick f(n);
+    std::vector<int64_t> plain(n, 0);
+    Rng rng(static_cast<uint64_t>(n));
+    const auto add = [&](int64_t i, int64_t delta) {
+      f.Add(i, delta);
+      plain[i] += delta;
+    };
+    for (int64_t edge : {int64_t{0}, kB - 1, kB, n - 1}) {
+      if (edge < n) add(edge, rng.Uniform(-5, 5));
+    }
+    for (int op = 0; op < 500; op++) {
+      add(rng.Uniform(0, n - 1), rng.Uniform(-5, 5));
+    }
+    EXPECT_EQ(f.Prefix(-1), 0);
+    int64_t sum = 0;
+    for (int64_t i = 0; i < n; i++) {
+      sum += plain[i];
+      ASSERT_EQ(f.Prefix(i), sum) << "n " << n << " i " << i;
+    }
+    EXPECT_EQ(f.Prefix(n), sum);
+    EXPECT_EQ(f.Prefix(n + kB), sum);
+    EXPECT_EQ(f.Total(), sum);
+    EXPECT_EQ(f.allocated_blocks(), (n + kB - 1) / kB);
+  }
+}
+
 std::vector<Value> Row(int64_t v) { return {Value::I64(v)}; }
+
+// Displacement counters exist only for the 4,096-SID blocks that carry an
+// insert or a delete; a copy carries exactly those.
+TEST(PdtTest, CountersAllocateOnlyTouchedBlocks) {
+  Pdt pdt(1'000'000);
+  EXPECT_EQ(pdt.allocated_counter_blocks(), 0);
+  const int64_t sid = 5 * Fenwick::kBlockPositions + 17;
+  ASSERT_TRUE(pdt.DeleteStable(sid).ok());
+  EXPECT_EQ(pdt.allocated_counter_blocks(), 1);  // the delete tree's block
+  InsertedRow ins;
+  ins.iid = Pdt::NextIid();
+  ins.values = Row(7);
+  ASSERT_TRUE(pdt.InsertAtSid(sid + 100, std::move(ins)).ok());
+  EXPECT_EQ(pdt.allocated_counter_blocks(), 2);  // plus the insert tree's
+  ASSERT_TRUE(pdt.ModifyStable(sid + 1, 0, Value::I64(9)).ok());
+  ASSERT_TRUE(pdt.DeleteStable(sid + 2).ok());
+  EXPECT_EQ(pdt.allocated_counter_blocks(), 2);
+  EXPECT_EQ(pdt.visible_rows(), 1'000'000 - 1);
+
+  auto copy = pdt.Clone();
+  EXPECT_EQ(copy->allocated_counter_blocks(), 2);
+  EXPECT_EQ(copy->visible_rows(), pdt.visible_rows());
+  EXPECT_EQ(copy->RidOfStable(sid + 200), pdt.RidOfStable(sid + 200));
+  ASSERT_TRUE(pdt.DeleteStable(900'000).ok());
+  EXPECT_EQ(pdt.allocated_counter_blocks(), 3);
+  EXPECT_EQ(copy->allocated_counter_blocks(), 2);
+  EXPECT_EQ(copy->visible_rows(), pdt.visible_rows() + 1);
+}
 
 TEST(PdtTest, EmptyPdtIsIdentity) {
   Pdt pdt(100);
@@ -334,6 +393,21 @@ TEST_F(TxnTest, CommitMakesChangesVisible) {
   auto last = ReadCommitted(199);
   ASSERT_TRUE(last.ok());
   EXPECT_EQ((*last)[0].AsI64(), 1000);
+}
+
+TEST_F(TxnTest, CountersAllocateOnlyWhereRowsChange) {
+  EXPECT_EQ(table_->read_pdt()->allocated_counter_blocks(), 0);
+  auto txn = tm_.Begin(table_.get());
+  EXPECT_EQ(txn->write_pdt()->allocated_counter_blocks(), 0);
+  ASSERT_TRUE(txn->Update(3, 1, Value::Str("patched")).ok());
+  EXPECT_EQ(txn->write_pdt()->allocated_counter_blocks(), 0);
+  ASSERT_TRUE(txn->Delete(5).ok());
+  EXPECT_EQ(txn->write_pdt()->allocated_counter_blocks(), 1);
+  ASSERT_TRUE(tm_.Commit(txn.get()).ok());
+  // Commit clones the read-PDT and replays the delete into the clone.
+  EXPECT_EQ(table_->read_pdt()->allocated_counter_blocks(), 1);
+  ASSERT_TRUE(tm_.Checkpoint(table_.get(), buffers_.get()).ok());
+  EXPECT_EQ(table_->read_pdt()->allocated_counter_blocks(), 0);
 }
 
 TEST_F(TxnTest, SnapshotIsolation) {

@@ -17,6 +17,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -669,6 +670,14 @@ TEST_F(ServingTest, WireMonitorServesConcurrentlyWithQueries) {
     });
   }
 
+  // List once a query has registered: on a loaded host the sessions may
+  // not have submitted anything before 50 listings go by.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (db_->queries()->List().empty() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   int64_t listed_total = 0;
   for (int i = 0; i < 50; i++) {
     ASSERT_TRUE(

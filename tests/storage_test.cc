@@ -32,7 +32,7 @@ TEST(SimulatedDiskTest, WriteReadRoundTrip) {
   BlockId id = *disk.WriteBlock(data);
   auto r = disk.ReadBlock(id);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r, data);
+  EXPECT_EQ(**r, data);
   EXPECT_EQ(disk.blocks_read(), 1);
   EXPECT_EQ(disk.bytes_read(), 5);
 }
@@ -101,13 +101,15 @@ TEST(BufferManagerTest, EvictsLruBeyondCapacity) {
 
 TEST(BufferManagerTest, SharedPtrSurvivesEviction) {
   SimulatedDisk disk;
-  BufferManager bm(&disk, 1);
-  BlockId a = *disk.WriteBlock({42});
+  BufferManager bm(&disk, 1024);  // smaller than one block
+  BlockId a = *disk.WriteBlock(std::vector<uint8_t>(4096, 42));
   auto blk = bm.GetBlock(a);
   ASSERT_TRUE(blk.ok());
-  BlockId b = *disk.WriteBlock({43});
+  BlockId b = *disk.WriteBlock(std::vector<uint8_t>(4096, 43));
   ASSERT_TRUE(bm.GetBlock(b).ok());  // evicts a
-  EXPECT_EQ((**blk)[0], 42);         // still readable
+  EXPECT_FALSE(bm.Contains(a));
+  disk.FreeBlock(a);  // the reader now holds the only reference
+  EXPECT_EQ(**blk, std::vector<uint8_t>(4096, 42));  // still readable
 }
 
 TEST(BufferManagerTest, TinyPoolConcurrentHammerKeepsAccountingExact) {
@@ -150,6 +152,45 @@ TEST(BufferManagerTest, InvalidateDropsBlock) {
   EXPECT_FALSE(bm.Contains(a));
   ASSERT_TRUE(bm.GetBlock(a).ok());
   EXPECT_EQ(bm.misses(), 2);
+}
+
+// ---------------------------------------------------------------------------
+// One copy: over the RAM device the pool holds the device's own bytes
+// ---------------------------------------------------------------------------
+
+TEST(SharedBlockBytesTest, DemandPinHandsOutTheDevicesBytes) {
+  SimulatedDisk disk;
+  BufferManager bm(&disk, 1 << 20);
+  BlockId id = *disk.WriteBlock(std::vector<uint8_t>(4096, 3));
+  auto pin = bm.PinBlock(id);
+  ASSERT_TRUE(pin.ok());
+  EXPECT_EQ(bm.misses(), 1);
+  EXPECT_EQ(pin->data().data(), (*disk.ReadBlock(id))->data());
+}
+
+TEST(SharedBlockBytesTest, PrefetchedThenPinnedBlockIsTheDevicesBytes) {
+  SimulatedDisk disk;
+  BufferManager bm(&disk, 1 << 20);
+  BlockId id = *disk.WriteBlock(std::vector<uint8_t>(4096, 4));
+  bm.Prefetch(id);
+  bm.DrainPrefetches();
+  ASSERT_TRUE(bm.Contains(id));  // installed by the read-ahead
+  auto pin = bm.PinBlock(id);
+  ASSERT_TRUE(pin.ok());
+  EXPECT_EQ(bm.prefetch_hits(), 1);
+  EXPECT_EQ(pin->data().data(), (*disk.ReadBlock(id))->data());
+}
+
+TEST(SharedBlockBytesTest, FreeBlockLeavesAHeldPinIntact) {
+  SimulatedDisk disk;
+  BufferManager bm(&disk, 1 << 20);
+  BlockId id = *disk.WriteBlock(std::vector<uint8_t>(4096, 5));
+  auto pin = bm.PinBlock(id);
+  ASSERT_TRUE(pin.ok());
+  disk.FreeBlock(id);
+  EXPECT_EQ(disk.bytes_freed(), 4096);
+  EXPECT_TRUE((*disk.ReadBlock(id))->empty());  // the device let go
+  EXPECT_EQ(pin->data(), std::vector<uint8_t>(4096, 5));
 }
 
 // ---------------------------------------------------------------------------
@@ -253,6 +294,35 @@ TEST_P(TableLayoutTest, MinMaxPruning) {
   EXPECT_TRUE(table->GroupMayMatch(0, 0, RangeOp::kLe, Value::I64(0)));
   // Strings: always conservative.
   EXPECT_TRUE(table->GroupMayMatch(0, 3, RangeOp::kEq, Value::Str("A")));
+}
+
+// A chunk whose blocks read back short (a freed block of the RAM device
+// reads as empty) fails with kIoError; padding it would decode zeros as
+// data (DSM), and slicing past it would never advance (PAX).
+TEST_P(TableLayoutTest, ShortChunkIsIoError) {
+  SimulatedDisk disk;
+  TableBuilder b("t", Schema({Field("x", TypeId::kF64)}), GetParam(), &disk);
+  for (int i = 0; i < 70000; i++) {
+    ASSERT_TRUE(b.AppendRow({Value::F64(i * 0.25 + 1)}).ok());
+  }
+  auto t = b.Finish();
+  ASSERT_TRUE(t.ok());
+  const GroupMeta& gm = (*t)->group(0);
+  const std::vector<BlockId>& blocks =
+      GetParam() == Layout::kDsm ? gm.cols[0].loc.blocks : gm.pax_blocks;
+  ASSERT_EQ(blocks.size(), 3u);
+  std::vector<double> out(gm.rows);
+  {
+    BufferManager bm(&disk, 64 << 20);
+    TableReader reader(t->get(), &bm);
+    ASSERT_TRUE(reader.ReadColumn(0, 0, out.data(), nullptr, nullptr).ok());
+    EXPECT_EQ(out[65535], 16384.75);
+  }
+  disk.FreeBlock(blocks.back());
+  BufferManager bm(&disk, 64 << 20);
+  TableReader reader(t->get(), &bm);
+  EXPECT_EQ(reader.ReadColumn(0, 0, out.data(), nullptr, nullptr).code(),
+            StatusCode::kIoError);
 }
 
 INSTANTIATE_TEST_SUITE_P(Layouts, TableLayoutTest,
@@ -550,7 +620,7 @@ TEST(BufferPoolContractTest, ScanPeakStaysWithinBudgetPlusPins) {
     std::vector<BlockId> ids;
     Table::AppendGroupBlockIds(table->group(g), &ids);
     for (BlockId b : ids) {
-      data_bytes += static_cast<int64_t>(disk.ReadBlock(b)->size());
+      data_bytes += static_cast<int64_t>((*disk.ReadBlock(b))->size());
     }
   }
   const int64_t pool = data_bytes / 4;
@@ -723,8 +793,8 @@ TEST(FileBlockDeviceTest, RoundTripSurvivesReopen) {
     auto rb = (*dev)->ReadBlock(b, nullptr);
     ASSERT_TRUE(ra.ok());
     ASSERT_TRUE(rb.ok());
-    EXPECT_EQ(*ra, small);  // length header restores the exact size
-    EXPECT_EQ(*rb, big);
+    EXPECT_EQ(**ra, small);  // length header restores the exact size
+    EXPECT_EQ(**rb, big);
     EXPECT_EQ((*dev)->file_bytes() % (kDiskBlockBytes + 16), 0);
   }
   RemoveTree(dir);
@@ -744,8 +814,8 @@ TEST(FileBlockDeviceTest, FreedSlotsAreRecycledAndUnreadable) {
   BlockId c = *(*dev)->WriteBlock({3});
   EXPECT_EQ(c, a);
   EXPECT_EQ((*dev)->slots_recycled(), 1);
-  EXPECT_EQ(*(*(*dev)->ReadBlock(c, nullptr)).begin(), 3);
-  EXPECT_EQ(*(*(*dev)->ReadBlock(b, nullptr)).begin(), 2);
+  EXPECT_EQ((*(*dev)->ReadBlock(c, nullptr))->front(), 3);
+  EXPECT_EQ((*(*dev)->ReadBlock(b, nullptr))->front(), 2);
   RemoveTree(dir);
 }
 
@@ -767,7 +837,7 @@ TEST(FileBlockDeviceTest, RestoreAllocatedRecyclesDeadSlots) {
   BlockId y = *(*dev)->WriteBlock({5});
   EXPECT_EQ(x, a);  // low slots first
   EXPECT_EQ(y, c);
-  EXPECT_EQ(*(*(*dev)->ReadBlock(b, nullptr)).begin(), 2);
+  EXPECT_EQ((*(*dev)->ReadBlock(b, nullptr))->front(), 2);
   RemoveTree(dir);
 }
 
@@ -805,7 +875,7 @@ TEST(FileBlockDeviceTest, TornAndCorruptReadsSurfaceIoError) {
   (*dev)->set_fault_hook(nullptr);
   auto r = (*dev)->ReadBlock(a, nullptr);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->size(), 1000u);
+  EXPECT_EQ((*r)->size(), 1000u);
   RemoveTree(dir);
 }
 
@@ -1157,8 +1227,8 @@ class ImageHasher {
       Pod(id);
       auto data = device->ReadBlock(id);
       ASSERT_TRUE(data.ok()) << data.status().ToString();
-      Pod(data->size());
-      Bytes(data->data(), data->size());
+      Pod((*data)->size());
+      Bytes((*data)->data(), (*data)->size());
     }
   }
   void Loc(BlockDevice* device, const ChunkLoc& loc) {
