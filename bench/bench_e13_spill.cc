@@ -150,9 +150,9 @@ int main() {
       {"very tight (peak/24)", peak / 24, true},
   };
 
-  // Reload traffic must be read off the device that actually took the
-  // spill — with X100_SPILL_PATH that is the FileSpillDevice, and the
-  // SimulatedDisk's counters would show only table IO.
+  // Reload traffic is read off the spill view, which counts only spill
+  // blocks — with X100_SPILL_PATH they go to a temp FileBlockDevice, and
+  // the SimulatedDisk's counters would show only table IO.
   auto spill_dev = db.spill_device();
   if (!spill_dev.ok()) {
     std::printf("spill device unavailable: %s\n",

@@ -85,7 +85,7 @@ struct EngineConfig {
   /// spills to the in-RAM SimulatedDisk unless the X100_SPILL_PATH
   /// environment knob supplies a directory (see Database::
   /// ResolvedSpillPath); non-empty makes every spill write hit a real
-  /// temp file under this directory (storage/file_spill_device.h), so
+  /// temp file under this directory (storage/file_block_device.h), so
   /// memory_limit bounds the process's actual footprint, not just the
   /// accounted one. The directory must exist: a configured-but-unusable
   /// spill path fails the query loudly instead of silently running

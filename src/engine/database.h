@@ -35,8 +35,8 @@
 #include "storage/catalog.h"
 #include "storage/coop_scan.h"
 #include "storage/file_block_device.h"
-#include "storage/file_spill_device.h"
 #include "storage/simulated_disk.h"
+#include "storage/spill_device.h"
 
 namespace x100 {
 
@@ -148,37 +148,41 @@ class Database {
     return env != nullptr ? std::string(env) : std::string();
   }
 
-  /// The device out-of-core execution spills to: the in-RAM SimulatedDisk
-  /// by default, or a lazily-created FileSpillDevice when a spill path is
-  /// configured. Creation failure (missing/unwritable directory) is
-  /// returned, not swallowed — a configured spill path that cannot be
-  /// used must fail queries loudly instead of silently keeping spilled
-  /// state in RAM. The device lives until Database destruction, which
-  /// removes its temp file.
+  /// The device out-of-core execution spills to: a view over the in-RAM
+  /// SimulatedDisk by default, or over a lazily-created temp
+  /// FileBlockDevice when a spill path is configured. Creation failure
+  /// (missing/unwritable directory) is returned, not swallowed — a
+  /// configured spill path that cannot be used must fail queries loudly
+  /// instead of silently keeping spilled state in RAM. The device lives
+  /// until Database destruction, which removes its temp file.
   Result<SpillDevice*> spill_device() {
     const std::string dir = ResolvedSpillPath(config_.spill_path);
-    if (dir.empty()) return static_cast<SpillDevice*>(&disk_);
+    if (dir.empty()) return &ram_spill_;
     std::lock_guard<std::mutex> lock(spill_device_mu_);
-    if (file_spill_device_ == nullptr || file_spill_dir_ != dir) {
+    if (file_spill_ == nullptr || file_spill_dir_ != dir) {
       // A device whose directory no longer matches the config is
       // retired — kept alive until Database destruction, like retired
       // schedulers — since in-flight queries may still hold SpillFiles
       // pointing at it.
-      if (file_spill_device_ != nullptr) {
-        retired_spill_devices_.push_back(std::move(file_spill_device_));
+      if (file_spill_ != nullptr) {
+        retired_spill_devices_.push_back(std::move(file_spill_));
       }
-      X100_ASSIGN_OR_RETURN(file_spill_device_, FileSpillDevice::Create(dir));
+      std::unique_ptr<FileBlockDevice> file;
+      X100_ASSIGN_OR_RETURN(file, FileBlockDevice::CreateTemp(dir));
+      file_spill_ = std::make_unique<SpillDevice>(std::move(file));
       file_spill_dir_ = dir;
     }
-    return static_cast<SpillDevice*>(file_spill_device_.get());
+    return file_spill_.get();
   }
 
-  /// The file-backed device if one has been created (tests install fault
-  /// hooks through this); nullptr while spilling targets the
-  /// SimulatedDisk.
-  FileSpillDevice* file_spill_device() {
+  /// The temp file spilling currently targets, if one has been created
+  /// (tests install fault hooks through this); nullptr while spilling
+  /// targets the SimulatedDisk.
+  FileBlockDevice* file_spill_device() {
     std::lock_guard<std::mutex> lock(spill_device_mu_);
-    return file_spill_device_.get();
+    return file_spill_ != nullptr
+               ? static_cast<FileBlockDevice*>(file_spill_->device())
+               : nullptr;
   }
 
   /// Starts a table definition; finish with RegisterTable(builder.Finish()).
@@ -475,23 +479,29 @@ class Database {
   }
 
   /// Rebuilds Table images from the persisted catalog and teaches the
-  /// data device which slots are live (free-list restore). Ctor-only.
+  /// data device which slots are live (free-list restore). A catalog that
+  /// names slots past the end of the data file fails the open here, before
+  /// any table is published, not at the first scan that reaches them.
+  /// Ctor-only.
   Status LoadCatalogIntoTables() {
     std::vector<CatalogTable> cat;
     X100_ASSIGN_OR_RETURN(cat, LoadCatalog(config_.data_path));
+    std::vector<std::unique_ptr<Table>> restored;
     std::vector<BlockId> live;
+    for (CatalogTable& t : cat) {
+      restored.push_back(Table::Restore(std::move(t.name), std::move(t.schema),
+                                        t.layout, data_device_.get(),
+                                        std::move(t.groups), t.num_rows));
+      for (BlockId b : restored.back()->CollectBlockIds()) live.push_back(b);
+    }
+    X100_RETURN_IF_ERROR(data_device_->RestoreAllocated(live));
     {
       std::lock_guard<std::mutex> lock(tables_mu_);
-      for (CatalogTable& t : cat) {
-        const std::string name = t.name;
-        auto table =
-            Table::Restore(std::move(t.name), std::move(t.schema), t.layout,
-                           data_device_.get(), std::move(t.groups), t.num_rows);
-        for (BlockId b : table->CollectBlockIds()) live.push_back(b);
+      for (auto& table : restored) {
+        const std::string name = table->name();
         tables_[name] = std::make_unique<UpdatableTable>(std::move(table));
       }
     }
-    data_device_->RestoreAllocated(live);
     if (!cat.empty()) {
       events_.Info("catalog loaded: " + std::to_string(cat.size()) +
                    " table(s) from " + config_.data_path);
@@ -505,11 +515,12 @@ class Database {
   std::unique_ptr<TaskScheduler> own_scheduler_;
   std::vector<std::unique_ptr<TaskScheduler>> retired_schedulers_;
   SimulatedDisk disk_;
+  SpillDevice ram_spill_{&disk_};
   Status open_status_;  // before data_device_: its initializer writes here
   std::unique_ptr<FileBlockDevice> data_device_;
   std::mutex spill_device_mu_;
-  std::unique_ptr<FileSpillDevice> file_spill_device_;
-  std::vector<std::unique_ptr<FileSpillDevice>> retired_spill_devices_;
+  std::unique_ptr<SpillDevice> file_spill_;
+  std::vector<std::unique_ptr<SpillDevice>> retired_spill_devices_;
   std::string file_spill_dir_;
   BufferManager buffers_;
   TransactionManager txn_manager_;

@@ -55,10 +55,10 @@ struct ExecContext {
   /// tests); pipeline breakers then never spill.
   MemoryTracker* memory = nullptr;
   /// Device pipeline breakers spill radix partitions / sorted runs /
-  /// Grace probe partitions to when a reservation fails — the in-RAM
-  /// SimulatedDisk by default, a FileSpillDevice when the engine is
-  /// configured with a spill_path. nullptr = spilling disabled: a failed
-  /// reservation surfaces kResourceExhausted instead.
+  /// Grace probe partitions to when a reservation fails — a view over the
+  /// in-RAM SimulatedDisk by default, over a temp FileBlockDevice when the
+  /// engine is configured with a spill_path. nullptr = spilling disabled:
+  /// a failed reservation surfaces kResourceExhausted instead.
   SpillDevice* spill_device = nullptr;
   /// Buffer pool serving this query's table blocks. Operators that can
   /// overlap IO with compute (scan read-ahead, Grace pair prefetch) use

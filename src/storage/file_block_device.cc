@@ -4,16 +4,14 @@
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
-#include <thread>
+#include <limits>
 
-#include "common/config.h"
 #include "common/hash.h"
-#include "common/pod_serde.h"
 
 namespace x100 {
 
@@ -25,6 +23,59 @@ std::string ErrnoMessage(const std::string& what) {
 
 constexpr int64_t kSlotStride =
     kDiskBlockBytes + FileBlockDevice::kSlotHeaderBytes;
+
+/// The durable header at the start of every slot.
+struct SlotHeader {
+  uint32_t magic;
+  uint32_t length;
+  uint64_t checksum;
+};
+static_assert(sizeof(SlotHeader) == FileBlockDevice::kSlotHeaderBytes,
+              "slot header layout");
+
+off_t SlotOffset(int64_t slot) {
+  return static_cast<off_t>(slot) * kSlotStride;
+}
+
+/// Reads up to `n` bytes at `off`; fewer only at end of file.
+Result<size_t> PreadFully(int fd, void* buf, size_t n, off_t off) {
+  size_t done = 0;
+  while (done < n) {
+    const ssize_t r = ::pread(fd, static_cast<uint8_t*>(buf) + done,
+                              n - done, off + static_cast<off_t>(done));
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      return Status::IoError(ErrnoMessage("block read failed"));
+    }
+    if (r == 0) break;
+    done += static_cast<size_t>(r);
+  }
+  return done;
+}
+
+/// Writes every byte of `iov[0..cnt)` at `off`, resuming short writes.
+Status PwritevFully(int fd, struct iovec* iov, int cnt, off_t off) {
+  while (cnt > 0) {
+    const ssize_t r = ::pwritev(fd, iov, cnt, off);
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      return Status::IoError(ErrnoMessage("block write failed"));
+    }
+    if (r == 0) return Status::IoError("block write made no progress");
+    off += r;
+    auto left = static_cast<size_t>(r);
+    for (; cnt > 0 && left >= iov->iov_len; ++iov, --cnt) left -= iov->iov_len;
+    if (cnt > 0) {
+      iov->iov_base = static_cast<uint8_t*>(iov->iov_base) + left;
+      iov->iov_len -= left;
+    }
+  }
+  return Status::OK();
+}
+
+/// Per-process sequence so several Databases sharing one spill dir never
+/// collide (O_EXCL would reject, but distinct names avoid the retry).
+std::atomic<uint64_t> g_temp_seq{0};
 
 }  // namespace
 
@@ -50,36 +101,31 @@ Result<std::unique_ptr<FileBlockDevice>> FileBlockDevice::Open(
         ", not a whole number of " + std::to_string(kSlotStride) +
         "-byte slots — torn write or foreign file; refusing to open");
   }
-  const int64_t next_slot = st.st_size / kSlotStride;
   return std::unique_ptr<FileBlockDevice>(
-      new FileBlockDevice(fd, path, next_slot, bandwidth_bytes_per_sec));
+      new FileBlockDevice(fd, path, st.st_size / kSlotStride,
+                          bandwidth_bytes_per_sec, /*temp=*/false));
 }
 
-Status FileBlockDevice::ChargeIo(size_t bytes, CancellationToken* cancel) {
-  if (bandwidth_ <= 0) return Status::OK();
-  using Clock = std::chrono::steady_clock;
-  const auto cost = std::chrono::nanoseconds(static_cast<int64_t>(
-      1e9 * static_cast<double>(bytes) / static_cast<double>(bandwidth_)));
-  Clock::time_point wait_until;
-  {
-    std::lock_guard<std::mutex> lock(io_mu_);
-    const auto now = Clock::now();
-    if (busy_until_ < now) busy_until_ = now;
-    busy_until_ += cost;
-    wait_until = busy_until_;
+Result<std::unique_ptr<FileBlockDevice>> FileBlockDevice::CreateTemp(
+    const std::string& dir) {
+  const std::string path =
+      dir + "/x100-spill-" + std::to_string(::getpid()) + "-" +
+      std::to_string(g_temp_seq.fetch_add(1)) + ".tmp";
+  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_EXCL, 0600);
+  if (fd < 0) {
+    return Status::IoError(
+        ErrnoMessage("cannot create spill file " + path) +
+        " (is the spill_path directory present and writable?)");
   }
-  const auto now = Clock::now();
-  if (wait_until <= now) return Status::OK();
-  const auto wait = wait_until - now;
-  if (cancel != nullptr) return cancel->WaitFor(wait);
-  std::this_thread::sleep_for(wait);
-  return Status::OK();
+  return std::unique_ptr<FileBlockDevice>(
+      new FileBlockDevice(fd, path, 0, 0, /*temp=*/true));
 }
 
 FileBlockDevice::~FileBlockDevice() {
-  // Durable data: close but never unlink — the whole point is that the
-  // next Open on this directory finds the blocks again.
-  if (fd_ >= 0) ::close(fd_);
+  ::close(fd_);
+  // Durable data stays for the next Open; a temp file dies with its
+  // device (harmless ENOENT if it was already unlinked).
+  if (temp_) ::unlink(path_.c_str());
 }
 
 void FileBlockDevice::set_fault_hook(FaultHook hook) {
@@ -95,21 +141,31 @@ int64_t FileBlockDevice::file_bytes() const {
 
 int64_t FileBlockDevice::live_slots() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return next_slot_ - static_cast<int64_t>(free_slots_.size());
+  return static_cast<int64_t>(live_.size() - free_slots_.size());
 }
 
-void FileBlockDevice::RestoreAllocated(const std::vector<BlockId>& live) {
-  std::vector<bool> used(static_cast<size_t>(next_slot_), false);
-  for (BlockId id : live) {
-    if (static_cast<int64_t>(id) < next_slot_) used[id] = true;
-  }
+Status FileBlockDevice::RestoreAllocated(const std::vector<BlockId>& live) {
   std::lock_guard<std::mutex> lock(mu_);
-  free_slots_.clear();
+  const size_t slots = live_.size();
+  BlockId missing = std::numeric_limits<BlockId>::max();
+  for (BlockId id : live) {
+    if (id >= slots) missing = std::min(missing, id);
+  }
+  if (missing != std::numeric_limits<BlockId>::max()) {
+    return Status::IoError(
+        "catalog names data block " + std::to_string(missing) +
+        " beyond the end of data file " + path_ + " (" +
+        std::to_string(slots) + " slots) — truncated or foreign file");
+  }
+  live_.assign(slots, false);
+  for (BlockId id : live) live_[id] = true;
   // Push high slots first so recycling hands out low slots first, keeping
   // the file compact under append-after-reopen workloads.
-  for (int64_t s = next_slot_ - 1; s >= 0; --s) {
-    if (!used[static_cast<size_t>(s)]) free_slots_.push_back(s);
+  free_slots_.clear();
+  for (size_t s = slots; s-- > 0;) {
+    if (!live_[s]) free_slots_.push_back(static_cast<int64_t>(s));
   }
+  return Status::OK();
 }
 
 Status FileBlockDevice::Sync() {
@@ -120,13 +176,9 @@ Status FileBlockDevice::Sync() {
 }
 
 Result<BlockId> FileBlockDevice::WriteBlock(std::vector<uint8_t> data) {
-  if (data.size() > static_cast<size_t>(kDiskBlockBytes)) {
-    return Status::InvalidArgument(
-        "data block larger than kDiskBlockBytes: " +
-        std::to_string(data.size()));
-  }
-  int64_t slot;
-  bool recycled;
+  X100_RETURN_IF_ERROR(CheckBlockSize(data.size()));
+  int64_t slot = 0;
+  bool recycled = false;
   FaultHook hook;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -136,10 +188,15 @@ Result<BlockId> FileBlockDevice::WriteBlock(std::vector<uint8_t> data) {
       slot = free_slots_.back();
       free_slots_.pop_back();
     } else {
-      slot = next_slot_++;
+      // Grow the file by one whole slot before using it, so it always
+      // spans a whole number of slots and Open never meets a mid-slot EOF.
+      slot = static_cast<int64_t>(live_.size());
+      if (::ftruncate(fd_, SlotOffset(slot + 1)) != 0) {
+        return Status::IoError(ErrnoMessage("block file extend failed"));
+      }
+      live_.push_back(false);
     }
   }
-  const BlockId id = static_cast<BlockId>(slot);
   // Return the slot to the free list on any failure so an aborted write
   // never leaks file space.
   auto fail = [this, slot](Status s) -> Result<BlockId> {
@@ -147,40 +204,23 @@ Result<BlockId> FileBlockDevice::WriteBlock(std::vector<uint8_t> data) {
     free_slots_.push_back(slot);
     return s;
   };
+  const BlockId id = static_cast<BlockId>(slot);
   if (hook) {
     const Status s = hook(Op::kWrite, id, &data);
     if (!s.ok()) return fail(s);
   }
-  // Slot image: persisted header + payload, written in one pwrite so a
-  // crash mid-write leaves either the old slot or a checksum-detectable
-  // torn one — never a header that vouches for stale payload bytes.
-  std::vector<uint8_t> slot_bytes;
-  slot_bytes.reserve(kSlotHeaderBytes + data.size());
-  serde::AppendPod(&slot_bytes, kSlotMagic);
-  serde::AppendPod(&slot_bytes, static_cast<uint32_t>(data.size()));
-  serde::AppendPod(&slot_bytes, HashBytes(data.data(), data.size()));
-  slot_bytes.insert(slot_bytes.end(), data.begin(), data.end());
-  const off_t off = static_cast<off_t>(slot) * kSlotStride;
-  size_t done = 0;
-  while (done < slot_bytes.size()) {
-    const ssize_t n =
-        ::pwrite(fd_, slot_bytes.data() + done, slot_bytes.size() - done,
-                 off + static_cast<off_t>(done));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return fail(Status::IoError(ErrnoMessage("data block write failed")));
-    }
-    done += static_cast<size_t>(n);
-  }
-  // Keep the file a whole number of slots: a short payload in the highest
-  // slot would otherwise leave a mid-slot EOF that the next Open rejects
-  // as torn. next_slot_ is monotone and no pwrite lands past
-  // next_slot_ * kSlotStride, so this never shrinks live data.
+  // Header and payload in one pwritev: a crash mid-write leaves either
+  // the old slot or a checksum-detectable torn one — never a header that
+  // vouches for stale payload bytes.
+  SlotHeader header{kSlotMagic, static_cast<uint32_t>(data.size()),
+                    HashBytes(data.data(), data.size())};
+  struct iovec iov[2] = {{&header, sizeof(header)},
+                         {data.data(), data.size()}};
+  const Status written = PwritevFully(fd_, iov, 2, SlotOffset(slot));
+  if (!written.ok()) return fail(written);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (::ftruncate(fd_, next_slot_ * kSlotStride) != 0) {
-      return fail(Status::IoError(ErrnoMessage("data file extend failed")));
-    }
+    live_[id] = true;
   }
   bytes_written_.fetch_add(static_cast<int64_t>(data.size()),
                            std::memory_order_relaxed);
@@ -193,63 +233,56 @@ Result<std::shared_ptr<const std::vector<uint8_t>>> FileBlockDevice::ReadBlock(
   if (cancel != nullptr) {
     X100_RETURN_IF_ERROR(cancel->Check());
   }
+  auto fail = [&](const std::string& why) {
+    return Status::IoError("block " + std::to_string(id) + " of " + path_ +
+                           ": " + why);
+  };
   FaultHook hook;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (static_cast<int64_t>(id) >= next_slot_) {
-      return Status::IoError("data block " + std::to_string(id) +
-                             " beyond end of file " + path_);
-    }
+    if (id >= live_.size()) return fail("beyond end of file");
+    if (!live_[id]) return fail("freed or never written");
     hook = fault_hook_;
   }
-  std::vector<uint8_t> slot_bytes(static_cast<size_t>(kSlotStride));
-  const off_t off = static_cast<off_t>(id) * kSlotStride;
-  size_t done = 0;
-  while (done < slot_bytes.size()) {
-    const ssize_t n =
-        ::pread(fd_, slot_bytes.data() + done, slot_bytes.size() - done,
-                off + static_cast<off_t>(done));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(ErrnoMessage("data block read failed"));
-    }
-    if (n == 0) break;  // EOF: a short final slot fails header checks below
-    done += static_cast<size_t>(n);
+  // Unlink-behind-open: the fd would happily keep serving the orphaned
+  // inode, but spilled state an operator believes deleted (a "cleaned"
+  // temp dir) must not be silently depended on. A durable file whose
+  // directory vanished keeps serving the running process's tables; that
+  // failure surfaces at the next catalog save instead.
+  struct stat st = {};
+  if (temp_ && (::fstat(fd_, &st) != 0 || st.st_nlink == 0)) {
+    return fail("file was unlinked behind the open descriptor");
   }
-  slot_bytes.resize(done);
+  SlotHeader header{};
+  size_t got = 0;
+  X100_ASSIGN_OR_RETURN(
+      got, PreadFully(fd_, &header, sizeof(header), SlotOffset(id)));
+  if (got < sizeof(header)) return fail("torn slot shorter than its header");
+  if (header.magic != kSlotMagic) {
+    return fail("bad slot magic (freed, never written, or foreign bytes)");
+  }
+  if (header.length > static_cast<uint32_t>(kDiskBlockBytes)) {
+    return fail("torn slot: recorded length " +
+                std::to_string(header.length) + " exceeds a slot");
+  }
+  std::vector<uint8_t> data(header.length);
+  X100_ASSIGN_OR_RETURN(got, PreadFully(fd_, data.data(), data.size(),
+                                        SlotOffset(id) + kSlotHeaderBytes));
+  data.resize(got);
   if (hook) {
-    X100_RETURN_IF_ERROR(hook(Op::kRead, id, &slot_bytes));
+    X100_RETURN_IF_ERROR(hook(Op::kRead, id, &data));
   }
-  // Verify the persisted header before trusting a single payload byte.
-  serde::Reader r{slot_bytes.data(), slot_bytes.size()};
-  uint32_t magic = 0, length = 0;
-  uint64_t checksum = 0;
-  if (!r.TakePod(&magic) || !r.TakePod(&length) || !r.TakePod(&checksum)) {
-    return Status::IoError("torn data block " + std::to_string(id) +
-                           ": slot shorter than its header");
+  if (data.size() != header.length) {
+    return fail("short read: expected " + std::to_string(header.length) +
+                " bytes, got " + std::to_string(data.size()));
   }
-  if (magic != kSlotMagic) {
-    return Status::IoError("data block " + std::to_string(id) +
-                           ": bad slot magic (freed, never written, or "
-                           "foreign bytes)");
-  }
-  if (static_cast<int64_t>(length) > kDiskBlockBytes ||
-      kSlotHeaderBytes + static_cast<size_t>(length) > slot_bytes.size()) {
-    return Status::IoError("torn data block " + std::to_string(id) +
-                           ": recorded length " + std::to_string(length) +
-                           " exceeds slot bytes on disk");
-  }
-  std::vector<uint8_t> data(
-      slot_bytes.begin() + kSlotHeaderBytes,
-      slot_bytes.begin() + kSlotHeaderBytes + static_cast<int64_t>(length));
-  if (HashBytes(data.data(), data.size()) != checksum) {
-    return Status::IoError("corrupt data block " + std::to_string(id) +
-                           ": checksum mismatch on read");
+  if (HashBytes(data.data(), data.size()) != header.checksum) {
+    return fail("checksum mismatch on read (corrupt block)");
   }
   // Throttle AFTER the verified transfer so the charged bytes are the
   // payload actually delivered; the page cache makes the pread itself
   // near-instant, the channel wait is the modeled device time.
-  X100_RETURN_IF_ERROR(ChargeIo(data.size(), cancel));
+  X100_RETURN_IF_ERROR(channel_.Charge(data.size(), cancel));
   blocks_read_.fetch_add(1, std::memory_order_relaxed);
   bytes_read_.fetch_add(static_cast<int64_t>(data.size()),
                         std::memory_order_relaxed);
@@ -257,30 +290,21 @@ Result<std::shared_ptr<const std::vector<uint8_t>>> FileBlockDevice::ReadBlock(
 }
 
 void FileBlockDevice::FreeBlock(BlockId id) {
-  const int64_t slot = static_cast<int64_t>(id);
   std::lock_guard<std::mutex> lock(mu_);
-  if (slot >= next_slot_) return;
-  if (std::find(free_slots_.begin(), free_slots_.end(), slot) !=
-      free_slots_.end()) {
-    return;  // idempotent: double-free must not hand the slot out twice
+  // Idempotent: a double free must not hand the slot out twice.
+  if (id >= live_.size() || !live_[id]) return;
+  live_[id] = false;
+  if (!temp_) {
+    // The live flag already fails reads; a durable slot also loses its
+    // magic (best effort), so its bytes cannot vouch for a retired group
+    // to anything that reads the file later. A temp file dies with this
+    // device, so there the flag is the whole guard and a freed spill
+    // block costs no syscall.
+    uint32_t dead = 0;
+    struct iovec iov = {&dead, sizeof(dead)};
+    (void)PwritevFully(fd_, &iov, 1, SlotOffset(static_cast<int64_t>(id)));
   }
-  free_slots_.push_back(slot);
-  // Poison the magic so a read of a freed-but-not-yet-recycled slot fails
-  // verification instead of serving the retired group's bytes.
-  const uint32_t dead = 0;
-  size_t done = 0;
-  const off_t off = static_cast<off_t>(slot) * kSlotStride;
-  const auto* p = reinterpret_cast<const uint8_t*>(&dead);
-  while (done < sizeof(dead)) {
-    const ssize_t n =
-        ::pwrite(fd_, p + done, sizeof(dead) - done,
-                 off + static_cast<off_t>(done));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;  // best-effort: the catalog no longer references this slot
-    }
-    done += static_cast<size_t>(n);
-  }
+  free_slots_.push_back(static_cast<int64_t>(id));
 }
 
 }  // namespace x100

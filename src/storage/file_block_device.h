@@ -1,35 +1,40 @@
-// FileBlockDevice: the durable, file-backed home of base-table blocks.
+// FileBlockDevice: the one fixed-slot file behind every on-disk block.
 //
-// Where FileSpillDevice holds transient per-query state in an anonymous
-// temp file (unlinked on destruction), this device is the opposite: it
-// owns ONE named data file per Database (`<dir>/x100-data.blocks`) that
-// must survive process restarts and be re-openable with nothing but the
-// catalog's list of live block ids.
+// The paper's recurring warning is that researchers skip the unglamorous
+// systems work — IO paths, error handling, resource hygiene — that turns
+// a prototype into a product. This class is the engine's one
+// implementation of that work, with two lifetimes:
+//
+//  * durable (Open): `<dir>/x100-data.blocks`, the base-table store. It
+//    survives restarts and reopens with nothing but the catalog's list of
+//    live block ids; reads are throttled by EngineConfig::disk_bandwidth.
+//  * temp (CreateTemp): `<dir>/x100-spill-<pid>-<seq>.tmp`, the spill file
+//    of one Database, created O_EXCL, unlinked on destruction and never
+//    throttled.
 //
 // Layout: fixed-size slots. Slot i starts at byte i * kSlotStride where
 // kSlotStride = kDiskBlockBytes + kSlotHeaderBytes. Each slot begins with
-// a 16-byte on-disk header:
+// a 16-byte header:
 //
 //     [u32 magic][u32 length][u64 checksum]   then `length` payload bytes
 //
 // BlockId == slot index, so the catalog's block maps address slots
-// directly and reopening needs no in-file index scan: next_slot_ derives
-// from file size, and RestoreAllocated() rebuilds the free list as
-// "every slot below next_slot_ the catalog does not claim". Persisting
-// length + checksum IN the slot (the spill device keeps them in memory)
-// is what makes cold reads verifiable: a torn write, a bit flip, or a
-// stale slot served after misdirected IO all surface as kIoError, never
-// as wrong query results.
+// directly. A write stores header and payload with one pwritev; a read
+// preads the header, then exactly `length` payload bytes, and verifies
+// magic, length and checksum before a payload byte is trusted. A torn
+// write, a bit flip, a freed slot or a file unlinked behind the open
+// descriptor surfaces as kIoError, never as wrong query results.
 //
-// Slots freed by checkpoints (group rewrites retiring old blocks) are
-// recycled, so the file is bounded by the table's live footprint, not by
-// total bytes ever written. The same fault hook shape as FileSpillDevice
-// lets tests inject ENOSPC and torn/corrupt reads deterministically.
+// An in-memory live flag per slot backs the allocator: a freed slot reads
+// as kIoError and goes on a free list, so the file is bounded by the peak
+// live footprint, not by total bytes ever written. Open treats every
+// existing slot as live until RestoreAllocated says otherwise. A fault
+// hook lets tests inject ENOSPC and torn or corrupt reads
+// deterministically.
 #ifndef X100_STORAGE_FILE_BLOCK_DEVICE_H_
 #define X100_STORAGE_FILE_BLOCK_DEVICE_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -47,24 +52,29 @@ class FileBlockDevice : public BlockDevice {
 
   /// Called on every block IO. On kWrite, `data` is the payload about to
   /// be written; returning non-OK injects a write failure (the slot is
-  /// returned to the free list). On kRead, `data` is the raw slot bytes
-  /// (header + payload) just read, BEFORE verification — a hook may
-  /// truncate or corrupt them to prove verification catches it.
+  /// returned to the free list). On kRead, `data` is the payload just
+  /// read, BEFORE the length and checksum checks — a hook may truncate or
+  /// corrupt it to prove verification catches it, or return a status
+  /// directly.
   using FaultHook = std::function<Status(Op op, BlockId id,
                                          std::vector<uint8_t>* data)>;
 
-  /// Opens (or creates) `<dir>/x100-data.blocks`. The directory must
-  /// exist — a missing or unwritable data_path is a loud configuration
-  /// error, not a silent fallback to RAM. An existing file's size must be
-  /// a whole number of slots; anything else is a torn/foreign file and
-  /// fails the open. `bandwidth_bytes_per_sec` > 0 throttles reads to
-  /// that rate over a single shared channel (EngineConfig::disk_bandwidth
-  /// — same model as SimulatedDisk), so benchmarks see a cold medium
+  /// Opens (or creates) the durable `<dir>/x100-data.blocks`. The
+  /// directory must exist — a missing or unwritable data_path is a loud
+  /// configuration error, not a silent fallback to RAM. An existing
+  /// file's size must be a whole number of slots; anything else is a
+  /// torn/foreign file and fails the open. `bandwidth_bytes_per_sec` > 0
+  /// throttles reads (BandwidthChannel), so benchmarks see a cold medium
   /// regardless of the OS page cache; 0 = unthrottled.
   static Result<std::unique_ptr<FileBlockDevice>> Open(
       const std::string& dir, int64_t bandwidth_bytes_per_sec = 0);
 
-  ~FileBlockDevice() override;  // closes the fd; does NOT unlink
+  /// Creates a temp `<dir>/x100-spill-<pid>-<seq>.tmp`, removed when the
+  /// device is destroyed. The directory must exist, as for Open.
+  static Result<std::unique_ptr<FileBlockDevice>> CreateTemp(
+      const std::string& dir);
+
+  ~FileBlockDevice() override;
 
   FileBlockDevice(const FileBlockDevice&) = delete;
   FileBlockDevice& operator=(const FileBlockDevice&) = delete;
@@ -74,10 +84,11 @@ class FileBlockDevice : public BlockDevice {
       BlockId id, CancellationToken* cancel) override;
   void FreeBlock(BlockId id) override;
 
-  /// Rebuilds the free list after a catalog load: every slot below the
-  /// file's end that `live` does not contain becomes recyclable. Call
-  /// once, right after Open, before any writes.
-  void RestoreAllocated(const std::vector<BlockId>& live);
+  /// After a catalog load: the slots in `live` stay live and every other
+  /// slot becomes recyclable. A live id past the end of the file (a
+  /// truncated data file) is kIoError naming the first missing block, and
+  /// changes nothing. Call once, right after Open, before any writes.
+  Status RestoreAllocated(const std::vector<BlockId>& live);
 
   /// Flushes file contents to stable storage (fdatasync). Called by
   /// checkpoints before the catalog commits to the new block map.
@@ -111,28 +122,23 @@ class FileBlockDevice : public BlockDevice {
   static constexpr int64_t kSlotHeaderBytes = 16;
 
  private:
-  FileBlockDevice(int fd, std::string path, int64_t next_slot,
-                  int64_t bandwidth)
+  FileBlockDevice(int fd, std::string path, int64_t slots, int64_t bandwidth,
+                  bool temp)
       : fd_(fd),
         path_(std::move(path)),
-        next_slot_(next_slot),
-        bandwidth_(bandwidth) {}
+        temp_(temp),
+        live_(static_cast<size_t>(slots), true),
+        channel_(bandwidth) {}
 
-  /// Serializes throttled IO on one simulated channel (cf. SimulatedDisk):
-  /// each transfer extends busy_until_ by bytes/bandwidth and waits its
-  /// turn (interruptibly when a cancel token is supplied).
-  Status ChargeIo(size_t bytes, CancellationToken* cancel);
+  const int fd_;
+  const std::string path_;
+  const bool temp_;  // unlinked on destruction
 
-  int fd_;
-  std::string path_;
-
-  mutable std::mutex mu_;  // slot allocation only; pread/pwrite run outside
+  mutable std::mutex mu_;  // allocation and live flags; IO runs outside
+  std::vector<bool> live_;  // one flag per slot the file spans
   std::vector<int64_t> free_slots_;
-  int64_t next_slot_;
-  const int64_t bandwidth_;  // bytes/sec; 0 = unthrottled
-  std::mutex io_mu_;
-  std::chrono::steady_clock::time_point busy_until_{};
   FaultHook fault_hook_;
+  BandwidthChannel channel_;
 
   std::atomic<int64_t> blocks_read_{0};
   std::atomic<int64_t> bytes_read_{0};

@@ -4,15 +4,17 @@
 // partition (join build rows + hashes, an aggregation GroupTable, a Grace
 // probe-side partition chunk) or one sorted-run chunk. A SpillFile owns
 // the device blocks of one such blob: Write splits the serialization into
-// kDiskBlockBytes-sized blocks (respecting the device's block-size
-// contract), ReadAll reassembles it — charging the device's IO cost,
-// interruptible by the query's cancellation token like every other read
-// in the engine. Writes can FAIL on a real device (ENOSPC); a failed
-// Write frees whatever blocks it had already placed.
+// kDiskBlockBytes-sized blocks (the device's block-size contract), ReadAll
+// reassembles it from the shared bytes the device returns — charging the
+// device's IO cost, interruptible by the query's cancellation token like
+// every other read in the engine. Writes can FAIL on a real device
+// (ENOSPC); a failed Write frees whatever blocks it had already placed.
 #ifndef X100_STORAGE_SPILL_FILE_H_
 #define X100_STORAGE_SPILL_FILE_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -64,16 +66,12 @@ class SpillFile {
     SpillFile f;
     f.device_ = device;
     f.bytes_ = static_cast<int64_t>(size);
-    size_t off = 0;
-    while (off < size) {
-      const size_t n = std::min<size_t>(size - off,
-                                        static_cast<size_t>(kDiskBlockBytes));
+    for (size_t off = 0; off < size; off += kDiskBlockBytes) {
+      const size_t n = std::min<size_t>(size - off, kDiskBlockBytes);
       BlockId id;
       X100_ASSIGN_OR_RETURN(
-          id,
-          device->WriteSpill(std::vector<uint8_t>(data + off, data + off + n)));
+          id, device->Write(std::vector<uint8_t>(data + off, data + off + n)));
       f.blocks_.push_back(id);
-      off += n;
     }
     return f;
   }
@@ -90,9 +88,9 @@ class SpillFile {
     std::vector<uint8_t> out;
     out.reserve(static_cast<size_t>(bytes_));
     for (const BlockId id : blocks_) {
-      std::vector<uint8_t> block;
-      X100_ASSIGN_OR_RETURN(block, device_->ReadSpill(id, cancel));
-      out.insert(out.end(), block.begin(), block.end());
+      std::shared_ptr<const std::vector<uint8_t>> block;
+      X100_ASSIGN_OR_RETURN(block, device_->Read(id, cancel));
+      out.insert(out.end(), block->begin(), block->end());
     }
     if (out.size() != static_cast<size_t>(bytes_)) {
       return Status::IoError("spill file truncated: expected " +
@@ -107,10 +105,15 @@ class SpillFile {
   size_t num_blocks() const { return blocks_.size(); }
 
   /// Releases the underlying blocks early (idempotent; the destructor
-  /// calls it). Reads after Free fail cleanly.
+  /// calls it). Reads after Free fail cleanly. Block i holds
+  /// kDiskBlockBytes except the blob's last, which holds the rest; a
+  /// failed Write placed only full blocks.
   void Free() {
     if (device_ != nullptr) {
-      for (const BlockId id : blocks_) device_->FreeSpill(id);
+      for (size_t i = 0; i < blocks_.size(); i++) {
+        const int64_t placed = static_cast<int64_t>(i) * kDiskBlockBytes;
+        device_->Free(blocks_[i], std::min(kDiskBlockBytes, bytes_ - placed));
+      }
     }
     blocks_.clear();
     bytes_ = 0;

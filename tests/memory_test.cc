@@ -100,13 +100,14 @@ TEST(MemoryTrackerTest, ReservationRaiiDrains) {
 
 TEST(SpillFileTest, MultiBlockRoundTrip) {
   SimulatedDisk disk;
+  SpillDevice spill(&disk);
   // 2.5 disk blocks of patterned bytes.
   std::vector<uint8_t> blob(kDiskBlockBytes * 5 / 2);
   for (size_t i = 0; i < blob.size(); i++) {
     blob[i] = static_cast<uint8_t>(i * 31 + 7);
   }
   {
-    auto wrote = SpillFile::Write(&disk, blob);
+    auto wrote = SpillFile::Write(&spill, blob);
     ASSERT_TRUE(wrote.ok()) << wrote.status().ToString();
     const SpillFile f = std::move(wrote).value();
     EXPECT_EQ(f.num_blocks(), 3u);
@@ -115,12 +116,12 @@ TEST(SpillFileTest, MultiBlockRoundTrip) {
     ASSERT_TRUE(back.ok());
     EXPECT_EQ(*back, blob);
     EXPECT_EQ(disk.bytes_freed(), 0);
-    EXPECT_EQ(disk.spill_bytes_in_use(), static_cast<int64_t>(blob.size()));
+    EXPECT_EQ(spill.spill_bytes_in_use(), static_cast<int64_t>(blob.size()));
   }
   // SpillFile owns its blocks: destruction reclaims the device storage,
   // so a long-lived database does not accumulate spilled bytes forever.
   EXPECT_EQ(disk.bytes_freed(), static_cast<int64_t>(blob.size()));
-  EXPECT_EQ(disk.spill_bytes_in_use(), 0);
+  EXPECT_EQ(spill.spill_bytes_in_use(), 0);
 }
 
 TEST(GroupTableSerdeTest, CorruptBlobsFailCleanly) {

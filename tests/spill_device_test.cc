@@ -1,4 +1,5 @@
-// FileSpillDevice: real file-backed spilling, proven by fault injection.
+// File-backed spilling: a SpillDevice view over a temp FileBlockDevice,
+// proven by fault injection.
 //
 // The paper's product lesson is that the unglamorous failure paths — a
 // disk filling up mid-spill, a short read, a corrupted block, an operator
@@ -25,7 +26,8 @@
 
 #include "common/config.h"
 #include "engine/session.h"
-#include "storage/file_spill_device.h"
+#include "storage/file_block_device.h"
+#include "storage/spill_device.h"
 #include "storage/spill_file.h"
 
 namespace x100 {
@@ -60,13 +62,14 @@ class SpillDirFixture : public ::testing::Test {
 };
 
 TEST_F(SpillDirFixture, RoundTripAndRecycling) {
-  auto dev = FileSpillDevice::Create(dir_);
+  auto dev = FileBlockDevice::CreateTemp(dir_);
   ASSERT_TRUE(dev.ok()) << dev.status().ToString();
+  SpillDevice spill(dev->get());
   std::vector<uint8_t> a(100000, 0xAB), b(kDiskBlockBytes, 0xCD);
   {
-    auto fa = SpillFile::Write(dev->get(), a);
+    auto fa = SpillFile::Write(&spill, a);
     ASSERT_TRUE(fa.ok());
-    auto fb = SpillFile::Write(dev->get(), b);
+    auto fb = SpillFile::Write(&spill, b);
     ASSERT_TRUE(fb.ok());
     auto ra = fa->ReadAll();
     ASSERT_TRUE(ra.ok()) << ra.status().ToString();
@@ -74,15 +77,15 @@ TEST_F(SpillDirFixture, RoundTripAndRecycling) {
     auto rb = fb->ReadAll();
     ASSERT_TRUE(rb.ok());
     EXPECT_EQ(*rb, b);
-    EXPECT_EQ((*dev)->spill_bytes_in_use(),
+    EXPECT_EQ(spill.spill_bytes_in_use(),
               static_cast<int64_t>(a.size() + b.size()));
   }
   // Files died: blocks freed, slots recyclable, file NOT regrown by the
   // next writes (recycling bounds the file to peak footprint).
-  EXPECT_EQ((*dev)->spill_bytes_in_use(), 0);
+  EXPECT_EQ(spill.spill_bytes_in_use(), 0);
   const int64_t high_water = (*dev)->file_bytes();
   for (int round = 0; round < 5; round++) {
-    auto f = SpillFile::Write(dev->get(), b);
+    auto f = SpillFile::Write(&spill, b);
     ASSERT_TRUE(f.ok());
     auto back = f->ReadAll();
     ASSERT_TRUE(back.ok());
@@ -93,12 +96,12 @@ TEST_F(SpillDirFixture, RoundTripAndRecycling) {
   // Reading a freed block fails cleanly.
   BlockId freed_id;
   {
-    auto w = (*dev)->WriteSpill(a);
+    auto w = spill.Write(a);
     ASSERT_TRUE(w.ok());
     freed_id = *w;
-    (*dev)->FreeSpill(freed_id);
+    spill.Free(freed_id, static_cast<int64_t>(a.size()));
   }
-  auto gone = (*dev)->ReadSpill(freed_id, nullptr);
+  auto gone = spill.Read(freed_id, nullptr);
   ASSERT_FALSE(gone.ok());
   EXPECT_EQ(gone.status().code(), StatusCode::kIoError);
 
@@ -111,41 +114,44 @@ TEST_F(SpillDirFixture, RoundTripAndRecycling) {
 }
 
 TEST_F(SpillDirFixture, MissingDirectoryFailsLoudly) {
-  auto dev = FileSpillDevice::Create(dir_ + "/definitely-not-here");
+  auto dev = FileBlockDevice::CreateTemp(dir_ + "/definitely-not-here");
   ASSERT_FALSE(dev.ok());
   EXPECT_EQ(dev.status().code(), StatusCode::kIoError);
 }
 
 TEST_F(SpillDirFixture, InjectedWriteFailureSurfacesCleanly) {
-  auto dev = FileSpillDevice::Create(dir_);
+  auto dev = FileBlockDevice::CreateTemp(dir_);
   ASSERT_TRUE(dev.ok());
+  SpillDevice spill(dev->get());
   (*dev)->set_fault_hook(
-      [](FileSpillDevice::Op op, BlockId, std::vector<uint8_t>*) {
-        return op == FileSpillDevice::Op::kWrite
+      [](FileBlockDevice::Op op, BlockId, std::vector<uint8_t>*) {
+        return op == FileBlockDevice::Op::kWrite
                    ? Status::IoError("injected ENOSPC")
                    : Status::OK();
       });
   std::vector<uint8_t> blob(3 * kDiskBlockBytes, 0x5A);
-  auto f = SpillFile::Write(dev->get(), blob);
+  auto f = SpillFile::Write(&spill, blob);
   ASSERT_FALSE(f.ok());
   EXPECT_EQ(f.status().code(), StatusCode::kIoError);
   // The aborted multi-block write leaked nothing.
-  EXPECT_EQ((*dev)->spill_bytes_in_use(), 0);
+  EXPECT_EQ(spill.spill_bytes_in_use(), 0);
+  EXPECT_EQ((*dev)->live_slots(), 0);
   (*dev)->set_fault_hook(nullptr);
-  auto ok = SpillFile::Write(dev->get(), blob);
+  auto ok = SpillFile::Write(&spill, blob);
   ASSERT_TRUE(ok.ok());  // the device recovered
 }
 
 TEST_F(SpillDirFixture, ShortAndCorruptReadsAreDetected) {
-  auto dev = FileSpillDevice::Create(dir_);
+  auto dev = FileBlockDevice::CreateTemp(dir_);
   ASSERT_TRUE(dev.ok());
+  SpillDevice spill(dev->get());
   std::vector<uint8_t> blob(65536, 0x11);
-  auto f = SpillFile::Write(dev->get(), blob);
+  auto f = SpillFile::Write(&spill, blob);
   ASSERT_TRUE(f.ok());
-  // Short read: the hook truncates the bytes after the pread.
+  // Short read: the hook truncates the payload after the pread.
   (*dev)->set_fault_hook(
-      [](FileSpillDevice::Op op, BlockId, std::vector<uint8_t>* data) {
-        if (op == FileSpillDevice::Op::kRead) data->resize(data->size() / 2);
+      [](FileBlockDevice::Op op, BlockId, std::vector<uint8_t>* data) {
+        if (op == FileBlockDevice::Op::kRead) data->resize(data->size() / 2);
         return Status::OK();
       });
   auto short_read = f->ReadAll();
@@ -153,8 +159,8 @@ TEST_F(SpillDirFixture, ShortAndCorruptReadsAreDetected) {
   EXPECT_EQ(short_read.status().code(), StatusCode::kIoError);
   // Corrupt read: one flipped byte must trip the block checksum.
   (*dev)->set_fault_hook(
-      [](FileSpillDevice::Op op, BlockId, std::vector<uint8_t>* data) {
-        if (op == FileSpillDevice::Op::kRead && !data->empty()) {
+      [](FileBlockDevice::Op op, BlockId, std::vector<uint8_t>* data) {
+        if (op == FileBlockDevice::Op::kRead && !data->empty()) {
           (*data)[data->size() / 3] ^= 0x40;
         }
         return Status::OK();
@@ -171,10 +177,11 @@ TEST_F(SpillDirFixture, ShortAndCorruptReadsAreDetected) {
 }
 
 TEST_F(SpillDirFixture, UnlinkBehindOpenIsDetected) {
-  auto dev = FileSpillDevice::Create(dir_);
+  auto dev = FileBlockDevice::CreateTemp(dir_);
   ASSERT_TRUE(dev.ok());
+  SpillDevice spill(dev->get());
   std::vector<uint8_t> blob(4096, 0x77);
-  auto f = SpillFile::Write(dev->get(), blob);
+  auto f = SpillFile::Write(&spill, blob);
   ASSERT_TRUE(f.ok());
   ASSERT_EQ(::unlink((*dev)->path().c_str()), 0);
   // POSIX would happily keep serving the orphaned inode through the open
@@ -272,15 +279,18 @@ TEST_F(FileSpillQueryTest, OutOfCoreQueryOverFileDeviceMatchesAndCleansUp) {
     }
   }
   // It really went through the file.
-  FileSpillDevice* dev = db_->file_spill_device();
-  ASSERT_NE(dev, nullptr);
+  FileBlockDevice* file = db_->file_spill_device();
+  ASSERT_NE(file, nullptr);
+  SpillDevice* dev = *db_->spill_device();
+  EXPECT_EQ(dev->device(), file);
   EXPECT_GT(dev->spill_bytes_written(), 0);
   EXPECT_GT(dev->spill_bytes_read(), 0);
   // Spill hygiene: the finished query holds no blocks, no charges.
   EXPECT_EQ(dev->spill_bytes_in_use(), 0);
+  EXPECT_EQ(file->live_slots(), 0);
   EXPECT_EQ(db_->memory()->used(), 0);
   // Database destruction removes the temp file itself.
-  const std::string path = dev->path();
+  const std::string path = file->path();
   session_.reset();
   db_.reset();
   struct stat st;
@@ -296,8 +306,9 @@ TEST_F(FileSpillQueryTest, MidQueryIoFaultsUnwindWithoutLeaks) {
   auto reference = session_->Execute(GroupByJoinSortPlan());
   ASSERT_TRUE(reference.ok());
   const int64_t peak = db_->memory()->peak();
-  FileSpillDevice* dev = db_->file_spill_device();
-  ASSERT_NE(dev, nullptr);
+  FileBlockDevice* file = db_->file_spill_device();
+  ASSERT_NE(file, nullptr);
+  SpillDevice* dev = *db_->spill_device();
 
   db_->config().memory_limit = peak / 24;
   // Fault schedules: fail the Nth write / corrupt the Nth read, for
@@ -307,9 +318,9 @@ TEST_F(FileSpillQueryTest, MidQueryIoFaultsUnwindWithoutLeaks) {
   int faults_fired = 0;
   for (const int nth : {1, 5, 25, 125}) {
     std::atomic<int> writes{0};
-    dev->set_fault_hook([&writes, nth](FileSpillDevice::Op op, BlockId,
-                                       std::vector<uint8_t>*) {
-      if (op == FileSpillDevice::Op::kWrite &&
+    file->set_fault_hook([&writes, nth](FileBlockDevice::Op op, BlockId,
+                                        std::vector<uint8_t>*) {
+      if (op == FileBlockDevice::Op::kWrite &&
           writes.fetch_add(1) + 1 == nth) {
         return Status::IoError("injected ENOSPC on write " +
                                std::to_string(nth));
@@ -331,9 +342,9 @@ TEST_F(FileSpillQueryTest, MidQueryIoFaultsUnwindWithoutLeaks) {
   }
   for (const int nth : {1, 3, 9, 27}) {
     std::atomic<int> reads{0};
-    dev->set_fault_hook([&reads, nth](FileSpillDevice::Op op, BlockId,
-                                      std::vector<uint8_t>* data) {
-      if (op == FileSpillDevice::Op::kRead &&
+    file->set_fault_hook([&reads, nth](FileBlockDevice::Op op, BlockId,
+                                       std::vector<uint8_t>* data) {
+      if (op == FileBlockDevice::Op::kRead &&
           reads.fetch_add(1) + 1 == nth && !data->empty()) {
         (*data)[0] ^= 0xFF;  // checksum will catch it
       }
@@ -353,7 +364,7 @@ TEST_F(FileSpillQueryTest, MidQueryIoFaultsUnwindWithoutLeaks) {
   }
   // The schedules were chosen to actually land in the spill paths.
   EXPECT_GE(faults_fired, 6);
-  dev->set_fault_hook(nullptr);
+  file->set_fault_hook(nullptr);
   // And after all that abuse, the engine still answers correctly.
   auto healed = session_->Execute(GroupByJoinSortPlan());
   ASSERT_TRUE(healed.ok()) << healed.status().ToString();

@@ -1,8 +1,10 @@
-// Storage tests: simulated disk, buffer manager, PAX/DSM table round-trips,
+// Storage tests: block device conformance (the RAM medium and the slot
+// file in both lifetimes), buffer manager, PAX/DSM table round-trips,
 // MinMax pushdown, NULL chunks, cooperative-scan scheduling policies, and
 // the load path (the stored image does not depend on how rows arrive).
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -25,53 +27,6 @@
 
 namespace x100 {
 namespace {
-
-TEST(SimulatedDiskTest, WriteReadRoundTrip) {
-  SimulatedDisk disk;
-  std::vector<uint8_t> data = {1, 2, 3, 4, 5};
-  BlockId id = *disk.WriteBlock(data);
-  auto r = disk.ReadBlock(id);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(**r, data);
-  EXPECT_EQ(disk.blocks_read(), 1);
-  EXPECT_EQ(disk.bytes_read(), 5);
-}
-
-TEST(SimulatedDiskTest, OutOfRangeIsIoError) {
-  SimulatedDisk disk;
-  EXPECT_EQ(disk.ReadBlock(99).status().code(), StatusCode::kIoError);
-}
-
-TEST(SimulatedDiskTest, BandwidthThrottles) {
-  SimulatedDisk disk(1 << 20);  // 1 MiB/s
-  std::vector<uint8_t> data(64 * 1024);
-  BlockId id = *disk.WriteBlock(data);
-  const auto t0 = std::chrono::steady_clock::now();
-  ASSERT_TRUE(disk.ReadBlock(id).ok());
-  const auto elapsed = std::chrono::steady_clock::now() - t0;
-  // 64 KiB at 1 MiB/s = 62.5 ms.
-  EXPECT_GE(std::chrono::duration<double>(elapsed).count(), 0.05);
-}
-
-TEST(SimulatedDiskTest, CancellationInterruptsIoWait) {
-  SimulatedDisk disk(1 << 16);  // 64 KiB/s: the read below takes ~1 s
-  std::vector<uint8_t> data(64 * 1024);
-  BlockId id = *disk.WriteBlock(data);
-  CancellationToken token;
-  std::thread canceller([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    token.Cancel();
-  });
-  const auto t0 = std::chrono::steady_clock::now();
-  auto r = disk.ReadBlock(id, &token);
-  const auto elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  canceller.join();
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
-  EXPECT_LT(elapsed, 0.5);  // far less than the 1 s IO cost
-}
 
 TEST(BufferManagerTest, CachesAndCountsHits) {
   SimulatedDisk disk;
@@ -788,7 +743,7 @@ TEST(FileBlockDeviceTest, RoundTripSurvivesReopen) {
   {
     auto dev = FileBlockDevice::Open(dir);
     ASSERT_TRUE(dev.ok());
-    (*dev)->RestoreAllocated({a, b});
+    ASSERT_TRUE((*dev)->RestoreAllocated({a, b}).ok());
     auto ra = (*dev)->ReadBlock(a, nullptr);
     auto rb = (*dev)->ReadBlock(b, nullptr);
     ASSERT_TRUE(ra.ok());
@@ -832,7 +787,7 @@ TEST(FileBlockDeviceTest, RestoreAllocatedRecyclesDeadSlots) {
   auto dev = FileBlockDevice::Open(dir);
   ASSERT_TRUE(dev.ok());
   // Only b survived in the catalog: a and c are recyclable.
-  (*dev)->RestoreAllocated({b});
+  ASSERT_TRUE((*dev)->RestoreAllocated({b}).ok());
   BlockId x = *(*dev)->WriteBlock({4});
   BlockId y = *(*dev)->WriteBlock({5});
   EXPECT_EQ(x, a);  // low slots first
@@ -892,6 +847,205 @@ TEST(FileBlockDeviceTest, RejectsTornFile) {
             StatusCode::kIoError);
   RemoveTree(dir);
 }
+
+// ---------------------------------------------------------------------------
+// Device conformance: every BlockDevice honours one contract — the RAM
+// medium, and the slot file in both its durable and temp lifetimes.
+// ---------------------------------------------------------------------------
+
+enum class DeviceKind { kRam, kDurable, kTemp };
+
+std::string DeviceKindName(const ::testing::TestParamInfo<DeviceKind>& info) {
+  static const char* const kNames[] = {"Ram", "Durable", "Temp"};
+  return kNames[static_cast<int>(info.param)];
+}
+
+class DeviceConformanceTest : public ::testing::TestWithParam<DeviceKind> {
+ protected:
+  void SetUp() override { dir_ = MakeTempDir(); }
+  void TearDown() override {
+    device_.reset();  // a temp file goes with its device
+    RemoveTree(dir_);
+  }
+
+  /// Creates the parameter's device; `bandwidth` throttles the two kinds
+  /// that take one. nullptr (with a recorded failure) if it cannot.
+  BlockDevice* Make(int64_t bandwidth = 0) {
+    if (GetParam() == DeviceKind::kRam) {
+      device_ = std::make_unique<SimulatedDisk>(bandwidth);
+      return device_.get();
+    }
+    auto file = GetParam() == DeviceKind::kDurable
+                    ? FileBlockDevice::Open(dir_, bandwidth)
+                    : FileBlockDevice::CreateTemp(dir_);
+    if (!file.ok()) {
+      ADD_FAILURE() << file.status().ToString();
+      return nullptr;
+    }
+    device_ = std::move(file).value();
+    return device_.get();
+  }
+
+  std::string dir_;
+  std::unique_ptr<BlockDevice> device_;
+};
+
+TEST_P(DeviceConformanceTest, PayloadsReadBackExactly) {
+  BlockDevice* dev = Make();
+  ASSERT_NE(dev, nullptr);
+  for (const size_t n : {size_t{0}, size_t{3}, size_t{4096},
+                         static_cast<size_t>(kDiskBlockBytes)}) {
+    std::vector<uint8_t> data(n);
+    for (size_t i = 0; i < n; i++) data[i] = static_cast<uint8_t>(i * 13 + n);
+    auto id = dev->WriteBlock(data);
+    ASSERT_TRUE(id.ok()) << n << ": " << id.status().ToString();
+    auto back = dev->ReadBlock(*id, nullptr);
+    ASSERT_TRUE(back.ok()) << n << ": " << back.status().ToString();
+    EXPECT_EQ(**back, data) << n;
+  }
+  // A caller that forgets to split fails on every medium, RAM included.
+  EXPECT_EQ(dev->WriteBlock(std::vector<uint8_t>(kDiskBlockBytes + 1))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_P(DeviceConformanceTest, UnwrittenIdIsIoError) {
+  BlockDevice* dev = Make();
+  ASSERT_NE(dev, nullptr);
+  EXPECT_EQ(dev->ReadBlock(99, nullptr).status().code(),
+            StatusCode::kIoError);
+}
+
+TEST_P(DeviceConformanceTest, FreedIdNeverReadsItsOldBytes) {
+  BlockDevice* dev = Make();
+  ASSERT_NE(dev, nullptr);
+  const BlockId id = *dev->WriteBlock(std::vector<uint8_t>(1000, 0xAB));
+  dev->FreeBlock(id);
+  auto r = dev->ReadBlock(id, nullptr);
+  if (GetParam() == DeviceKind::kRam) {
+    // Empty bytes, which table reads reject as a short chunk
+    // (ShortChunkIsIoError) and SpillFile as truncation.
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE((*r)->empty());
+  } else {
+    // The live flag fails the read; the temp lifetime does not even
+    // poison the slot's magic, so the flag alone must do it.
+    EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+  }
+}
+
+TEST_P(DeviceConformanceTest, DoubleFreeHandsTheIdOutOnce) {
+  BlockDevice* dev = Make();
+  ASSERT_NE(dev, nullptr);
+  const BlockId a = *dev->WriteBlock({1});
+  dev->FreeBlock(a);
+  dev->FreeBlock(a);
+  const BlockId x = *dev->WriteBlock({2});
+  const BlockId y = *dev->WriteBlock({3});
+  EXPECT_NE(x, y);
+  EXPECT_EQ((**dev->ReadBlock(x, nullptr))[0], 2);
+  EXPECT_EQ((**dev->ReadBlock(y, nullptr))[0], 3);
+}
+
+TEST_P(DeviceConformanceTest, CountersCountPayloadBytes) {
+  BlockDevice* dev = Make();
+  ASSERT_NE(dev, nullptr);
+  const BlockId a = *dev->WriteBlock(std::vector<uint8_t>(5, 1));
+  const BlockId b = *dev->WriteBlock(std::vector<uint8_t>(70000, 2));
+  EXPECT_EQ(dev->bytes_written(), 70005);
+  ASSERT_TRUE(dev->ReadBlock(a, nullptr).ok());
+  ASSERT_TRUE(dev->ReadBlock(b, nullptr).ok());
+  ASSERT_TRUE(dev->ReadBlock(b, nullptr).ok());
+  EXPECT_EQ(dev->blocks_read(), 3);
+  EXPECT_EQ(dev->bytes_read(), 140005);
+}
+
+INSTANTIATE_TEST_SUITE_P(Devices, DeviceConformanceTest,
+                         ::testing::Values(DeviceKind::kRam,
+                                           DeviceKind::kDurable,
+                                           DeviceKind::kTemp),
+                         DeviceKindName);
+
+/// The devices that take a bandwidth: the RAM medium and the durable file.
+class ThrottledDeviceTest : public DeviceConformanceTest {};
+
+TEST_P(ThrottledDeviceTest, BandwidthThrottles) {
+  BlockDevice* dev = Make(1 << 20);  // 1 MiB/s
+  ASSERT_NE(dev, nullptr);
+  const BlockId id = *dev->WriteBlock(std::vector<uint8_t>(64 * 1024));
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(dev->ReadBlock(id, nullptr).ok());
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  // 64 KiB at 1 MiB/s = 62.5 ms.
+  EXPECT_GE(std::chrono::duration<double>(elapsed).count(), 0.05);
+}
+
+TEST_P(ThrottledDeviceTest, CancellationInterruptsIoWait) {
+  BlockDevice* dev = Make(1 << 16);  // 64 KiB/s: the read takes ~1 s
+  ASSERT_NE(dev, nullptr);
+  const BlockId id = *dev->WriteBlock(std::vector<uint8_t>(64 * 1024));
+  CancellationToken token;
+  std::thread canceller([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    token.Cancel();
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  auto r = dev->ReadBlock(id, &token);
+  const auto elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  canceller.join();
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
+  EXPECT_LT(elapsed, 0.5);  // far less than the 1 s IO cost
+}
+
+INSTANTIATE_TEST_SUITE_P(Devices, ThrottledDeviceTest,
+                         ::testing::Values(DeviceKind::kRam,
+                                           DeviceKind::kDurable),
+                         DeviceKindName);
+
+/// The slot file in both lifetimes.
+class SlotFileTest : public DeviceConformanceTest {};
+
+TEST_P(SlotFileTest, HeaderDamagedInTheFileIsIoError) {
+  ASSERT_NE(Make(), nullptr);
+  auto* dev = static_cast<FileBlockDevice*>(device_.get());
+  const BlockId magic = *dev->WriteBlock(std::vector<uint8_t>(1000, 0xA1));
+  const BlockId too_long = *dev->WriteBlock(std::vector<uint8_t>(1000, 0xB2));
+  const BlockId wrong_length =
+      *dev->WriteBlock(std::vector<uint8_t>(1000, 0xC3));
+  const BlockId intact = *dev->WriteBlock(std::vector<uint8_t>(1000, 0xD4));
+  // Overwrite header fields in the file itself, behind the device's back
+  // (no hook): the magic, then the length field (offset 4) with a value
+  // past the slot bound and with a wrong one inside it.
+  const int fd = ::open(dev->path().c_str(), O_WRONLY);
+  ASSERT_GE(fd, 0);
+  const off_t stride = kDiskBlockBytes + FileBlockDevice::kSlotHeaderBytes;
+  auto scribble = [&](BlockId id, off_t field, uint32_t value) {
+    return ::pwrite(fd, &value, sizeof(value),
+                    static_cast<off_t>(id) * stride + field) ==
+           static_cast<ssize_t>(sizeof(value));
+  };
+  ASSERT_TRUE(scribble(magic, 0, 0xDEADBEEF));
+  ASSERT_TRUE(scribble(too_long, 4, kDiskBlockBytes + 1));
+  ASSERT_TRUE(scribble(wrong_length, 4, 999));
+  ::close(fd);
+  for (const BlockId id : {magic, too_long, wrong_length}) {
+    EXPECT_EQ(dev->ReadBlock(id, nullptr).status().code(),
+              StatusCode::kIoError)
+        << "block " << id;
+  }
+  auto r = dev->ReadBlock(intact, nullptr);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(**r, std::vector<uint8_t>(1000, 0xD4));
+}
+
+INSTANTIATE_TEST_SUITE_P(Lifetimes, SlotFileTest,
+                         ::testing::Values(DeviceKind::kDurable,
+                                           DeviceKind::kTemp),
+                         DeviceKindName);
 
 // ---------------------------------------------------------------------------
 // Read-ahead under injected IO faults: a failed background read must
@@ -1182,6 +1336,56 @@ TEST(RestartTest, CorruptCatalogFailsOpenLoudly) {
   {
     Database db(cfg);
     EXPECT_EQ(db.open_status().code(), StatusCode::kIoError);
+  }
+  RemoveTree(dir);
+}
+
+TEST(RestartTest, CatalogPastTheDataFileFailsOpenLoudly) {
+  const std::string dir = MakeTempDir();
+  EngineConfig cfg;
+  cfg.data_path = dir;
+  {
+    Database db(cfg);
+    ASSERT_TRUE(db.open_status().ok());
+    // Four groups of one column: four slots.
+    auto b = db.CreateTable("t", Schema({Field("x", TypeId::kI64)}),
+                            Layout::kDsm, 64);
+    for (int i = 0; i < 256; i++) {
+      ASSERT_TRUE(b->AppendRow({Value::I64(i)}).ok());
+    }
+    auto t = b->Finish();
+    ASSERT_TRUE(t.ok());
+    ASSERT_TRUE(db.RegisterTable(std::move(t).value()).ok());
+  }
+  // Cut the data file by two whole slots: it still opens as a whole
+  // number of slots, but the catalog names blocks it no longer holds.
+  const std::string data = dir + "/x100-data.blocks";
+  const off_t stride = kDiskBlockBytes + FileBlockDevice::kSlotHeaderBytes;
+  struct stat st;
+  ASSERT_EQ(::stat(data.c_str(), &st), 0);
+  ASSERT_EQ(st.st_size, 4 * stride);
+  ASSERT_EQ(::truncate(data.c_str(), 2 * stride), 0);
+  {
+    Database db(cfg);
+    const Status open = db.open_status();
+    EXPECT_EQ(open.code(), StatusCode::kIoError);
+    EXPECT_NE(open.message().find("data block 2 "), std::string::npos)
+        << open.ToString();
+    EXPECT_EQ(db.GetTable("t").status().code(), StatusCode::kNotFound);
+    // The write entry points refuse with the open failure. The new table
+    // lives in RAM, so the refused registration leaves the file alone.
+    SimulatedDisk ram;
+    TableBuilder b("u", Schema({Field("x", TypeId::kI64)}), Layout::kDsm,
+                   &ram, 64);
+    ASSERT_TRUE(b.AppendRow({Value::I64(1)}).ok());
+    auto t = b.Finish();
+    ASSERT_TRUE(t.ok());
+    for (const Status& refused :
+         {db.RegisterTable(std::move(t).value()).status(), db.DropTable("t"),
+          db.Checkpoint("t")}) {
+      EXPECT_EQ(refused.code(), open.code());
+      EXPECT_EQ(refused.message(), open.message());
+    }
   }
   RemoveTree(dir);
 }
