@@ -9,13 +9,19 @@
 // (the CI gate requires prepared >= 2x ad-hoc), then drives the async
 // path with N concurrent sessions against the shared scheduler and the
 // adaptive task quota, checking every answer against a serial reference.
+// First, it times a scan-bound prepared point lookup on a 1M-row table and
+// counts the minor page faults each lookup takes (the CI gate allows at
+// most 8: a lookup must not allocate and release group-sized buffers).
 //
 //   $ ./bench_e14_serving [--json BENCH_E14.json]
+#include <sys/resource.h>
+
 #include <atomic>
 #include <cinttypes>
 #include <thread>
 
 #include "bench_util.h"
+#include "common/rng.h"
 #include "engine/session.h"
 #include "tpch/tpch.h"
 
@@ -24,6 +30,9 @@ using namespace x100;
 namespace {
 
 constexpr int kPointIters = 2000;
+constexpr int kLookupIters = 2000;
+constexpr int64_t kBigKvRows = 1000000;
+constexpr double kMaxFaultsPerLookup = 8;
 
 /// The point-query mix against a small kv table: a bare lookup, a
 /// predicate-heavy lookup, and an ORM-style verbose statement whose
@@ -65,6 +74,28 @@ bool RegisterKv(Database* db) {
   return t.ok() && db->RegisterTable(std::move(t).value()).ok();
 }
 
+/// Registers kv1m(k, v): 1M rows in 16,384-row groups, k unique and
+/// sorted, so MinMax pushdown leaves one group for a lookup to scan.
+bool RegisterBigKv(Database* db) {
+  auto b = db->CreateTable(
+      "kv1m", Schema({Field("k", TypeId::kI64), Field("v", TypeId::kF64)}),
+      Layout::kDsm, 16384);
+  for (int64_t k = 0; k < kBigKvRows; k++) {
+    if (!b->AppendRow({Value::I64(k), Value::F64(static_cast<double>(k) * 0.5)})
+             .ok()) {
+      return false;
+    }
+  }
+  auto t = b->Finish();
+  return t.ok() && db->RegisterTable(std::move(t).value()).ok();
+}
+
+int64_t MinorFaults() {
+  struct rusage ru;
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_minflt;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -77,10 +108,51 @@ int main(int argc, char** argv) {
   cfg.query_task_quota = 0;  // auto: 2x workers, adaptively shared
   Database db(cfg);
   report.set_workers(4);
-  if (!tpch::Generate(&db, 0.01).ok() || !RegisterKv(&db)) return 1;
   Session session(&db);
+  if (!RegisterBigKv(&db)) return 1;
+  // --- Part 1: scan-bound point lookup, time and page faults ------------
+  // First, in a fresh process: the faults come from the allocator handing
+  // memory back to the kernel between lookups, which earlier large
+  // allocations (the other parts) would mask by raising glibc's dynamic
+  // trim threshold.
+  std::vector<PreparedStatement> lookups;
+  std::vector<int64_t> lookup_keys;
+  Rng rng(14);
+  for (int i = 0; i < 64; i++) {
+    lookup_keys.push_back(rng.Uniform(0, kBigKvRows - 1));
+    auto p = session.Prepare("SELECT v FROM kv1m WHERE k = " +
+                             std::to_string(lookup_keys.back()));
+    if (!p.ok()) return 1;
+    lookups.push_back(*p);
+  }
+  const auto run_lookups = [&](int iters) {
+    for (int i = 0; i < iters; i++) {
+      const int at = i % static_cast<int>(lookups.size());
+      auto r = session.ExecutePrepared(lookups[at]);
+      if (!r.ok() || r->rows.size() != 1 ||
+          r->rows[0][0].AsF64() != static_cast<double>(lookup_keys[at]) * 0.5) {
+        std::abort();
+      }
+    }
+  };
+  run_lookups(200);  // warm-up: plans, pool, allocator
+  const int64_t faults_before = MinorFaults();
+  bench::Timer lookup_timer;
+  run_lookups(kLookupIters);
+  const double lookup_us = lookup_timer.Seconds() / kLookupIters * 1e6;
+  const double faults =
+      static_cast<double>(MinorFaults() - faults_before) / kLookupIters;
+  std::printf("\nprepared point lookup on kv1m (1M rows, 16,384-row groups,"
+              " %d lookups):\n", kLookupIters);
+  std::printf("  %10.1f us/lookup %10.2f minor faults/lookup"
+              "  [gate: <= %.0f faults] %s\n",
+              lookup_us, faults, kMaxFaultsPerLookup,
+              faults <= kMaxFaultsPerLookup ? "PASS" : "FAIL");
+  report.Add("lookup.kv1m", lookup_us * 1e3);
 
-  // --- Part 1: prepared vs ad-hoc on the point-query mix ---------------
+  if (!tpch::Generate(&db, 0.01).ok() || !RegisterKv(&db)) return 1;
+
+  // --- Part 2: prepared vs ad-hoc on the point-query mix ---------------
   const std::vector<std::string> points = PointQueries();
   const int num_point = static_cast<int>(points.size());
   std::vector<PreparedStatement> prepared;
@@ -118,7 +190,7 @@ int main(int argc, char** argv) {
   report.Add("point.adhoc", adhoc_s / kPointIters * 1e9);
   report.Add("point.prepared", prepared_s / kPointIters * 1e9);
 
-  // --- Part 2: async submission throughput, concurrent sessions --------
+  // --- Part 3: async submission throughput, concurrent sessions --------
   // Each session submits its whole batch asynchronously and then drains;
   // a fat analytic query rides along so the quota controller has to
   // split shares while point queries stream past it.
@@ -195,6 +267,11 @@ int main(int argc, char** argv) {
   if (!report.Write()) return 1;
   if (speedup < 2.0) {
     std::fprintf(stderr, "FAIL: prepared speedup %.2fx < 2x gate\n", speedup);
+    return 1;
+  }
+  if (faults > kMaxFaultsPerLookup) {
+    std::fprintf(stderr, "FAIL: %.2f minor faults per lookup > %.0f gate\n",
+                 faults, kMaxFaultsPerLookup);
     return 1;
   }
   return 0;

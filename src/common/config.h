@@ -123,8 +123,6 @@ struct EngineConfig {
   /// directory must exist — a configured-but-unusable data path fails
   /// Database construction loudly (see Database::open_status()).
   std::string data_path;
-  /// Use cooperative scans (ABM relevance policy) instead of attach-LRU.
-  bool cooperative_scans = true;
   /// Device bandwidth in bytes/sec (0 = infinite). Throttles the in-RAM
   /// SimulatedDisk and, when `data_path` is set, the file-backed device's
   /// reads too — a single shared IO channel, so benchmarks can model a

@@ -10,7 +10,7 @@ namespace x100 {
 
 /// Bytes needed to pack n values of `width` bits, including an 8-byte slack
 /// so pack/unpack can read and write whole 64-bit words.
-inline size_t PackedBytes(int n, int width) {
+inline size_t PackedBytes(int64_t n, int width) {
   return (static_cast<size_t>(n) * width + 7) / 8 + 8;
 }
 
@@ -36,16 +36,19 @@ inline size_t BitPack(const uint64_t* in, int n, int width, uint8_t* out) {
   return (bitpos + 7) / 8;
 }
 
-/// Unpacks n values of `width` bits from `in` into out. `in` must have the
-/// 8-byte slack produced by PackedBytes.
-inline void BitUnpack(const uint8_t* in, int n, int width, uint64_t* out) {
+/// Unpacks slots [first, first + n) of `width` bits into out. `in` points
+/// at byte (first * width) / 8 of the packed data, and the bytes up to the
+/// end of slot first + n - 1 plus the 8-byte slack of PackedBytes must be
+/// readable from there. width in [0,64].
+inline void BitUnpack(const uint8_t* in, int n, int width, uint64_t* out,
+                      int64_t first = 0) {
   if (n <= 0) return;  // out may be null for an empty run (UB otherwise)
   if (width == 0) {
     std::memset(out, 0, sizeof(uint64_t) * n);
     return;
   }
   const uint64_t mask = width == 64 ? ~0ull : ((1ull << width) - 1);
-  size_t bitpos = 0;
+  size_t bitpos = static_cast<size_t>((first * width) & 7);
   for (int i = 0; i < n; i++) {
     const size_t byte = bitpos >> 3;
     const int shift = static_cast<int>(bitpos & 7);

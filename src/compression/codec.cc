@@ -33,14 +33,6 @@ void AppendValue(std::vector<uint8_t>* out, T v) {
   AppendBytes(out, &v, sizeof(v));
 }
 
-template <typename T>
-T ReadValue(const uint8_t*& p) {
-  T v;
-  std::memcpy(&v, p, sizeof(v));
-  p += sizeof(v);
-  return v;
-}
-
 void WriteHeader(std::vector<uint8_t>* out, CodecId codec, uint8_t width,
                  uint32_t n) {
   CodecHeader h{codec, width, 0, n};
@@ -119,32 +111,6 @@ void EncodePforU64(const uint64_t* vals, int n, uint64_t base,
   AppendBytes(out, exc_val.data(), exc_val.size() * sizeof(uint64_t));
 }
 
-Status DecodePforU64(const CodecHeader& h, const uint8_t* p, size_t len,
-                     uint64_t* base_out, std::vector<uint64_t>* vals) {
-  const uint8_t* end = p + len;
-  if (len < 12) return Status::IoError("pfor chunk truncated");
-  *base_out = ReadValue<uint64_t>(p);
-  const uint32_t n_exc = ReadValue<uint32_t>(p);
-  const size_t packed = PackedBytes(static_cast<int>(h.n), h.width);
-  if (p + packed + n_exc * 12ull > end + 8) {
-    return Status::IoError("pfor payload truncated");
-  }
-  vals->resize(h.n);
-  BitUnpack(p, static_cast<int>(h.n), h.width, vals->data());
-  p += packed;
-  const uint8_t* pos_p = p;
-  const uint8_t* val_p = p + n_exc * sizeof(uint32_t);
-  for (uint32_t e = 0; e < n_exc; e++) {
-    uint32_t pos;
-    uint64_t v;
-    std::memcpy(&pos, pos_p + e * sizeof(uint32_t), sizeof(pos));
-    std::memcpy(&v, val_p + e * sizeof(uint64_t), sizeof(v));
-    if (pos >= h.n) return Status::IoError("pfor exception out of range");
-    (*vals)[pos] = v;
-  }
-  return Status::OK();
-}
-
 template <typename T>
 uint64_t AsU64(T v) {
   if constexpr (std::is_same_v<T, double>) {
@@ -186,24 +152,6 @@ void EncodeRle(const T* in, int n, std::vector<uint8_t>* out) {
     AppendValue<T>(out, v);
     AppendValue<uint32_t>(out, c);
   }
-}
-
-template <typename T>
-Status DecodeRle(const CodecHeader& h, const uint8_t* p, size_t len, T* out) {
-  if (len < 4) return Status::IoError("rle chunk truncated");
-  const uint32_t nruns = ReadValue<uint32_t>(p);
-  if (len < 4 + static_cast<size_t>(nruns) * (sizeof(T) + 4)) {
-    return Status::IoError("rle payload truncated");
-  }
-  uint64_t k = 0;
-  for (uint32_t r = 0; r < nruns; r++) {
-    const T v = ReadValue<T>(p);
-    const uint32_t c = ReadValue<uint32_t>(p);
-    if (k + c > h.n) return Status::IoError("rle run overflow");
-    for (uint32_t i = 0; i < c; i++) out[k++] = v;
-  }
-  if (k != h.n) return Status::IoError("rle short output");
-  return Status::OK();
 }
 
 }  // namespace
@@ -276,60 +224,6 @@ Result<CodecHeader> PeekHeader(const uint8_t* data, size_t len) {
   CodecHeader h;
   std::memcpy(&h, data, sizeof(h));
   return h;
-}
-
-template <typename T>
-Status DecompressColumn(const uint8_t* data, size_t len, T* out) {
-  CodecHeader h;
-  X100_ASSIGN_OR_RETURN(h, PeekHeader(data, len));
-  const uint8_t* p = data + sizeof(h);
-  const size_t plen = len - sizeof(h);
-  switch (h.codec) {
-    case CodecId::kPlain: {
-      if (plen < static_cast<size_t>(h.n) * sizeof(T)) {
-        return Status::IoError("plain payload truncated");
-      }
-      if (h.n > 0) {  // out may be null for an empty column (UB otherwise)
-        std::memcpy(out, p, static_cast<size_t>(h.n) * sizeof(T));
-      }
-      return Status::OK();
-    }
-    case CodecId::kRle:
-      return DecodeRle<T>(h, p, plen, out);
-    case CodecId::kPfor: {
-      if constexpr (std::is_same_v<T, double>) {
-        return Status::IoError("pfor chunk for float column");
-      } else {
-        uint64_t base;
-        std::vector<uint64_t> resid;
-        X100_RETURN_IF_ERROR(DecodePforU64(h, p, plen, &base, &resid));
-        for (uint32_t i = 0; i < h.n; i++) {
-          out[i] = FromU64<T>(base + resid[i]);
-        }
-        return Status::OK();
-      }
-    }
-    case CodecId::kPforDelta: {
-      if constexpr (std::is_same_v<T, double>) {
-        return Status::IoError("pfor-delta chunk for float column");
-      } else {
-        uint64_t first;
-        std::vector<uint64_t> resid;
-        X100_RETURN_IF_ERROR(DecodePforU64(h, p, plen, &first, &resid));
-        if (h.n == 0) return Status::OK();
-        uint64_t acc = first;
-        out[0] = FromU64<T>(acc);
-        for (uint32_t i = 1; i < h.n; i++) {
-          acc += static_cast<uint64_t>(ZigZagDecode(resid[i]));
-          out[i] = FromU64<T>(acc);
-        }
-        return Status::OK();
-      }
-    }
-    case CodecId::kPdict:
-      return Status::IoError("pdict chunk for numeric column");
-  }
-  return Status::IoError("unknown codec id");
 }
 
 template <typename T>
@@ -419,52 +313,6 @@ Status CompressStrColumn(CodecId codec, const StrRef* in, int n,
   return Status::OK();
 }
 
-Status DecompressStrColumn(const uint8_t* data, size_t len, StringHeap* heap,
-                           StrRef* out) {
-  CodecHeader h;
-  X100_ASSIGN_OR_RETURN(h, PeekHeader(data, len));
-  const uint8_t* p = data + sizeof(h);
-  const uint8_t* end = data + len;
-  if (h.codec == CodecId::kPlain) {
-    if (static_cast<size_t>(end - p) < h.n * sizeof(uint32_t)) {
-      return Status::IoError("plain str lengths truncated");
-    }
-    const uint8_t* bytes = p + h.n * sizeof(uint32_t);
-    for (uint32_t i = 0; i < h.n; i++) {
-      uint32_t l;
-      std::memcpy(&l, p + i * sizeof(uint32_t), sizeof(l));
-      if (bytes + l > end) return Status::IoError("plain str bytes truncated");
-      char* dst = heap->Allocate(l);
-      std::memcpy(dst, bytes, l);
-      out[i] = StrRef(dst, l);
-      bytes += l;
-    }
-    return Status::OK();
-  }
-  if (h.codec != CodecId::kPdict) {
-    return Status::IoError("unexpected codec for string column");
-  }
-  if (end - p < 4) return Status::IoError("pdict header truncated");
-  const uint32_t dict_size = ReadValue<uint32_t>(p);
-  std::vector<StrRef> entries(dict_size);
-  for (uint32_t e = 0; e < dict_size; e++) {
-    if (end - p < 4) return Status::IoError("pdict entry truncated");
-    const uint32_t l = ReadValue<uint32_t>(p);
-    if (p + l > end) return Status::IoError("pdict bytes truncated");
-    char* dst = heap->Allocate(l);
-    if (l > 0) std::memcpy(dst, p, l);  // Allocate(0) may return null
-    entries[e] = StrRef(dst, l);
-    p += l;
-  }
-  std::vector<uint64_t> codes(h.n);
-  BitUnpack(p, static_cast<int>(h.n), h.width, codes.data());
-  for (uint32_t i = 0; i < h.n; i++) {
-    if (codes[i] >= dict_size) return Status::IoError("pdict code range");
-    out[i] = entries[codes[i]];
-  }
-  return Status::OK();
-}
-
 CodecId ChooseStrCodec(const StrRef* in, int n) {
   if (n == 0) return CodecId::kPlain;
   // Sample distinct count; PDICT pays when ndv << n.
@@ -482,6 +330,474 @@ CodecId ChooseStrCodec(const StrRef* in, int n) {
   const size_t plain_bytes = total_bytes + 4ull * n;
   return pdict_bytes * 10 < plain_bytes * 9 ? CodecId::kPdict
                                             : CodecId::kPlain;
+}
+
+// ---------------------------------------------------------------------------
+// ChunkSource
+// ---------------------------------------------------------------------------
+
+void ChunkSource::Reset(const uint8_t* data, uint64_t size) {
+  Reset(0, size, 0, nullptr);
+  data_ = data;
+}
+
+void ChunkSource::Reset(uint64_t base, uint64_t size, uint64_t block_bytes,
+                        FetchFn fetch) {
+  data_ = nullptr;
+  base_ = base;
+  size_ = size;
+  block_bytes_ = block_bytes;
+  fetch_ = std::move(fetch);
+  for (Stream& st : streams_) st.bytes.reset();
+  fetched_.clear();
+}
+
+Status ChunkSource::Acquire(int s, size_t i) {
+  Stream& st = streams_[s];
+  if (st.bytes != nullptr && st.start == i * block_bytes_) return Status::OK();
+  if (i >= fetched_.size()) fetched_.resize(i + 1);
+  BlockBytes bytes = fetched_[i].lock();
+  if (bytes == nullptr) {
+    X100_ASSIGN_OR_RETURN(bytes, fetch_(i));
+    fetched_[i] = bytes;
+  }
+  st.start = i * block_bytes_;
+  st.end = st.start + bytes->size();
+  st.bytes = std::move(bytes);
+  int held = 0;
+  for (int a = 0; a < kStreams; a++) {
+    const BlockBytes& b = streams_[a].bytes;
+    held += b != nullptr && std::none_of(streams_, streams_ + a,
+                                         [&](const Stream& o) {
+                                           return o.bytes == b;
+                                         });
+  }
+  held_high_water_ = std::max(held_high_water_, held);
+  return Status::OK();
+}
+
+Status ChunkSource::ReadSlow(int s, uint64_t off, size_t len,
+                             const uint8_t** out) {
+  static const uint8_t kEmpty = 0;
+  *out = &kEmpty;
+  if (off > size_ || len > size_ - off) {
+    return Status::IoError("read past the end of the chunk");
+  }
+  if (len == 0 || data_ != nullptr) return Status::OK();  // buffer: Held()
+  Stream& st = streams_[s];
+  const uint64_t lo = base_ + off, hi = lo + len;
+  const bool stitch = lo / block_bytes_ != (hi - 1) / block_bytes_;
+  if (stitch && st.scratch.size() < len) st.scratch.resize(len);
+  for (uint64_t at = lo; at < hi;) {
+    X100_RETURN_IF_ERROR(Acquire(s, at / block_bytes_));
+    const uint64_t to = std::min(hi, st.start + block_bytes_);
+    if (to > st.end) return Status::IoError("chunk block reads short");
+    const uint8_t* p = st.bytes->data() + (at - st.start);
+    if (!stitch) {
+      *out = p;
+      return Status::OK();
+    }
+    std::memcpy(st.scratch.data() + (at - lo), p, to - at);
+    at = to;
+  }
+  *out = st.scratch.data();
+  return Status::OK();
+}
+
+// ---------------------------------------------------------------------------
+// Decoders
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Values one decode step handles: bounds every decoder's scratch.
+constexpr int kDecodeStep = 1024;
+
+/// Streams of a ChunkSource, by what they read.
+constexpr int kPayload = 0;
+constexpr int kExcPos = 1;    // PFOR exception positions
+constexpr int kExcVal = 2;    // PFOR exception values
+constexpr int kStrBytes = 1;  // Plain string bytes
+
+constexpr uint64_t kHeaderBytes = sizeof(CodecHeader);
+
+/// Copies the bytes at chunk offset `off` of stream `s` into `v`.
+template <typename V>
+Status ReadPod(ChunkSource* src, int s, uint64_t off, V* v) {
+  const uint8_t* p;
+  X100_RETURN_IF_ERROR(src->Read(s, off, sizeof(V), &p));
+  std::memcpy(v, p, sizeof(V));
+  return Status::OK();
+}
+
+/// Unpacks slots [first, first + k) of the bit-packed area that starts at
+/// chunk offset `area`.
+Status UnpackSlots(ChunkSource* src, uint64_t area, int width, uint32_t first,
+                   int k, uint64_t* out) {
+  const uint64_t b0 = static_cast<uint64_t>(first) * width / 8;
+  const uint64_t b1 = PackedBytes(static_cast<int64_t>(first) + k, width);
+  const uint8_t* p;  // width 0 reads just the 8-byte slack
+  X100_RETURN_IF_ERROR(src->Read(kPayload, area + b0, b1 - b0, &p));
+  BitUnpack(p, k, width, out, first);
+  return Status::OK();
+}
+
+template <typename T>
+class NumDecoder final : public ChunkDecoder {
+ public:
+  NumDecoder() : ChunkDecoder(sizeof(T)) {}
+  Status Open(ChunkSource* src) override;
+
+ private:
+  // PFOR payload: [u64 base][u32 n_exc][slots][exc_pos u32…][exc_val u64…]
+  static constexpr uint64_t kSlotsOff = kHeaderBytes + 12;
+  // RLE payload: [u32 nruns][(T value, u32 count)…]
+  static constexpr uint64_t kRunsOff = kHeaderBytes + 4;
+  static constexpr uint64_t kRunBytes = sizeof(T) + 4;
+
+  Status Step(int k, uint8_t* bytes) override;
+  Status Finish() override;
+  Status StepPfor(int k, T* out);
+  Status StepRle(int k, T* out);
+  /// Patches the exceptions below pos_ + k into `r` (or only checks and
+  /// passes them when r is nullptr); positions ascend strictly and lie
+  /// below n.
+  Status PatchExceptions(int k, uint64_t* r);
+
+  // PFOR / PFOR-DELTA
+  uint64_t base_ = 0;
+  uint64_t acc_ = 0;  // PFOR-DELTA: the last value produced
+  uint32_t n_exc_ = 0;
+  uint32_t exc_next_ = 0;  // the first exception not yet passed
+  int64_t exc_prev_ = -1;  // the position of the last one passed
+  uint64_t exc_pos_off_ = 0;  // the value list follows the positions
+  std::vector<uint64_t> resid_;
+  // RLE
+  uint32_t nruns_ = 0;
+  uint32_t run_ = 0;        // runs read so far
+  uint32_t run_left_ = 0;   // values left in the current run
+  uint32_t run_cover_ = 0;  // values the runs read so far cover
+  T run_val_{};
+};
+
+template <typename T>
+Status NumDecoder<T>::Open(ChunkSource* src) {
+  X100_RETURN_IF_ERROR(OpenHeader(src));
+  const uint64_t plen = src->size() - kHeaderBytes;
+  switch (codec_) {
+    case CodecId::kPlain:
+      if (plen < static_cast<uint64_t>(n_) * sizeof(T)) {
+        return Status::IoError("plain payload truncated");
+      }
+      return Status::OK();
+    case CodecId::kRle:
+      X100_RETURN_IF_ERROR(ReadPod(src, kPayload, kHeaderBytes, &nruns_));
+      if (plen - 4 < nruns_ * kRunBytes) {
+        return Status::IoError("rle payload truncated");
+      }
+      run_ = run_left_ = run_cover_ = 0;
+      return Status::OK();
+    case CodecId::kPfor:
+    case CodecId::kPforDelta:
+      if (std::is_same_v<T, double>) {
+        return Status::IoError("pfor chunk for float column");
+      }
+      if (width_ > 64) return Status::IoError("pfor width out of range");
+      X100_RETURN_IF_ERROR(ReadPod(src, kPayload, kHeaderBytes, &base_));
+      X100_RETURN_IF_ERROR(ReadPod(src, kPayload, kHeaderBytes + 8, &n_exc_));
+      exc_pos_off_ = kSlotsOff + PackedBytes(n_, width_);
+      // More exceptions than values cannot ascend below n.
+      if (exc_pos_off_ + 12ull * n_exc_ > src->size() || n_exc_ > n_) {
+        return Status::IoError("pfor payload truncated");
+      }
+      exc_next_ = 0;
+      exc_prev_ = -1;
+      resid_.resize(std::min<uint32_t>(n_, kDecodeStep));
+      return Status::OK();
+    case CodecId::kPdict:
+      return Status::IoError("pdict chunk for numeric column");
+  }
+  return Status::IoError("unknown codec id");
+}
+
+template <typename T>
+Status NumDecoder<T>::Step(int k, uint8_t* bytes) {
+  T* out = reinterpret_cast<T*>(bytes);
+  if (codec_ == CodecId::kRle) return StepRle(k, out);
+  if (codec_ != CodecId::kPlain) return StepPfor(k, out);
+  if (out == nullptr) return Status::OK();
+  const uint8_t* p;
+  X100_RETURN_IF_ERROR(src_->Read(kPayload, kHeaderBytes + pos_ * sizeof(T),
+                                  k * sizeof(T), &p));
+  std::memcpy(out, p, k * sizeof(T));
+  return Status::OK();
+}
+
+template <typename T>
+Status NumDecoder<T>::PatchExceptions(int k, uint64_t* r) {
+  const int64_t end = static_cast<int64_t>(pos_) + k;
+  while (exc_next_ < n_exc_) {
+    // A read of the two lists covers at most 64 exceptions.
+    const uint32_t m = std::min(n_exc_ - exc_next_, 64u);
+    const uint8_t *pos_p, *val_p;
+    X100_RETURN_IF_ERROR(src_->Read(kExcPos, exc_pos_off_ + 4ull * exc_next_,
+                                    4ull * m, &pos_p));
+    X100_RETURN_IF_ERROR(src_->Read(
+        kExcVal, exc_pos_off_ + 4ull * n_exc_ + 8ull * exc_next_, 8ull * m,
+        &val_p));
+    uint32_t e = 0;
+    for (; e < m; e++) {
+      uint32_t pos;
+      std::memcpy(&pos, pos_p + 4 * e, sizeof(pos));
+      if (pos >= n_ || static_cast<int64_t>(pos) <= exc_prev_) {
+        return Status::IoError("pfor exception position out of order");
+      }
+      if (pos >= end) break;
+      if (r != nullptr) std::memcpy(&r[pos - pos_], val_p + 8 * e, 8);
+      exc_prev_ = pos;
+    }
+    exc_next_ += e;
+    if (e < m) break;
+  }
+  return Status::OK();
+}
+
+template <typename T>
+Status NumDecoder<T>::StepPfor(int k, T* out) {
+  // A plain-PFOR skip needs no slot, only the exception cursor's advance.
+  const bool decode = out != nullptr || codec_ == CodecId::kPforDelta;
+  uint64_t* r = decode ? resid_.data() : nullptr;
+  if (decode) {
+    X100_RETURN_IF_ERROR(UnpackSlots(src_, kSlotsOff, width_, pos_, k, r));
+  }
+  X100_RETURN_IF_ERROR(PatchExceptions(k, r));
+  if (codec_ == CodecId::kPfor) {
+    const uint64_t base = base_;
+    for (int j = 0; out != nullptr && j < k; j++) {
+      out[j] = FromU64<T>(base + r[j]);
+    }
+    return Status::OK();
+  }
+  // Slot 0 holds the first value's placeholder (the base is the value);
+  // slot i > 0 the zigzag delta to value i - 1.
+  uint64_t acc = pos_ == 0 ? base_ - static_cast<uint64_t>(ZigZagDecode(r[0]))
+                           : acc_;
+  for (int j = 0; j < k; j++) {
+    acc += static_cast<uint64_t>(ZigZagDecode(r[j]));
+    if (out != nullptr) out[j] = FromU64<T>(acc);
+  }
+  acc_ = acc;
+  return Status::OK();
+}
+
+template <typename T>
+Status NumDecoder<T>::StepRle(int k, T* out) {
+  for (int done = 0; done < k;) {
+    if (run_left_ == 0) {
+      if (run_ >= nruns_) return Status::IoError("rle short output");
+      const uint8_t* p;
+      X100_RETURN_IF_ERROR(
+          src_->Read(kPayload, kRunsOff + run_ * kRunBytes, kRunBytes, &p));
+      std::memcpy(&run_val_, p, sizeof(T));
+      std::memcpy(&run_left_, p + sizeof(T), sizeof(run_left_));
+      if (uint64_t{run_cover_} + run_left_ > n_) {
+        return Status::IoError("rle run overflow");
+      }
+      run_cover_ += run_left_;
+      run_++;
+      continue;
+    }
+    const int take = static_cast<int>(
+        std::min<uint32_t>(run_left_, static_cast<uint32_t>(k - done)));
+    if (out != nullptr) std::fill(out + done, out + done + take, run_val_);
+    done += take;
+    run_left_ -= take;
+  }
+  return Status::OK();
+}
+
+template <typename T>
+Status NumDecoder<T>::Finish() {
+  // Every value is out: a further RLE run may only be empty.
+  for (; codec_ == CodecId::kRle && run_ < nruns_; run_++) {
+    uint32_t count;
+    X100_RETURN_IF_ERROR(ReadPod(
+        src_, kPayload, kRunsOff + run_ * kRunBytes + sizeof(T), &count));
+    if (count != 0) return Status::IoError("rle run overflow");
+  }
+  return Status::OK();
+}
+
+class StrDecoder final : public ChunkDecoder {
+ public:
+  StrDecoder(StringHeap* heap, bool in_place)
+      : ChunkDecoder(sizeof(StrRef)),
+        heap_(heap),
+        in_place_(in_place),
+        dict_heap_(4096) {}
+
+  Status Open(ChunkSource* src) override;
+  void BeginBatch() override { live_.clear(); }
+
+ private:
+  Status Step(int k, uint8_t* bytes) override;
+  Status StepPlain(int k, StrRef* out);
+
+  StringHeap* heap_;
+  bool in_place_;
+  // Plain: [u32 len…][bytes…]
+  uint64_t bytes_off_ = 0;       // the next string's bytes
+  std::vector<StrRef*> live_;  // this batch's strings in the held block
+  // PDICT: [u32 dict_size][(u32 len, bytes)…][codes]
+  StringHeap dict_heap_;  // the in-place dictionary
+  std::vector<StrRef> dict_;
+  uint64_t codes_off_ = 0;
+  std::vector<uint64_t> codes_;
+};
+
+Status StrDecoder::Open(ChunkSource* src) {
+  live_.clear();
+  X100_RETURN_IF_ERROR(OpenHeader(src));
+  const uint64_t size = src->size();
+  if (codec_ == CodecId::kPlain) {
+    bytes_off_ = kHeaderBytes + 4ull * n_;
+    return bytes_off_ > size ? Status::IoError("plain str lengths truncated")
+                             : Status::OK();
+  }
+  if (codec_ != CodecId::kPdict) {
+    return Status::IoError("unexpected codec for string column");
+  }
+  if (width_ > 64) return Status::IoError("pdict width out of range");
+  uint32_t dict_size;
+  X100_RETURN_IF_ERROR(ReadPod(src, kPayload, kHeaderBytes, &dict_size));
+  StringHeap* target = in_place_ ? &dict_heap_ : heap_;
+  dict_heap_.Reset();
+  dict_.clear();
+  uint64_t off = kHeaderBytes + 4;
+  for (uint32_t e = 0; e < dict_size; e++) {
+    uint32_t len;
+    X100_RETURN_IF_ERROR(ReadPod(src, kPayload, off, &len));
+    const uint8_t* p;
+    X100_RETURN_IF_ERROR(src->Read(kPayload, off + 4, len, &p));
+    dict_.push_back(target->Add({reinterpret_cast<const char*>(p), len}));
+    off += 4 + len;
+  }
+  codes_off_ = off;
+  if (size - off < PackedBytes(n_, width_)) {
+    return Status::IoError("pdict codes truncated");
+  }
+  codes_.resize(std::min<uint32_t>(n_, kDecodeStep));
+  return Status::OK();
+}
+
+Status StrDecoder::Step(int k, uint8_t* bytes) {
+  StrRef* out = reinterpret_cast<StrRef*>(bytes);
+  if (codec_ == CodecId::kPlain) return StepPlain(k, out);
+  uint64_t* codes = codes_.data();
+  X100_RETURN_IF_ERROR(UnpackSlots(src_, codes_off_, width_, pos_, k, codes));
+  for (int j = 0; j < k; j++) {
+    if (codes[j] >= dict_.size()) return Status::IoError("pdict code range");
+    if (out != nullptr) out[j] = dict_[codes[j]];
+  }
+  return Status::OK();
+}
+
+Status StrDecoder::StepPlain(int k, StrRef* out) {
+  const uint8_t* lens;
+  X100_RETURN_IF_ERROR(
+      src_->Read(kPayload, kHeaderBytes + 4ull * pos_, 4ull * k, &lens));
+  const uint64_t size = src_->size();
+  for (int j = 0; j < k; j++) {
+    uint32_t len;
+    std::memcpy(&len, lens + 4 * j, sizeof(len));
+    if (size - bytes_off_ < len) {
+      return Status::IoError("plain str bytes truncated");
+    }
+    const uint64_t off = bytes_off_;
+    bytes_off_ += len;
+    if (out == nullptr) continue;
+    const uint8_t* p = src_->Held(kStrBytes, off, len);
+    if (p == nullptr) {
+      // The position leaves the held block: this batch's strings in it
+      // move to the heap first.
+      for (StrRef* s : live_) *s = heap_->Add(s->view());
+      live_.clear();
+      X100_RETURN_IF_ERROR(src_->Read(kStrBytes, off, len, &p));
+    }
+    const std::string_view str(reinterpret_cast<const char*>(p), len);
+    if (in_place_ && src_->Held(kStrBytes, off, len) != nullptr) {
+      out[j] = StrRef(str.data(), len);
+      live_.push_back(&out[j]);
+    } else {
+      out[j] = heap_->Add(str);
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status ChunkDecoder::OpenHeader(ChunkSource* src) {
+  src_ = src;
+  pos_ = 0;
+  CodecHeader h;
+  X100_RETURN_IF_ERROR(ReadPod(src, kPayload, 0, &h));
+  n_ = h.n;
+  codec_ = h.codec;
+  width_ = h.width;
+  return Status::OK();
+}
+
+Status ChunkDecoder::Walk(int n, uint8_t* out) {
+  if (n < 0 || static_cast<uint32_t>(n) > n_ - pos_) {
+    return Status::IoError("read past the end of the chunk");
+  }
+  for (int k; n > 0; n -= k) {
+    k = std::min(n, kDecodeStep);
+    X100_RETURN_IF_ERROR(Step(k, out));
+    pos_ += k;
+    if (out != nullptr) out += k * value_bytes_;
+  }
+  return pos_ == n_ ? Finish() : Status::OK();
+}
+
+std::unique_ptr<ChunkDecoder> MakeDecoder(TypeId type, StringHeap* heap,
+                                          bool in_place) {
+  switch (type) {
+    case TypeId::kBool: return std::make_unique<NumDecoder<uint8_t>>();
+    case TypeId::kI8: return std::make_unique<NumDecoder<int8_t>>();
+    case TypeId::kI16: return std::make_unique<NumDecoder<int16_t>>();
+    case TypeId::kI32:
+    case TypeId::kDate: return std::make_unique<NumDecoder<int32_t>>();
+    case TypeId::kI64: return std::make_unique<NumDecoder<int64_t>>();
+    case TypeId::kF64: return std::make_unique<NumDecoder<double>>();
+    case TypeId::kStr: return std::make_unique<StrDecoder>(heap, in_place);
+  }
+  return nullptr;
+}
+
+namespace {
+
+/// Opens `decoder` on a buffer and decodes all its values.
+template <typename Decoder, typename Out>
+Status DecodeAll(Decoder&& decoder, const uint8_t* data, size_t len,
+                 Out* out) {
+  ChunkSource src;
+  src.Reset(data, len);
+  X100_RETURN_IF_ERROR(decoder.Open(&src));
+  return decoder.Next(static_cast<int>(decoder.size()), out);
+}
+
+}  // namespace
+
+template <typename T>
+Status DecompressColumn(const uint8_t* data, size_t len, T* out) {
+  return DecodeAll(NumDecoder<T>(), data, len, out);
+}
+
+Status DecompressStrColumn(const uint8_t* data, size_t len, StringHeap* heap,
+                           StrRef* out) {
+  return DecodeAll(StrDecoder(heap, /*in_place=*/false), data, len, out);
 }
 
 // Explicit instantiations for the storage-supported numeric types.

@@ -33,7 +33,6 @@
 #include "pdt/transaction.h"
 #include "storage/buffer_manager.h"
 #include "storage/catalog.h"
-#include "storage/coop_scan.h"
 #include "storage/file_block_device.h"
 #include "storage/simulated_disk.h"
 #include "storage/spill_device.h"

@@ -1,7 +1,8 @@
 // ScanOp: vectorized table scan over a TableView (base image + PDT stack),
-// with MinMax pushdown and three group orders: sequential, cooperative
-// scan scheduling, or a MorselSource shared by the parallel clones of one
-// logical scan.
+// with MinMax pushdown. Groups come from a MorselSource: one shared by the
+// parallel clones of a logical scan, or the scan's own. Each scanned
+// column is decoded a vector at a time by a ColumnCursor straight into the
+// output batch.
 #ifndef X100_EXEC_SCAN_H_
 #define X100_EXEC_SCAN_H_
 
@@ -10,8 +11,6 @@
 
 #include "exec/operator.h"
 #include "pdt/view.h"
-#include "storage/buffer_manager.h"
-#include "storage/coop_scan.h"
 #include "storage/morsel.h"
 #include "storage/table.h"
 
@@ -30,12 +29,10 @@ struct ScanOptions {
   /// MinMax pushdown predicates (IO elision only; exact filtering is the
   /// SelectOp's job).
   std::vector<ScanPredicate> predicates;
-  /// Cooperative scan scheduler; nullptr = sequential group order.
-  ScanScheduler* scheduler = nullptr;
   /// Morsel-driven parallel scan: all producer clones of one logical scan
   /// share a MorselSource and pull block groups dynamically. The clone
-  /// that wins ClaimTail() merges the PDT tail inserts. Takes precedence
-  /// over `scheduler`.
+  /// that wins ClaimTail() merges the PDT tail inserts. nullptr = the scan
+  /// makes its own, walking the groups in order.
   MorselSourcePtr morsels;
 };
 
@@ -57,35 +54,29 @@ class ScanOp : public Operator {
   int64_t groups_skipped() const { return groups_skipped_; }
 
  private:
-  // One visible-row source inside the current group.
-  struct Slot {
-    bool is_insert = false;
-    int64_t local = 0;  // group-local stable index (stable rows)
-    const InsertedRow* row = nullptr;
-    std::vector<std::pair<int, const Value*>> mods;
-  };
+  // The merge plan of the current group: a clean run of group-local
+  // stable rows [a, b), or one visible slot.
   struct Segment {
     bool is_run = false;
-    int64_t a = 0, b = 0;  // group-local stable range (runs)
-    Slot slot;             // single visible slot otherwise
+    int64_t a = 0, b = 0;
+    VisibleSlot slot;
   };
 
-  Status LoadGroup(int g);      // decode columns + build merge segments
-  Status LoadTail();            // inserts anchored past the last stable row
-  bool NextGroupId(int* g);     // morsel/scheduler/sequential iteration
-  /// The group this scan expects to load `ahead` steps from now (0 =
-  /// next). -1 if unknowable, e.g. cooperative scheduling where the
-  /// policy decides at claim time. May run past the table end — callers
-  /// bounds-check.
-  int PeekNextGroupId(int ahead) const;
-  /// Read-ahead: issue background reads for the peeked upcoming groups'
-  /// block regions (PAX) or scanned-column runs (DSM) so their IO
-  /// overlaps this group's decode+merge. No-op without ctx->buffers or
-  /// when the pool's prefetch budget is 0 — directly-built test plans
-  /// keep exact synchronous IO counts.
+  Status LoadGroup(int g);  // open the cursors + build merge segments
+  /// The merge plan of stable rows [lo, hi) (plus the tail inserts): clean
+  /// runs and single visible slots, in SID order.
+  void BuildSegments(int64_t lo, int64_t hi, bool tail);
+  /// Read-ahead: issue background reads for the next two groups' block
+  /// regions (PAX) or scanned-column runs (DSM) so their IO overlaps this
+  /// group's decode+merge. No-op without ctx->buffers or when the pool's
+  /// prefetch budget is 0 — directly-built test plans keep exact
+  /// synchronous IO counts.
   void PrefetchNextGroup();
-  void FillFromRun(int64_t a, int64_t b, int count, int out_base);
-  Status FillFromSlot(const Slot& slot, int out_base);
+  /// Moves every cursor to group-local stable row `local`.
+  Status SkipTo(int64_t local);
+  /// Decodes the next n stable rows into the batch at `out_base`.
+  Status ReadRows(int n, int out_base);
+  Status FillFromSlot(const VisibleSlot& slot, int out_base);
   bool GroupCanMatch(int g) const;
 
   TableView view_;
@@ -93,24 +84,17 @@ class ScanOp : public Operator {
   BufferManager* buffers_;
   ScanOptions opts_;
   Schema out_schema_;
-  std::unique_ptr<TableReader> reader_;
   ExecContext* ctx_ = nullptr;
 
   std::unique_ptr<Batch> out_;
-  // Decoded group data per selected column.
-  struct GroupCol {
-    std::vector<uint8_t> data;
-    std::vector<uint8_t> nulls;
-    bool has_nulls = false;
-    std::unique_ptr<StringHeap> heap;
-  };
-  std::vector<GroupCol> group_cols_;
+  // One cursor per scanned column, re-opened for each group.
+  std::vector<std::unique_ptr<ColumnCursor>> cursors_;
+  std::vector<uint8_t> null_scratch_;  // a vector of null flags
+  int64_t group_pos_ = 0;  // the cursors' group-local stable row
   std::vector<Segment> segments_;
+  int64_t seg_lo_ = 0;  // SID of the plan's first stable row
   size_t seg_idx_ = 0;
-  int64_t seg_off_ = 0;
 
-  int scheduler_qid_ = -1;
-  int seq_next_group_ = 0;
   bool tail_done_ = false;
   bool eos_ = false;
   bool opened_ = false;

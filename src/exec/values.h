@@ -32,31 +32,7 @@ class ValuesOp : public Operator {
     for (int j = 0; j < n; j++) {
       const std::vector<Value>& row = rows_[pos_ + j];
       for (int c = 0; c < schema_.num_fields(); c++) {
-        Vector* v = out_->column(c);
-        const Value& val = row[c];
-        if (val.is_null()) {
-          v->SetNull(j);
-          continue;
-        }
-        switch (v->type()) {
-          case TypeId::kBool: v->Data<uint8_t>()[j] = val.AsBool(); break;
-          case TypeId::kI8:
-            v->Data<int8_t>()[j] = static_cast<int8_t>(val.AsI64());
-            break;
-          case TypeId::kI16:
-            v->Data<int16_t>()[j] = static_cast<int16_t>(val.AsI64());
-            break;
-          case TypeId::kI32:
-          case TypeId::kDate:
-            v->Data<int32_t>()[j] = static_cast<int32_t>(val.AsI64());
-            break;
-          case TypeId::kI64: v->Data<int64_t>()[j] = val.AsI64(); break;
-          case TypeId::kF64: v->Data<double>()[j] = val.AsF64(); break;
-          case TypeId::kStr:
-            v->Data<StrRef>()[j] = v->heap()->Add(val.AsStr());
-            break;
-        }
-        if (v->has_nulls()) v->MutableNulls()[j] = 0;
+        out_->column(c)->SetValue(j, row[c]);
       }
     }
     pos_ += n;

@@ -1,20 +1,17 @@
 // BufferManager: a byte-budgeted LRU cache of device blocks with pin
-// counting, single-flight reads and asynchronous read-ahead.
-//
-// This is the "classic" buffer layer; the Cooperative Scans Active Buffer
-// Manager (coop_scan.h) implements the chunk-level relevance policy from
-// [7] on top of table block-groups and uses this cache only as its block
-// store.
+// counting, single-flight reads and asynchronous read-ahead. Concurrent
+// scans share blocks only through this cache.
 //
 // Contract:
 //  * Capacity is in BYTES (EngineConfig::buffer_pool_bytes), consistent
 //    with spill/memory accounting everywhere else in the engine. Block
 //    count was never the scarce resource — bytes are.
 //  * Pinned blocks are immune to eviction. PinBlock returns an RAII Pin
-//    whose destruction unpins; TableReader pins every block of the chunk
-//    it is assembling, so the resident set can exceed the budget only by
-//    that pinned working set: bytes_cached <= capacity + pinned_bytes,
-//    always.
+//    whose destruction unpins, so the resident set can exceed the budget
+//    only by the pinned working set: bytes_cached <= capacity +
+//    pinned_bytes, always. Table readers hold no pin across calls: they
+//    fetch with GetBlock and keep the block's shared bytes
+//    (docs/STORAGE.md, "Reading a chunk").
 //  * Eviction is LRU over UNPINNED blocks only. A block enters the LRU
 //    when its last pin drops; a newly-faulted block is installed pinned
 //    (pin-during-insert), so a zero/tiny-capacity pool serves the caller

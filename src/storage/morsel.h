@@ -44,8 +44,6 @@ class MorselSource {
     return !tail_claimed_.exchange(true, std::memory_order_acq_rel);
   }
 
-  int num_groups() const { return num_groups_; }
-
   /// Groups handed out so far (monitoring / tests).
   int64_t handed() const {
     const int n = next_.load(std::memory_order_relaxed);

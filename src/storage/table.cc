@@ -478,113 +478,80 @@ Result<std::unique_ptr<Table>> TableBuilder::Finish() {
 // TableReader
 // ---------------------------------------------------------------------------
 
-Result<std::vector<uint8_t>> TableReader::ReadChunkBytes(
-    const GroupMeta& gm, const ChunkLoc& loc, CancellationToken* cancel) {
-  std::vector<uint8_t> bytes;
-  bytes.reserve(loc.length);
-  if (!gm.pax_blocks.empty()) {
-    // PAX: the group region is one IO unit — pin all region blocks (the
-    // buffer manager makes later columns of the same group cache hits,
-    // and the pins keep the region resident while it is sliced), then
-    // slice this chunk's byte range. These pins are the "one pinned
-    // working set" the pool budget may be exceeded by.
-    std::vector<BufferManager::Pin> region;
-    region.reserve(gm.pax_blocks.size());
-    for (BlockId b : gm.pax_blocks) {
-      BufferManager::Pin pin;
-      X100_ASSIGN_OR_RETURN(pin, buffers_->PinBlock(b, cancel));
-      region.push_back(std::move(pin));
-    }
-    uint64_t remaining = loc.length;
-    uint64_t pos = loc.offset;
-    while (remaining > 0) {
-      const size_t bi = pos / kDiskBlockBytes;
-      const size_t off = pos % kDiskBlockBytes;
-      if (bi >= region.size()) return Status::IoError("pax region overrun");
-      const auto& blk = region[bi].data();
-      if (off >= blk.size()) {
-        return Status::IoError("truncated pax block " +
-                               std::to_string(gm.pax_blocks[bi]));
-      }
-      const size_t take = std::min<uint64_t>(remaining, blk.size() - off);
-      bytes.insert(bytes.end(), blk.begin() + off, blk.begin() + off + take);
-      pos += take;
-      remaining -= take;
-    }
-  } else {
-    // DSM: blocks are consumed one at a time; the pin lives only while
-    // the block's bytes are appended, so the working set is one block.
-    for (BlockId b : loc.blocks) {
-      BufferManager::Pin pin;
-      X100_ASSIGN_OR_RETURN(pin, buffers_->PinBlock(b, cancel));
-      const auto& blk = pin.data();
-      bytes.insert(bytes.end(), blk.begin(), blk.end());
-    }
-    // The blocks must add up to the recorded length: a freed or truncated
-    // block reads short, and padding it out would decode zeros as data.
-    if (bytes.size() != loc.length) {
-      return Status::IoError("column chunk reads " +
-                             std::to_string(bytes.size()) + " of " +
-                             std::to_string(loc.length) + " bytes");
-    }
+namespace {
+
+/// Points `src` at a chunk's bytes: a DSM run of its own (each block
+/// min(kDiskBlockBytes, remaining) long) or a slice of the group's PAX
+/// region (whose blocks must cover the slice).
+void OpenChunk(const GroupMeta& gm, const ChunkLoc& loc,
+               BufferManager* buffers, CancellationToken* cancel,
+               ChunkSource* src) {
+  const bool pax = !gm.pax_blocks.empty();
+  const std::vector<BlockId>* blocks = pax ? &gm.pax_blocks : &loc.blocks;
+  const uint64_t base = pax ? loc.offset : 0;
+  const uint64_t end = base + loc.length;
+  src->Reset(base, loc.length, kDiskBlockBytes,
+             [=](size_t i) -> Result<BlockBytes> {
+               if (i >= blocks->size()) {
+                 return Status::IoError("chunk runs past its blocks");
+               }
+               BlockBytes bytes;
+               X100_ASSIGN_OR_RETURN(bytes,
+                                     buffers->GetBlock((*blocks)[i], cancel));
+               // A freed or truncated block reads short; decoding past it
+               // would read zeros (or nothing) as data.
+               const uint64_t want = std::min<uint64_t>(
+                   kDiskBlockBytes, end - i * kDiskBlockBytes);
+               if (pax ? bytes->size() < want : bytes->size() != want) {
+                 return Status::IoError(
+                     "block " + std::to_string((*blocks)[i]) + " reads " +
+                     std::to_string(bytes->size()) + " of " +
+                     std::to_string(want) + " bytes");
+               }
+               return bytes;
+             });
+}
+
+}  // namespace
+
+ColumnCursor::ColumnCursor(TypeId type, StringHeap* heap, bool in_place)
+    : values_(MakeDecoder(type, heap, in_place)),
+      nulls_(MakeDecoder(TypeId::kBool)) {}
+
+Status ColumnCursor::Open(const Table* table, BufferManager* buffers, int g,
+                          int col, CancellationToken* cancel) {
+  const GroupMeta& gm = table->group(g);
+  const ColumnChunkMeta& meta = gm.cols[col];
+  OpenChunk(gm, meta.loc, buffers, cancel, &values_src_);
+  X100_RETURN_IF_ERROR(values_->Open(&values_src_));
+  has_nulls_ = meta.has_nulls;
+  if (has_nulls_) {
+    OpenChunk(gm, meta.null_loc, buffers, cancel, &nulls_src_);
+    X100_RETURN_IF_ERROR(nulls_->Open(&nulls_src_));
   }
-  // Note: compressed chunks already carry the 8-byte bitpack slack inside
-  // their payload (PackedBytes), so no extra padding is needed here.
-  return bytes;
+  // A chunk holds one value per row of its group.
+  if (values_->size() != gm.rows || (has_nulls_ && nulls_->size() != gm.rows)) {
+    return Status::IoError("chunk value count differs from the group's rows");
+  }
+  return Status::OK();
+}
+
+Status ColumnCursor::Next(int n, void* out, uint8_t* nulls) {
+  X100_RETURN_IF_ERROR(values_->Next(n, out));
+  if (has_nulls_) return nulls ? nulls_->Next(n, nulls) : nulls_->Skip(n);
+  if (nulls != nullptr) std::memset(nulls, 0, n);
+  return Status::OK();
 }
 
 Status TableReader::ReadColumn(int g, int col, void* out, uint8_t* nulls,
                                StringHeap* heap, CancellationToken* cancel) {
-  const GroupMeta& gm = table_->group(g);
-  const ColumnChunkMeta& meta = gm.cols[col];
-  std::vector<uint8_t> bytes;
-  X100_ASSIGN_OR_RETURN(bytes, ReadChunkBytes(gm, meta.loc, cancel));
   const TypeId t = table_->schema().field(col).type;
-  switch (t) {
-    case TypeId::kBool:
-      X100_RETURN_IF_ERROR(DecompressColumn<uint8_t>(
-          bytes.data(), bytes.size(), static_cast<uint8_t*>(out)));
-      break;
-    case TypeId::kI8:
-      X100_RETURN_IF_ERROR(DecompressColumn<int8_t>(
-          bytes.data(), bytes.size(), static_cast<int8_t*>(out)));
-      break;
-    case TypeId::kI16:
-      X100_RETURN_IF_ERROR(DecompressColumn<int16_t>(
-          bytes.data(), bytes.size(), static_cast<int16_t*>(out)));
-      break;
-    case TypeId::kI32:
-    case TypeId::kDate:
-      X100_RETURN_IF_ERROR(DecompressColumn<int32_t>(
-          bytes.data(), bytes.size(), static_cast<int32_t*>(out)));
-      break;
-    case TypeId::kI64:
-      X100_RETURN_IF_ERROR(DecompressColumn<int64_t>(
-          bytes.data(), bytes.size(), static_cast<int64_t*>(out)));
-      break;
-    case TypeId::kF64:
-      X100_RETURN_IF_ERROR(DecompressColumn<double>(
-          bytes.data(), bytes.size(), static_cast<double*>(out)));
-      break;
-    case TypeId::kStr:
-      if (heap == nullptr) {
-        return Status::InvalidArgument("string column requires a heap");
-      }
-      X100_RETURN_IF_ERROR(DecompressStrColumn(
-          bytes.data(), bytes.size(), heap, static_cast<StrRef*>(out)));
-      break;
+  if (t == TypeId::kStr && heap == nullptr) {
+    return Status::InvalidArgument("string column requires a heap");
   }
-  if (nulls != nullptr) {
-    if (meta.has_nulls) {
-      std::vector<uint8_t> nbytes;
-      X100_ASSIGN_OR_RETURN(nbytes, ReadChunkBytes(gm, meta.null_loc, cancel));
-      X100_RETURN_IF_ERROR(
-          DecompressColumn<uint8_t>(nbytes.data(), nbytes.size(), nulls));
-    } else {
-      std::memset(nulls, 0, gm.rows);
-    }
-  }
-  return Status::OK();
+  ColumnCursor cursor(t, heap, /*in_place=*/false);
+  X100_RETURN_IF_ERROR(cursor.Open(table_, buffers_, g, col, cancel));
+  return cursor.Next(static_cast<int>(table_->group(g).rows), out, nulls);
 }
 
 Status TableReader::ReadGroup(int g, Batch* out, CancellationToken* cancel) {

@@ -210,7 +210,49 @@ class TableBuilder {
   bool finished_ = false;
 };
 
-/// Reads one group's columns, decompressing through the buffer manager.
+/// Decodes one column chunk of a group a batch at a time, reading the
+/// bytes where they lie in the pool's blocks (docs/STORAGE.md, "Reading a
+/// chunk"): a DSM run, or the column's slice of the PAX region. A
+/// nullable column's null chunk gets a second source. Each block is
+/// fetched with BufferManager::GetBlock once, when the decode reaches it,
+/// and no pin is held across calls.
+///
+/// Re-open the cursor for each group: the decoders and their scratch are
+/// reused.
+class ColumnCursor {
+ public:
+  /// `in_place`: strings may point into the held block bytes (and a PDICT
+  /// chunk's dictionary copy) until the next BeginBatch or Open. Otherwise
+  /// every string is copied into `heap`, which string columns require.
+  ColumnCursor(TypeId type, StringHeap* heap, bool in_place);
+
+  Status Open(const Table* table, BufferManager* buffers, int g, int col,
+              CancellationToken* cancel = nullptr);
+
+  /// Decodes the next n values into `out` (an array of the column's
+  /// physical type) and their null flags into `nulls` (may be nullptr;
+  /// all zero for a column without a null chunk).
+  Status Next(int n, void* out, uint8_t* nulls);
+  Status Skip(int n) { return Next(n, nullptr, nullptr); }
+  /// Starts an output batch (see ChunkDecoder::BeginBatch).
+  void BeginBatch() { values_->BeginBatch(); }
+
+  /// Whether the open chunk has a null chunk.
+  bool has_nulls() const { return has_nulls_; }
+  /// Most distinct blocks the value chunk's source held at once.
+  int held_blocks_high_water() const {
+    return values_src_.held_blocks_high_water();
+  }
+
+ private:
+  std::unique_ptr<ChunkDecoder> values_;
+  std::unique_ptr<ChunkDecoder> nulls_;
+  ChunkSource values_src_;
+  ChunkSource nulls_src_;
+  bool has_nulls_ = false;
+};
+
+/// Reads whole column chunks of a table through ColumnCursor.
 class TableReader {
  public:
   TableReader(const Table* table, BufferManager* buffers)
@@ -227,13 +269,7 @@ class TableReader {
   /// land in the columns' heaps; the selection is cleared.
   Status ReadGroup(int g, Batch* out, CancellationToken* cancel = nullptr);
 
-  const Table* table() const { return table_; }
-
  private:
-  Result<std::vector<uint8_t>> ReadChunkBytes(const GroupMeta& gm,
-                                              const ChunkLoc& loc,
-                                              CancellationToken* cancel);
-
   const Table* table_;
   BufferManager* buffers_;
 };

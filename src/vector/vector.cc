@@ -1,5 +1,7 @@
 #include "vector/vector.h"
 
+#include "common/value.h"
+
 namespace x100 {
 
 void Vector::CopyFrom(const Vector& src, int src_offset, int n,
@@ -21,6 +23,28 @@ void Vector::CopyFrom(const Vector& src, int src_offset, int n,
   } else if (has_nulls_) {
     std::memset(nulls_.get() + dst_offset, 0, n);
   }
+}
+
+void Vector::SetValue(int i, const Value& v) {
+  if (v.is_null()) {
+    SetNull(i);
+    return;
+  }
+  switch (type_) {
+    case TypeId::kBool: Data<uint8_t>()[i] = v.AsBool() ? 1 : 0; break;
+    case TypeId::kI8: Data<int8_t>()[i] = static_cast<int8_t>(v.AsI64()); break;
+    case TypeId::kI16:
+      Data<int16_t>()[i] = static_cast<int16_t>(v.AsI64());
+      break;
+    case TypeId::kI32:
+    case TypeId::kDate:
+      Data<int32_t>()[i] = static_cast<int32_t>(v.AsI64());
+      break;
+    case TypeId::kI64: Data<int64_t>()[i] = v.AsI64(); break;
+    case TypeId::kF64: Data<double>()[i] = v.AsF64(); break;
+    case TypeId::kStr: Data<StrRef>()[i] = heap_->Add(v.AsStr()); break;
+  }
+  if (has_nulls_) nulls_[i] = 0;
 }
 
 }  // namespace x100

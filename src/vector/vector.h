@@ -18,6 +18,8 @@
 
 namespace x100 {
 
+class Value;  // common/value.h
+
 /// Index type of selection vectors.
 using sel_t = int32_t;
 
@@ -82,6 +84,10 @@ class Vector {
 
   /// String heap backing StrRef values (kStr vectors only).
   StringHeap* heap() { return heap_.get(); }
+
+  /// Stores `v` (NULL, or a value of this vector's type) at position i;
+  /// a string is copied into the heap.
+  void SetValue(int i, const Value& v);
 
   /// Copies `n` values (and null flags) from `src` starting at src_offset.
   /// Strings are re-added to this vector's heap.

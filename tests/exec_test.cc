@@ -1,7 +1,8 @@
 // Execution engine tests: expression programs, scans (with PDT merge and
 // MinMax skipping), filters, projections, all join flavors (including the
 // NULL-semantics anti joins of §"NULL intricacies"), aggregation, sort,
-// exchange parallelism and cancellation.
+// exchange parallelism, cancellation, and scans checked against a model
+// of random update histories.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,8 +16,10 @@
 #include "exec/select_project.h"
 #include "exec/sort.h"
 #include "exec/values.h"
+#include "common/rng.h"
 #include "common/task_scheduler.h"
 #include "pdt/transaction.h"
+#include "pdt/view.h"
 #include "storage/morsel.h"
 #include "storage/simulated_disk.h"
 
@@ -925,6 +928,169 @@ TEST_F(ScanTest, TwoExchangesOnOneWorkerDoNotDeadlock) {
   EXPECT_EQ(drain(first.get()), 1000);
   second->Close();
   first->Close();
+}
+
+// ---------------------------------------------------------------------------
+// Model-based scan: random PDT histories over a multi-column table
+// ---------------------------------------------------------------------------
+
+constexpr int64_t kModelGroupRows = 3000;
+
+/// a: sorted i64 (PFOR-DELTA); b: i32 with PFOR exceptions, some on
+/// vector edges; c: f64; d: a PDICT string; e: a nullable i64 with NULL
+/// runs.
+Schema ModelSchema() {
+  return Schema({Field("a", TypeId::kI64), Field("b", TypeId::kI32),
+                 Field("c", TypeId::kF64), Field("d", TypeId::kStr),
+                 Field("e", TypeId::kI64, /*nullable=*/true)});
+}
+
+std::vector<Value> BaseRow(int64_t i) {
+  const bool outlier = i % 100 == 37 || i % 1024 == 0 || i % 1024 == 1023;
+  return {Value::I64(i * 3),
+          Value::I32(static_cast<int32_t>(outlier ? (1 << 30) + i : i % 50)),
+          Value::F64(static_cast<double>(i) * 0.125),
+          Value::Str("d" + std::to_string(i % 13)),
+          (i / 100) % 3 == 0 ? Value::Null(TypeId::kI64) : Value::I64(i * 7)};
+}
+
+std::vector<Value> FreshRow(int64_t id, Rng* rng) {
+  return {Value::I64(id),
+          Value::I32(static_cast<int32_t>(rng->Bernoulli(0.1) ? id : id % 50)),
+          Value::F64(static_cast<double>(id) * 0.5),
+          Value::Str("new" + std::to_string(id % 5)),
+          rng->Bernoulli(0.3) ? Value::Null(TypeId::kI64) : Value::I64(-id)};
+}
+
+std::string RowKey(const std::vector<Value>& row) {
+  std::string key;
+  for (const Value& v : row) key += v.ToString() + "|";
+  return key;
+}
+
+/// A random rid below `n`; a third of them on a vector or group edge.
+int64_t PickRid(Rng* rng, int64_t n) {
+  if (rng->Bernoulli(0.35)) {
+    const int64_t unit = rng->Bernoulli(0.5) ? 1024 : kModelGroupRows;
+    const int64_t edge =
+        unit * rng->Uniform(0, n / unit) + rng->Uniform(-1, 1);
+    return std::clamp<int64_t>(edge, 0, n - 1);
+  }
+  return rng->Uniform(0, n - 1);
+}
+
+void ApplyRandomOps(Transaction* txn, std::vector<std::vector<Value>>* model,
+                    Rng* rng, int64_t* next_id, int ops) {
+  for (int op = 0; op < ops; op++) {
+    const int64_t n = static_cast<int64_t>(model->size());
+    const double dice = rng->NextDouble();
+    if (dice < 0.35) {
+      const int64_t rid = rng->Bernoulli(0.1) ? n : PickRid(rng, n + 1);
+      std::vector<Value> row = FreshRow((*next_id)++, rng);
+      ASSERT_TRUE(txn->Insert(rid, row).ok());
+      model->insert(model->begin() + rid, std::move(row));
+    } else if (dice < 0.6) {
+      const int64_t rid = PickRid(rng, n);
+      ASSERT_TRUE(txn->Delete(rid).ok());
+      model->erase(model->begin() + rid);
+    } else {
+      const int64_t rid = PickRid(rng, n);
+      const int col = static_cast<int>(rng->Uniform(0, 4));
+      Value v = FreshRow((*next_id)++, rng)[col];
+      ASSERT_TRUE(txn->Update(rid, col, v).ok());
+      (*model)[rid][col] = std::move(v);
+    }
+  }
+}
+
+std::vector<std::string> BatchKeys(const Batch& batch) {
+  std::vector<std::string> keys;
+  for (int i = 0; i < batch.rows(); i++) {
+    std::vector<Value> row;
+    for (int c = 0; c < batch.num_columns(); c++) {
+      row.push_back(CellValue(*batch.column(c), i));
+    }
+    keys.push_back(RowKey(row));
+  }
+  return keys;
+}
+
+TEST(ScanModelTest, RandomHistoriesInBothPdtLayersMatchTheModel) {
+  SimulatedDisk disk;
+  TableBuilder b("m", ModelSchema(), Layout::kDsm, &disk, kModelGroupRows);
+  std::vector<std::vector<Value>> model;
+  for (int64_t i = 0; i < 5 * kModelGroupRows + 1234; i++) {
+    model.push_back(BaseRow(i));
+    ASSERT_TRUE(b.AppendRow(model.back()).ok());
+  }
+  auto t = b.Finish();
+  ASSERT_TRUE(t.ok());
+  UpdatableTable table(std::move(t).value());
+  BufferManager buffers(&disk, 64 << 20);
+  TransactionManager tm;
+  Rng rng(2024);
+  int64_t next_id = 1000000;
+  // The read-PDT: several committed histories.
+  for (int round = 0; round < 6; round++) {
+    auto txn = tm.Begin(&table);
+    ApplyRandomOps(txn.get(), &model, &rng, &next_id, 60);
+    ASSERT_TRUE(tm.Commit(txn.get()).ok());
+  }
+  // The write-PDT on top: an open transaction's own deltas.
+  auto txn = tm.Begin(&table);
+  ApplyRandomOps(txn.get(), &model, &rng, &next_id, 60);
+  std::vector<std::string> want;
+  for (const auto& row : model) want.push_back(RowKey(row));
+  std::vector<std::string> want_sorted = want;
+  std::sort(want_sorted.begin(), want_sorted.end());
+
+  auto make_scan = [&](MorselSourcePtr morsels) {
+    ScanOptions opts;
+    opts.columns = {0, 1, 2, 3, 4};
+    opts.morsels = std::move(morsels);
+    return std::make_unique<ScanOp>(txn->View(), table.SnapshotPdt(),
+                                    &buffers, std::move(opts));
+  };
+  for (int vs : {1, 7, 1024}) {
+    SCOPED_TRACE("vector size " + std::to_string(vs));
+    ExecContext ctx;
+    ctx.vector_size = vs;
+    auto alone = make_scan(nullptr);
+    ASSERT_TRUE(alone->Open(&ctx).ok());
+    std::vector<std::string> got;
+    for (;;) {
+      auto batch = alone->Next();
+      ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+      if (*batch == nullptr) break;
+      for (std::string& k : BatchKeys(**batch)) got.push_back(std::move(k));
+    }
+    alone->Close();
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); i++) ASSERT_EQ(got[i], want[i]) << i;
+
+    // Four clones over one MorselSource, pulled round robin.
+    auto morsels =
+        std::make_shared<MorselSource>(table.base()->num_groups());
+    std::vector<std::unique_ptr<ScanOp>> clones;
+    for (int c = 0; c < 4; c++) {
+      clones.push_back(make_scan(morsels));
+      ASSERT_TRUE(clones.back()->Open(&ctx).ok());
+    }
+    got.clear();
+    for (size_t live = clones.size(); live > 0;) {
+      live = 0;
+      for (auto& clone : clones) {
+        auto batch = clone->Next();
+        ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+        if (*batch == nullptr) continue;
+        live++;
+        for (std::string& k : BatchKeys(**batch)) got.push_back(std::move(k));
+      }
+    }
+    for (auto& clone : clones) clone->Close();
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want_sorted);
+  }
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Storage tests: block device conformance (the RAM medium and the slot
 // file in both lifetimes), buffer manager, PAX/DSM table round-trips,
-// MinMax pushdown, NULL chunks, cooperative-scan scheduling policies, and
-// the load path (the stored image does not depend on how rows arrive).
+// MinMax pushdown, NULL chunks, column cursors over chunks that cross
+// blocks, and the load path (the stored image does not depend on how rows
+// arrive).
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -14,12 +15,13 @@
 #include <thread>
 
 #include "common/rng.h"
+#include "compression/bitpack.h"
 #include "engine/database.h"
+#include "exec/scan.h"
 #include "pdt/transaction.h"
 #include "pdt/view.h"
 #include "storage/buffer_manager.h"
 #include "storage/catalog.h"
-#include "storage/coop_scan.h"
 #include "storage/file_block_device.h"
 #include "storage/simulated_disk.h"
 #include "storage/table.h"
@@ -280,6 +282,198 @@ TEST_P(TableLayoutTest, ShortChunkIsIoError) {
             StatusCode::kIoError);
 }
 
+// ---------------------------------------------------------------------------
+// Column cursors over chunks that cross blocks
+// ---------------------------------------------------------------------------
+
+constexpr int kCrossRows = 65536;
+
+std::string PlainCell(int i) {
+  std::string s = "row-" + std::to_string(i) + "-";
+  s.resize(60 + i % 9, static_cast<char>('a' + i % 26));
+  return s;
+}
+
+std::string DictCell(int i) {
+  std::string s = "entry-" + std::to_string(i % 4000) + "-";
+  s.resize(100, 'x');
+  return s;
+}
+
+double F64Cell(int i) { return i * 1.5 + (i % 7) * 1e9; }
+
+int64_t WideCell(int i) {
+  // 32-bit residuals with 1% outliers: PFOR with a 32-bit width, whose
+  // slots fill the first block so the exception list starts in the next.
+  const uint64_t h = static_cast<uint64_t>(i) * 0x9E3779B97F4A7C15ull;
+  return i % 100 == 7 ? (int64_t{1} << 50) + i
+                      : static_cast<int64_t>(h >> 32);
+}
+
+/// One group whose every chunk crosses blocks: a Plain f64 (three blocks),
+/// a wide PFOR whose exception list lies in the next block, ~64-byte
+/// Plain strings and a PDICT whose dictionary crosses a block.
+std::unique_ptr<Table> BuildCrossingTable(SimulatedDisk* disk, Layout layout) {
+  TableBuilder b("x",
+                 Schema({Field("f", TypeId::kF64), Field("w", TypeId::kI64),
+                         Field("s", TypeId::kStr), Field("d", TypeId::kStr)}),
+                 layout, disk);
+  for (int i = 0; i < kCrossRows; i++) {
+    EXPECT_TRUE(b.AppendRow({Value::F64(F64Cell(i)), Value::I64(WideCell(i)),
+                             Value::Str(PlainCell(i)),
+                             Value::Str(DictCell(i))})
+                    .ok());
+  }
+  auto t = b.Finish();
+  EXPECT_TRUE(t.ok());
+  return std::move(t).value();
+}
+
+class CrossingChunkTest : public ::testing::TestWithParam<Layout> {
+ protected:
+  void SetUp() override { table_ = BuildCrossingTable(&disk_, GetParam()); }
+
+  /// Checks row `i` of the four columns.
+  static void ExpectRow(int i, double f, int64_t w, StrRef s, StrRef d) {
+    ASSERT_EQ(f, F64Cell(i)) << i;
+    ASSERT_EQ(w, WideCell(i)) << i;
+    ASSERT_EQ(s.view(), PlainCell(i)) << i;
+    ASSERT_EQ(d.view(), DictCell(i)) << i;
+  }
+
+  SimulatedDisk disk_;
+  std::unique_ptr<Table> table_;
+};
+
+TEST_P(CrossingChunkTest, ChunksHaveTheShapesUnderTest) {
+  ASSERT_EQ(table_->num_groups(), 1);
+  const GroupMeta& gm = table_->group(0);
+  const bool dsm = GetParam() == Layout::kDsm;
+  // Region offset of a chunk's first byte, its bytes, and the block a
+  // chunk offset lies in.
+  auto base = [&](int c) { return dsm ? 0 : gm.cols[c].loc.offset; };
+  auto chunk = [&](int c) {
+    const ChunkLoc& loc = gm.cols[c].loc;
+    const std::vector<BlockId>& blocks = dsm ? loc.blocks : gm.pax_blocks;
+    std::vector<uint8_t> bytes(loc.length);
+    for (uint64_t i = 0; i < loc.length; i++) {
+      const uint64_t at = base(c) + i;
+      bytes[i] =
+          (**disk_.ReadBlock(blocks[at / kDiskBlockBytes]))[at %
+                                                            kDiskBlockBytes];
+    }
+    return bytes;
+  };
+  auto block = [&](int c, uint64_t off) {
+    return (base(c) + off) / kDiskBlockBytes;
+  };
+  EXPECT_GE(block(0, gm.cols[0].loc.length - 1) - block(0, 0), 2u);
+  const std::vector<uint8_t> wide = chunk(1);
+  ASSERT_EQ(static_cast<CodecId>(wide[0]), CodecId::kPfor);
+  // The exception list starts in a later block than the slots.
+  EXPECT_GT(block(1, 20 + PackedBytes(kCrossRows, wide[1])), block(1, 20));
+  EXPECT_EQ(static_cast<CodecId>(chunk(2)[0]), CodecId::kPlain);
+  const std::vector<uint8_t> dict = chunk(3);
+  ASSERT_EQ(static_cast<CodecId>(dict[0]), CodecId::kPdict);
+  uint32_t dict_size, len;
+  std::memcpy(&dict_size, dict.data() + 8, 4);
+  uint64_t end = 12;
+  for (uint32_t e = 0; e < dict_size; e++) {
+    std::memcpy(&len, dict.data() + end, 4);
+    end += 4 + len;
+  }
+  EXPECT_GT(block(3, end - 1), block(3, 12));  // the dictionary crosses
+}
+
+TEST_P(CrossingChunkTest, ScansAtEveryVectorSizeEqualReadColumn) {
+  BufferManager bm(&disk_, 64 << 20);
+  // ReadColumn yields the stored values; every scan below must too.
+  TableReader reader(table_.get(), &bm);
+  std::vector<double> f(kCrossRows);
+  std::vector<int64_t> w(kCrossRows);
+  std::vector<StrRef> str(kCrossRows), dict(kCrossRows);
+  StringHeap heap;
+  ASSERT_TRUE(reader.ReadColumn(0, 0, f.data(), nullptr, nullptr).ok());
+  ASSERT_TRUE(reader.ReadColumn(0, 1, w.data(), nullptr, nullptr).ok());
+  ASSERT_TRUE(reader.ReadColumn(0, 2, str.data(), nullptr, &heap).ok());
+  ASSERT_TRUE(reader.ReadColumn(0, 3, dict.data(), nullptr, &heap).ok());
+  for (int i = 0; i < kCrossRows; i++) {
+    ExpectRow(i, f[i], w[i], str[i], dict[i]);
+  }
+  for (int vs : {1, 7, 1024, 4096}) {
+    SCOPED_TRACE("vector size " + std::to_string(vs));
+    ExecContext ctx;
+    ctx.vector_size = vs;
+    ScanOptions opts;
+    opts.columns = {0, 1, 2, 3};
+    ScanOp scan(TableView{table_.get(), {}}, {}, &bm, std::move(opts));
+    ASSERT_TRUE(scan.Open(&ctx).ok());
+    int row = 0;
+    for (;;) {
+      auto b = scan.Next();
+      ASSERT_TRUE(b.ok()) << b.status().ToString();
+      if (*b == nullptr) break;
+      const Batch& batch = **b;
+      for (int i = 0; i < batch.rows(); i++, row++) {
+        ExpectRow(row, batch.column(0)->Data<double>()[i],
+                  batch.column(1)->Data<int64_t>()[i],
+                  batch.column(2)->Data<StrRef>()[i],
+                  batch.column(3)->Data<StrRef>()[i]);
+      }
+    }
+    scan.Close();
+    EXPECT_EQ(row, kCrossRows);
+  }
+}
+
+TEST_P(CrossingChunkTest, CursorsHoldAtMostTwoBlocksAndFetchEachOnce) {
+  const GroupMeta& gm = table_->group(0);
+  for (int vs : {1, 7, 1024, 4096}) {
+    for (int c = 0; c < 4; c++) {
+      SCOPED_TRACE("vector size " + std::to_string(vs) + " column " +
+                   std::to_string(c));
+      BufferManager bm(&disk_, 64 << 20);
+      const TypeId type = table_->schema().field(c).type;
+      StringHeap heap;
+      ColumnCursor cursor(type, &heap, /*in_place=*/true);
+      ASSERT_TRUE(cursor.Open(table_.get(), &bm, 0, c).ok());
+      std::vector<uint8_t> out(static_cast<size_t>(vs) * 16);
+      for (int row = 0; row < kCrossRows; row += vs) {
+        const int k = std::min(vs, kCrossRows - row);
+        heap.Reset();
+        cursor.BeginBatch();
+        ASSERT_TRUE(cursor.Next(k, out.data(), nullptr).ok());
+        for (int i = 0; i < k; i++) {
+          const int r = row + i;
+          switch (c) {
+            case 0:
+              ASSERT_EQ(reinterpret_cast<double*>(out.data())[i], F64Cell(r));
+              break;
+            case 1:
+              ASSERT_EQ(reinterpret_cast<int64_t*>(out.data())[i],
+                        WideCell(r));
+              break;
+            default:
+              ASSERT_EQ(reinterpret_cast<StrRef*>(out.data())[i].view(),
+                        c == 2 ? PlainCell(r) : DictCell(r));
+          }
+        }
+      }
+      EXPECT_LE(cursor.held_blocks_high_water(), 2);
+      if (GetParam() == Layout::kDsm) {
+        EXPECT_EQ(bm.hits() + bm.misses(),
+                  static_cast<int64_t>(gm.cols[c].loc.blocks.size()));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Layouts, CrossingChunkTest,
+                         ::testing::Values(Layout::kDsm, Layout::kPax),
+                         [](const ::testing::TestParamInfo<Layout>& info) {
+                           return info.param == Layout::kDsm ? "DSM" : "PAX";
+                         });
+
 INSTANTIATE_TEST_SUITE_P(Layouts, TableLayoutTest,
                          ::testing::Values(Layout::kDsm, Layout::kPax),
                          [](const ::testing::TestParamInfo<Layout>& info) {
@@ -347,100 +541,6 @@ TEST(TableBuilderTest, EmptyTable) {
   EXPECT_EQ((*t)->num_rows(), 0);
   EXPECT_EQ((*t)->num_groups(), 0);
 }
-
-// ---------------------------------------------------------------------------
-// Scan scheduling policies
-// ---------------------------------------------------------------------------
-
-TEST(SequentialSchedulerTest, DeliversInOrder) {
-  SequentialScheduler s(4);
-  int q = s.Register(5);
-  for (int g = 0; g < 5; g++) EXPECT_EQ(s.NextGroup(q), g);
-  EXPECT_EQ(s.NextGroup(q), -1);
-  s.Unregister(q);
-}
-
-TEST(RelevanceSchedulerTest, SingleQueryGetsAllGroupsOnce) {
-  RelevanceScheduler s(4);
-  int q = s.Register(10);
-  std::set<int> got;
-  for (int i = 0; i < 10; i++) {
-    int g = s.NextGroup(q);
-    ASSERT_GE(g, 0);
-    EXPECT_TRUE(got.insert(g).second) << "duplicate group " << g;
-  }
-  EXPECT_EQ(s.NextGroup(q), -1);
-  EXPECT_EQ(got.size(), 10u);
-  EXPECT_EQ(s.chunk_loads(), 10);
-}
-
-TEST(RelevanceSchedulerTest, ConcurrentQueriesShareLoads) {
-  // Two queries over the same 20 groups, interleaved: ABM must load each
-  // group ~once (40 deliveries, ~20 loads).
-  RelevanceScheduler s(8);
-  int q1 = s.Register(20);
-  int q2 = s.Register(20);
-  int done1 = 0, done2 = 0;
-  while (done1 < 20 || done2 < 20) {
-    if (done1 < 20 && s.NextGroup(q1) >= 0) done1++;
-    if (done2 < 20 && s.NextGroup(q2) >= 0) done2++;
-  }
-  EXPECT_LE(s.chunk_loads(), 24);  // near-perfect sharing
-  s.Unregister(q1);
-  s.Unregister(q2);
-}
-
-TEST(RelevanceSchedulerTest, StaggeredQueryJoinsInFlight) {
-  RelevanceScheduler s(6);
-  int q1 = s.Register(12);
-  // q1 consumes half the table first.
-  for (int i = 0; i < 6; i++) ASSERT_GE(s.NextGroup(q1), 0);
-  // q2 arrives late; it should first consume cached chunks.
-  int q2 = s.Register(12);
-  const int64_t loads_before = s.chunk_loads();
-  std::set<int> q2_first;
-  for (int i = 0; i < 4; i++) q2_first.insert(s.NextGroup(q2));
-  EXPECT_EQ(s.chunk_loads(), loads_before);  // all served from cache
-  // Finish both.
-  while (s.NextGroup(q1) >= 0) {
-  }
-  while (s.NextGroup(q2) >= 0) {
-  }
-  EXPECT_LT(s.chunk_loads(), 24);  // << 2 full passes
-}
-
-TEST(RelevanceSchedulerTest, SequentialBaselineReloadsForStaggered) {
-  // Same staggered workload under the sequential-LRU estimate: close to
-  // two full passes when the pool is smaller than the table.
-  SequentialScheduler s(6);
-  int q1 = s.Register(12);
-  for (int i = 0; i < 6; i++) ASSERT_GE(s.NextGroup(q1), 0);
-  int q2 = s.Register(12);
-  while (s.NextGroup(q1) >= 0) {
-  }
-  while (s.NextGroup(q2) >= 0) {
-  }
-  EXPECT_GE(s.chunk_loads(), 18);
-}
-
-TEST(RelevanceSchedulerTest, CacheRespectsCapacity) {
-  RelevanceScheduler s(3);
-  int q = s.Register(10);
-  for (int i = 0; i < 10; i++) s.NextGroup(q);
-  EXPECT_LE(s.CachedGroups().size(), 3u);
-}
-
-TEST(RelevanceSchedulerTest, UnregisterDropsInterest) {
-  RelevanceScheduler s(4);
-  int q1 = s.Register(8);
-  int q2 = s.Register(8);
-  s.Unregister(q2);
-  std::set<int> got;
-  int g;
-  while ((g = s.NextGroup(q1)) >= 0) got.insert(g);
-  EXPECT_EQ(got.size(), 8u);
-}
-
 
 // ---------------------------------------------------------------------------
 // Buffer pool contract: byte budget, pins, single-flight
