@@ -132,7 +132,7 @@ Result<uint32_t> GroupTable::FindOrAdd(
     }
     node = chain_[node];
   }
-  keys_->AppendRowFromVectors(key_vecs, row);
+  keys_->Append(key_vecs, nullptr, row, 1);
   return FinishNewGroup(hash);
 }
 
@@ -152,7 +152,7 @@ void GroupTable::SerializeTo(std::vector<uint8_t>* out) const {
   // [u64 keys blob size][keys RowBuffer][hashes][per accum: i64/f64/count].
   // The open-addressed index is rebuilt on reload — hashes are enough.
   std::vector<uint8_t> keys_blob;
-  keys_->SerializeTo(&keys_blob);
+  keys_->Serialize(nullptr, 0, keys_->rows(), &keys_blob);
   serde::AppendPod<uint64_t>(out, keys_blob.size());
   out->insert(out->end(), keys_blob.begin(), keys_blob.end());
   serde::AppendPodVec(out, key_hashes_);
@@ -203,8 +203,7 @@ Result<std::unique_ptr<GroupTable>> GroupTable::Deserialize(
 
 void GroupTable::EnsureGlobalGroup() {
   if (keys_->rows() > 0) return;
-  std::vector<const Vector*> no_keys;
-  keys_->AppendRowFromVectors(no_keys, 0);
+  keys_->Append({}, nullptr, 0, 1);
   (void)FinishNewGroup(0);
 }
 
@@ -223,7 +222,7 @@ Status GroupTable::MergeFrom(const GroupTable& src) {
       node = chain_[node];
     }
     if (node < 0) {
-      keys_->AppendRowFromBuffer(*src.keys_, g);
+      keys_->AppendFrom(*src.keys_, &g, 1);
       auto gid = FinishNewGroup(h);
       X100_RETURN_IF_ERROR(gid.status());
       node = *gid;
@@ -237,7 +236,7 @@ Status GroupTable::MergeFrom(const GroupTable& src) {
           break;
         case AggKind::kSum:
         case AggKind::kAvg:
-          d.i64[node] += s.i64[g];
+          d.i64[node] = agg::WrapAdd(d.i64[node], s.i64[g]);
           d.f64[node] += s.f64[g];
           d.count[node] += s.count[g];
           break;
@@ -356,7 +355,7 @@ Status AggWorkerState::Prepare(const std::vector<ExprPtr>& bound_keys,
   spill_bytes_ = spill_chunks_ = spill_rows_ = 0;
   reserv_.ReleaseAll();
   gids_.resize(vector_size);
-  parts_.assign(vector_size, 0);
+  groups_ = RadixGroups<sel_t, uint32_t>(num_partitions());
   hashes_.resize(vector_size);
   return Status::OK();
 }
@@ -468,9 +467,7 @@ Status AggWorkerState::ConsumeAll(Operator* child, ExecContext* ctx,
       X100_ASSIGN_OR_RETURN(v, prog->Eval(*in));
       key_vecs.push_back(v);
     }
-    if (key_vecs.empty()) {
-      std::fill(gids_.begin(), gids_.begin() + n, 0u);
-    } else {
+    if (!key_vecs.empty()) {
       bool first = true;
       for (const Vector* v : key_vecs) {
         hashk::HashColumn(*v, n, sel, hashes_.data(), !first, simd_);
@@ -488,6 +485,7 @@ Status AggWorkerState::ConsumeAll(Operator* child, ExecContext* ctx,
               hashes_[j]);
         }
       }
+      groups_.Clear();
       for (int j = 0; j < n; j++) {
         if (prefetch && j + kPrefetchDistance < n) {
           const uint64_t ph = hashes_[j + kPrefetchDistance];
@@ -497,98 +495,49 @@ Status AggWorkerState::ConsumeAll(Operator* child, ExecContext* ctx,
         // Route to the radix partition named by the top hash bits: group
         // ids are partition-local, so each partition merges without ever
         // seeing another partition's keys.
-        const uint32_t p = static_cast<uint32_t>(
-            RadixPartitionOf(hashes_[j], radix_bits_));
-        parts_[j] = p;
+        const size_t p = RadixPartitionOf(hashes_[j], radix_bits_);
         uint32_t gid;
         X100_ASSIGN_OR_RETURN(
             gid, tables_[p]->FindOrAdd(key_vecs, i, hashes_[j]));
-        gids_[j] = gid;
+        if (radix_bits_ == 0) {
+          gids_[j] = gid;
+        } else {
+          groups_.Add(p, i, gid);
+        }
       }
     }
 
-    // 2) Fold each aggregate's input vector into the accumulators. With
-    // radix partitioning the row's accumulator set lives in its
-    // partition's table (parts_[j]); unpartitioned runs keep the single
-    // hoisted accumulator.
-    // The unpartitioned case (acc0 below) runs the aggr_* update kernels
-    // (primitives/agg_kernels.h): keyless vectors take the SIMD fast
-    // paths, grouped ones the shared scalar loop. The radix-partitioned
-    // case keeps the inline loop — each row's accumulator set lives in a
-    // different partition table, which no flat kernel signature covers.
-    const uint32_t* gid0 = key_progs_.empty() ? nullptr : gids_.data();
+    // 2) Fold each aggregate's input vector into the accumulators with the
+    // aggr_* update kernels (primitives/agg_kernels.h): keyless vectors
+    // take the SIMD fast paths, grouped ones the shared scalar loop. With
+    // radix partitioning, each touched partition's rows fold into its own
+    // table through that partition's selection and group ids; a group
+    // lives in one partition, so its rows fold in input order.
     for (size_t a = 0; a < aggs.size(); a++) {
-      GroupTable::Accum* acc0 =
-          radix_bits_ == 0 ? &tables_[0]->accum(a) : nullptr;
-      const AggItem& item = aggs[a];
-      if (item.input == nullptr) {  // COUNT(*)
-        if (acc0 != nullptr) {
-          agg::UpdateCountStar(n, gid0, acc0->count.data());
-        } else {
-          for (int j = 0; j < n; j++) {
-            tables_[parts_[j]]->accum(a).count[gids_[j]]++;
-          }
+      const Vector* v = nullptr;
+      if (aggs[a].input != nullptr) {
+        X100_ASSIGN_OR_RETURN(v, agg_progs_[a]->Eval(*in));
+      }
+      const auto fold = [&](GroupTable::Accum& acc, int m, const sel_t* s,
+                            const uint32_t* gid) {
+        if (v == nullptr) {  // COUNT(*)
+          agg::UpdateCountStar(m, gid, acc.count.data());
+          return;
         }
+        agg::UpdateAccum(aggs[a].kind, acc.in_type, m, s, gid,
+                         v->has_nulls() ? v->nulls() : nullptr, v->RawData(),
+                         acc.i64.data(), acc.f64.data(), acc.count.data(),
+                         simd_);
+      };
+      if (radix_bits_ == 0) {
+        fold(tables_[0]->accum(a), n, sel,
+             key_progs_.empty() ? nullptr : gids_.data());
         continue;
       }
-      const Vector* v;
-      X100_ASSIGN_OR_RETURN(v, agg_progs_[a]->Eval(*in));
-      const uint8_t* nulls = v->has_nulls() ? v->nulls() : nullptr;
-      if (acc0 != nullptr) {
-        agg::UpdateAccum(item.kind, acc0->in_type, n, sel, gid0, nulls,
-                         v->RawData(), acc0->i64.data(), acc0->f64.data(),
-                         acc0->count.data(), simd_);
-        continue;
-      }
-      for (int j = 0; j < n; j++) {
-        const int i = sel ? sel[j] : j;
-        if (nulls != nullptr && nulls[i]) continue;
-        GroupTable::Accum& acc = tables_[parts_[j]]->accum(a);
-        const uint32_t g = gids_[j];
-        double dv = 0;
-        int64_t iv = 0;
-        if (acc.in_type == TypeId::kF64) {
-          dv = v->Data<double>()[i];
-        } else if (acc.in_type == TypeId::kI64) {
-          iv = v->Data<int64_t>()[i];
-        } else if (acc.in_type == TypeId::kI16) {
-          iv = v->Data<int16_t>()[i];
-        } else if (acc.in_type == TypeId::kI8 ||
-                   acc.in_type == TypeId::kBool) {
-          iv = v->Data<int8_t>()[i];
-        } else {
-          iv = v->Data<int32_t>()[i];
-        }
-        switch (item.kind) {
-          case AggKind::kCount:
-            break;
-          case AggKind::kSum:
-          case AggKind::kAvg:
-            if (acc.in_type == TypeId::kF64) {
-              acc.f64[g] += dv;
-            } else {
-              acc.i64[g] += iv;
-              acc.f64[g] += static_cast<double>(iv);
-            }
-            break;
-          case AggKind::kMin:
-            if (acc.count[g] == 0 ||
-                (acc.in_type == TypeId::kF64 ? dv < acc.f64[g]
-                                             : iv < acc.i64[g])) {
-              acc.f64[g] = dv;
-              acc.i64[g] = iv;
-            }
-            break;
-          case AggKind::kMax:
-            if (acc.count[g] == 0 ||
-                (acc.in_type == TypeId::kF64 ? dv > acc.f64[g]
-                                             : iv > acc.i64[g])) {
-              acc.f64[g] = dv;
-              acc.i64[g] = iv;
-            }
-            break;
-        }
-        acc.count[g]++;
+      for (size_t p : groups_.touched()) {
+        const auto& g = groups_.group(p);
+        fold(tables_[p]->accum(a), static_cast<int>(g.pos.size()),
+             g.pos.data(), g.tag.data());
       }
     }
 

@@ -31,11 +31,11 @@
 #include "common/memory_tracker.h"
 #include "exec/expression.h"
 #include "exec/operator.h"
-#include "exec/row_buffer.h"
 #include "exec/select_project.h"
 #include "primitives/agg_kernels.h"
 #include "simd/prefetch.h"
 #include "storage/spill_file.h"
+#include "vector/row_buffer.h"
 
 namespace x100 {
 
@@ -175,8 +175,8 @@ class AggWorkerState {
   /// the group-lookup prefetch window (kScalar = reference behavior).
   SimdLevel simd_ = SimdLevel::kScalar;
   std::vector<std::unique_ptr<GroupTable>> tables_;  // one per partition
-  std::vector<uint32_t> gids_;
-  std::vector<uint32_t> parts_;  // partition per live row (radix_bits > 0)
+  std::vector<uint32_t> gids_;  // group per live row (radix_bits == 0)
+  RadixGroups<sel_t, uint32_t> groups_;  // rows and groups per partition
   std::vector<uint64_t> hashes_;
 
   // Spill construction state (what a fresh table needs) + results.

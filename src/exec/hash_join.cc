@@ -33,7 +33,7 @@ std::vector<uint8_t> SerializeBuildChunk(const RowBuffer& rows,
   std::vector<uint8_t> blob;
   serde::AppendPod<int64_t>(&blob, rows.rows());
   serde::AppendPodVec(&blob, hashes);
-  rows.SerializeTo(&blob);
+  rows.Serialize(nullptr, 0, rows.rows(), &blob);
   return blob;
 }
 
@@ -49,8 +49,6 @@ Result<int64_t> WriteBuildChunks(const RowBuffer& rows,
                                  SpillDevice* device,
                                  std::vector<SpillFile>* out,
                                  int64_t* chunks_out) {
-  std::vector<int64_t> order(rows.rows());
-  for (int64_t i = 0; i < rows.rows(); i++) order[i] = i;
   int64_t bytes = 0;
   for (int64_t begin = 0; begin < rows.rows();
        begin += kProbeSpillChunkRows) {
@@ -61,7 +59,7 @@ Result<int64_t> WriteBuildChunks(const RowBuffer& rows,
     const auto* h = reinterpret_cast<const uint8_t*>(hashes.data());
     blob.insert(blob.end(), h + begin * sizeof(uint64_t),
                 h + end * sizeof(uint64_t));
-    rows.SerializeRowsTo(order, begin, end, &blob);
+    rows.Serialize(nullptr, begin, end, &blob);
     SpillFile file;
     X100_ASSIGN_OR_RETURN(file, SpillFile::Write(device, blob));
     bytes += file.bytes();
@@ -92,7 +90,7 @@ Status AppendBuildChunk(const Schema& schema,
     return Status::IoError("corrupt join spill chunk: row count mismatch");
   }
   hashes_out->insert(hashes_out->end(), hashes.begin(), hashes.end());
-  rows_out->AppendRows(*rb);
+  rows_out->AppendFrom(*rb);
   return Status::OK();
 }
 
@@ -282,6 +280,7 @@ Status JoinBuildState::Build(ExecContext* ctx) {
                              footprint, spill_one);
         };
         std::vector<uint64_t> hash_scratch(ctx->vector_size);
+        RadixGroups<sel_t, uint64_t> groups(P);
         Operator* chain = chains_[w].get();
         Status s = chain->Open(ctx);
         while (s.ok()) {
@@ -302,6 +301,7 @@ Status JoinBuildState::Build(ExecContext* ctx) {
                               hash_scratch.data(), !first, ctx->simd);
             first = false;
           }
+          groups.Clear();
           for (int j = 0; j < n; j++) {
             const int i = sel ? sel[j] : j;
             bool null_key = false;
@@ -312,12 +312,18 @@ Status JoinBuildState::Build(ExecContext* ctx) {
               part.saw_null_key = true;  // poison for NOT IN semantics
               continue;
             }
-            const size_t p = PartitionOf(hash_scratch[j]);
+            groups.Add(PartitionOf(hash_scratch[j]), i, hash_scratch[j]);
+          }
+          const std::vector<const Vector*> cols = batch.columns();
+          for (size_t p : groups.touched()) {
+            const auto& g = groups.group(p);
             if (part.rows[p] == nullptr) {
               part.rows[p] = std::make_unique<RowBuffer>(build_schema_);
             }
-            part.rows[p]->AppendRowFrom(batch, i);
-            part.hashes[p].push_back(hash_scratch[j]);
+            part.rows[p]->Append(cols, g.pos.data(), 0,
+                                 static_cast<int>(g.pos.size()));
+            part.hashes[p].insert(part.hashes[p].end(), g.tag.begin(),
+                                  g.tag.end());
           }
           s = ensure();
         }
@@ -410,6 +416,36 @@ Status JoinBuildState::Build(ExecContext* ctx) {
             }
           };
           const int d = new_bits - old_bits;
+          const size_t first_child = static_cast<size_t>(q) << d;
+          // Appends src's rows to the child partitions' buffers
+          // (out_rows[c] for child first_child + c), grouped a chunk of
+          // rows at a time so the routing scratch stays small.
+          RadixGroups<int64_t, uint64_t> groups(size_t{1} << d);
+          auto split = [&](const RowBuffer& src,
+                           const std::vector<uint64_t>& hashes,
+                           std::unique_ptr<RowBuffer>* out_rows,
+                           std::vector<uint64_t>* out_hashes) {
+            for (int64_t begin = 0; begin < src.rows();
+                 begin += kProbeSpillChunkRows) {
+              const int64_t end =
+                  std::min(src.rows(), begin + kProbeSpillChunkRows);
+              groups.Clear();
+              for (int64_t r = begin; r < end; r++) {
+                groups.Add(PartitionOf(hashes[r]) - first_child, r,
+                           hashes[r]);
+              }
+              for (size_t c : groups.touched()) {
+                const auto& g = groups.group(c);
+                if (out_rows[c] == nullptr) {
+                  out_rows[c] = std::make_unique<RowBuffer>(build_schema_);
+                }
+                out_rows[c]->AppendFrom(src, g.pos.data(),
+                                        static_cast<int64_t>(g.pos.size()));
+                out_hashes[c].insert(out_hashes[c].end(), g.tag.begin(),
+                                     g.tag.end());
+              }
+            }
+          };
           int64_t moved = 0;
           for (size_t w = 0; w < old_partials.size(); w++) {
             std::unique_ptr<RowBuffer> src =
@@ -421,14 +457,8 @@ Status JoinBuildState::Build(ExecContext* ctx) {
                    static_cast<int64_t>(src_hashes.capacity() *
                                         sizeof(uint64_t)));
             WorkerPartial& wp = partials[w];
-            for (int64_t r = 0; r < src->rows(); r++) {
-              const size_t child = PartitionOf(src_hashes[r]);
-              if (wp.rows[child] == nullptr) {
-                wp.rows[child] = std::make_unique<RowBuffer>(build_schema_);
-              }
-              wp.rows[child]->AppendRowFromBuffer(*src, r);
-              wp.hashes[child].push_back(src_hashes[r]);
-            }
+            split(*src, src_hashes, &wp.rows[first_child],
+                  &wp.hashes[first_child]);
             moved += src->rows();
           }
           // Spilled chunks of q split through one reload: each child
@@ -442,29 +472,22 @@ Status JoinBuildState::Build(ExecContext* ctx) {
             std::vector<uint64_t> hashes;
             X100_RETURN_IF_ERROR(
                 AppendBuildChunk(build_schema_, blob, &rows, &hashes));
-            std::vector<std::unique_ptr<RowBuffer>> split(size_t{1} << d);
-            std::vector<std::vector<uint64_t>> split_hashes(size_t{1} << d);
-            for (int64_t r = 0; r < rows.rows(); r++) {
-              const size_t child = PartitionOf(hashes[r]) - (q << d);
-              if (split[child] == nullptr) {
-                split[child] = std::make_unique<RowBuffer>(build_schema_);
-              }
-              split[child]->AppendRowFromBuffer(rows, r);
-              split_hashes[child].push_back(hashes[r]);
-            }
-            for (size_t c = 0; c < split.size(); c++) {
-              if (split[c] == nullptr) continue;
+            std::vector<std::unique_ptr<RowBuffer>> children(size_t{1} << d);
+            std::vector<std::vector<uint64_t>> child_hashes(size_t{1} << d);
+            split(rows, hashes, children.data(), child_hashes.data());
+            for (size_t c = 0; c < children.size(); c++) {
+              if (children[c] == nullptr) continue;
               const std::vector<uint8_t> child_blob =
-                  SerializeBuildChunk(*split[c], split_hashes[c]);
+                  SerializeBuildChunk(*children[c], child_hashes[c]);
               SpillFile file;
               X100_ASSIGN_OR_RETURN(
                   file, SpillFile::Write(ctx->spill_device, child_blob));
-              const size_t child_p = (q << d) + c;
-              spilled_rows_[child_p] += split[c]->rows();
+              const size_t child_p = first_child + c;
+              spilled_rows_[child_p] += children[c]->rows();
               spilled_bytes_[child_p] +=
                   static_cast<int64_t>(child_blob.size());
               spilled_[child_p].push_back(std::move(file));
-              moved += split[c]->rows();
+              moved += children[c]->rows();
             }
             chunk.Free();
           }
@@ -566,7 +589,7 @@ Status JoinBuildState::Build(ExecContext* ctx) {
           part.rows = std::make_unique<RowBuffer>(build_schema_);
           for (WorkerPartial& wp : partials) {
             if (wp.rows[p] == nullptr) continue;
-            part.rows->AppendRows(*wp.rows[p]);
+            part.rows->AppendFrom(*wp.rows[p]);
             part.hashes.insert(part.hashes.end(), wp.hashes[p].begin(),
                                wp.hashes[p].end());
           }
@@ -885,7 +908,7 @@ void JoinProber::EmitProbeOnly(const Batch& probe, int probe_i, int out_i,
 
 // --- Grace probe-side spill ------------------------------------------------
 
-Status JoinProber::DeferRow(const Batch& probe, int i, size_t partition) {
+Status JoinProber::DeferRow(int i, size_t partition) {
   if (defer_rows_.empty()) {
     defer_rows_.resize(state_->num_partitions());
     defer_chunks_.resize(state_->num_partitions());
@@ -893,7 +916,7 @@ Status JoinProber::DeferRow(const Batch& probe, int i, size_t partition) {
   if (defer_rows_[partition] == nullptr) {
     defer_rows_[partition] = std::make_unique<RowBuffer>(*probe_schema_);
   }
-  defer_rows_[partition]->AppendRowFrom(probe, i);
+  defer_rows_[partition]->Append(probe_cols_, nullptr, i, 1);
   return Status::OK();
 }
 
@@ -905,14 +928,12 @@ Result<int64_t> JoinProber::SpillDeferredPartition(ExecContext* ctx,
                                                    int victim) {
   RowBuffer& rows = *defer_rows_[victim];
   const int64_t freed = static_cast<int64_t>(rows.MemoryBytes());
-  std::vector<int64_t> order(rows.rows());
-  for (int64_t i = 0; i < rows.rows(); i++) order[i] = i;
   for (int64_t begin = 0; begin < rows.rows();
        begin += kProbeSpillChunkRows) {
     const int64_t end =
         std::min<int64_t>(rows.rows(), begin + kProbeSpillChunkRows);
     std::vector<uint8_t> blob;
-    rows.SerializeRowsTo(order, begin, end, &blob);
+    rows.Serialize(nullptr, begin, end, &blob);
     SpillFile file;
     X100_ASSIGN_OR_RETURN(file, SpillFile::Write(ctx->spill_device, blob));
     probe_spill_bytes_ += file.bytes();
@@ -1192,6 +1213,7 @@ Result<Batch*> JoinProber::Next(Operator* child, ExecContext* ctx) {
           eos_ = true;
           break;
         }
+        probe_cols_ = probe_batch_->columns();
         probe_pos_ = 0;
         chain_pos_ = -1;
         row_matched_ = false;
@@ -1238,9 +1260,8 @@ Result<Batch*> JoinProber::Next(Operator* child, ExecContext* ctx) {
             chain_pos_ < 0 && !row_matched_ &&
             state_->partition_deferred(
                 state_->PartitionOf(probe_hashes_[probe_pos_]))) {
-          X100_RETURN_IF_ERROR(DeferRow(
-              *probe_batch_, i,
-              state_->PartitionOf(probe_hashes_[probe_pos_])));
+          X100_RETURN_IF_ERROR(
+              DeferRow(i, state_->PartitionOf(probe_hashes_[probe_pos_])));
           probe_pos_++;
           continue;
         }

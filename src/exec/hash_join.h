@@ -50,9 +50,9 @@
 #include "common/memory_tracker.h"
 #include "common/task_scheduler.h"
 #include "exec/operator.h"
-#include "exec/row_buffer.h"
 #include "simd/prefetch.h"
 #include "storage/spill_file.h"
+#include "vector/row_buffer.h"
 
 namespace x100 {
 
@@ -280,7 +280,9 @@ class JoinProber {
                      bool null_build_side);
 
   // Grace probe-side machinery (see the header comment).
-  Status DeferRow(const Batch& probe, int i, size_t partition);
+  /// Appends row i of the current probe batch (probe_cols_) to
+  /// `partition`'s deferred rows.
+  Status DeferRow(int i, size_t partition);
   Status EnsureDeferReservation(ExecContext* ctx);
   Result<int64_t> SpillDeferredPartition(ExecContext* ctx, int victim);
   Status SpillAllDeferred(ExecContext* ctx);
@@ -315,6 +317,7 @@ class JoinProber {
   SimdLevel simd_ = SimdLevel::kScalar;
   bool prefetch_ = false;
   Batch* probe_batch_ = nullptr;
+  std::vector<const Vector*> probe_cols_;  // probe_batch_'s columns
   int probe_pos_ = 0;        // index into the probe batch's live rows
   int64_t chain_pos_ = -1;   // current chain node (inner/outer continue)
   bool row_matched_ = false; // left outer bookkeeping

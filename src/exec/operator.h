@@ -17,6 +17,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "common/cancellation.h"
 #include "common/config.h"
@@ -156,6 +157,45 @@ struct QueryResult {
   QueryProfile profile;
 };
 Result<QueryResult> CollectRows(Operator* op, ExecContext* ctx);
+
+/// Groups rows by radix partition in one stable pass, the routing step of
+/// the join build and the partitioned aggregation fold. Add rows in input
+/// order; each touched partition then holds its rows' positions (the
+/// selection a RowBuffer append or a fold kernel reads) and one tag per
+/// row (a key hash or a group id), still in input order. A key lives in
+/// one partition, so each key's rows keep their relative order.
+template <typename Pos, typename Tag>
+class RadixGroups {
+ public:
+  struct Group {
+    std::vector<Pos> pos;
+    std::vector<Tag> tag;
+  };
+
+  explicit RadixGroups(size_t partitions = 0) : groups_(partitions) {}
+
+  void Add(size_t p, Pos pos, Tag tag) {
+    Group& g = groups_[p];
+    if (g.pos.empty()) touched_.push_back(p);
+    g.pos.push_back(pos);
+    g.tag.push_back(tag);
+  }
+  /// The non-empty partitions, in order of first touch.
+  const std::vector<size_t>& touched() const { return touched_; }
+  const Group& group(size_t p) const { return groups_[p]; }
+  /// Empties every group, keeping the capacity for the next vector.
+  void Clear() {
+    for (size_t p : touched_) {
+      groups_[p].pos.clear();
+      groups_[p].tag.clear();
+    }
+    touched_.clear();
+  }
+
+ private:
+  std::vector<Group> groups_;
+  std::vector<size_t> touched_;
+};
 
 }  // namespace x100
 

@@ -140,37 +140,7 @@ Result<QueryResult> CollectRows(Operator* op, ExecContext* ctx) {
       std::vector<Value> row;
       row.reserve(b->num_columns());
       for (int c = 0; c < b->num_columns(); c++) {
-        const Vector* v = b->column(c);
-        if (v->IsNull(i)) {
-          row.push_back(Value::Null(v->type()));
-          continue;
-        }
-        switch (v->type()) {
-          case TypeId::kBool:
-            row.push_back(Value::Bool(v->Data<uint8_t>()[i]));
-            break;
-          case TypeId::kI8:
-            row.push_back(Value::I8(v->Data<int8_t>()[i]));
-            break;
-          case TypeId::kI16:
-            row.push_back(Value::I16(v->Data<int16_t>()[i]));
-            break;
-          case TypeId::kI32:
-            row.push_back(Value::I32(v->Data<int32_t>()[i]));
-            break;
-          case TypeId::kDate:
-            row.push_back(Value::Date(v->Data<int32_t>()[i]));
-            break;
-          case TypeId::kI64:
-            row.push_back(Value::I64(v->Data<int64_t>()[i]));
-            break;
-          case TypeId::kF64:
-            row.push_back(Value::F64(v->Data<double>()[i]));
-            break;
-          case TypeId::kStr:
-            row.push_back(Value::Str(v->Data<StrRef>()[i].ToString()));
-            break;
-        }
+        row.push_back(b->column(c)->GetValue(i));
       }
       result.rows.push_back(std::move(row));
     }

@@ -129,7 +129,7 @@ struct RunBuildState {
   }
 
   Status Append(const Batch& b) {
-    (*buffer)->AppendBatch(b);
+    (*buffer)->Append(b.columns(), b.sel(), 0, b.ActiveRows());
     const auto footprint = [this]() {
       return static_cast<int64_t>((*buffer)->MemoryBytes());
     };
@@ -160,7 +160,7 @@ struct RunBuildState {
     for (int64_t begin = 0; begin < n; begin += kSortSpillChunkRows) {
       const int64_t end = std::min(n, begin + kSortSpillChunkRows);
       std::vector<uint8_t> blob;
-      rows.SerializeRowsTo(order, begin, end, &blob);
+      rows.Serialize(order.data(), begin, end, &blob);
       SpillFile file;
       X100_ASSIGN_OR_RETURN(file, SpillFile::Write(ctx->spill_device, blob));
       spill_bytes += file.bytes();

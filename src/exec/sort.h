@@ -29,8 +29,8 @@
 
 #include "common/memory_tracker.h"
 #include "exec/operator.h"
-#include "exec/row_buffer.h"
 #include "storage/spill_file.h"
+#include "vector/row_buffer.h"
 
 namespace x100 {
 

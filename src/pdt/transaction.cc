@@ -191,7 +191,7 @@ Status TransactionManager::Checkpoint(UpdatableTable* table,
     } else {
       const int off = static_cast<int>(slot.sid - decoded_lo);
       for (int c = 0; c < decoded->num_columns(); c++) {
-        row.push_back(CellValue(*decoded->column(c), off));
+        row.push_back(decoded->column(c)->GetValue(off));
       }
     }
     for (const auto& [col, v] : slot.mods) row[col] = *v;

@@ -193,25 +193,10 @@ Result<std::vector<Value>> ReadStableRow(
   std::vector<Value> row;
   row.reserve(decoded.num_columns());
   for (int c = 0; c < decoded.num_columns(); c++) {
-    row.push_back(CellValue(*decoded.column(c), off));
+    row.push_back(decoded.column(c)->GetValue(off));
   }
   for (const auto& [col, v] : mods) row[col] = *v;
   return row;
-}
-
-Value CellValue(const Vector& v, int i) {
-  if (v.IsNull(i)) return Value::Null(v.type());
-  switch (v.type()) {
-    case TypeId::kBool: return Value::Bool(v.Data<uint8_t>()[i]);
-    case TypeId::kI8: return Value::I8(v.Data<int8_t>()[i]);
-    case TypeId::kI16: return Value::I16(v.Data<int16_t>()[i]);
-    case TypeId::kI32: return Value::I32(v.Data<int32_t>()[i]);
-    case TypeId::kDate: return Value::Date(v.Data<int32_t>()[i]);
-    case TypeId::kI64: return Value::I64(v.Data<int64_t>()[i]);
-    case TypeId::kF64: return Value::F64(v.Data<double>()[i]);
-    case TypeId::kStr: return Value::Str(v.Data<StrRef>()[i].ToString());
-  }
-  return Value::Null(v.type());
 }
 
 Result<std::vector<Value>> TableView::ReadRow(int64_t rid,

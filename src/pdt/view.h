@@ -70,9 +70,6 @@ Result<std::vector<Value>> ReadStableRow(const Table* base,
                                          const std::vector<std::pair<
                                              int, const Value*>>& mods);
 
-/// The value at position `i` of `v` (Value::Null at a NULL).
-Value CellValue(const Vector& v, int i);
-
 }  // namespace x100
 
 #endif  // X100_PDT_VIEW_H_

@@ -6,9 +6,8 @@ namespace x100 {
 namespace agg {
 namespace {
 
-/// Loads row i of the typed input column as (dv, iv) exactly like the
-/// operator's inline loop did: f64 fills dv (iv stays 0), every int width
-/// sign-extends into iv (dv stays 0).
+/// Loads row i of the typed input column as (dv, iv): f64 fills dv (iv
+/// stays 0), every int width sign-extends into iv (dv stays 0).
 inline void LoadRow(TypeId in_type, const void* data, int i, double* dv,
                     int64_t* iv) {
   *dv = 0;
@@ -45,9 +44,7 @@ void UpdateAccumScalar(AggKind kind, TypeId in_type, int n, const sel_t* sel,
         if (in_type == TypeId::kF64) {
           f64[g] += dv;
         } else {
-          // Wrapping add: matches the AVX2 lane-wise add_epi64 on overflow.
-          i64[g] = static_cast<int64_t>(static_cast<uint64_t>(i64[g]) +
-                                        static_cast<uint64_t>(iv));
+          i64[g] = WrapAdd(i64[g], iv);
           f64[g] += static_cast<double>(iv);
         }
         break;

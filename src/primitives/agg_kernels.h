@@ -27,14 +27,23 @@ const char* AggKindName(AggKind k);
 
 namespace agg {
 
+/// The SUM/AVG i64 add: wraps on overflow like the AVX2 lane-wise
+/// add_epi64, where a plain signed add would be undefined behaviour. The
+/// scalar fold and the barrier merge (GroupTable::MergeFrom) use it.
+inline int64_t WrapAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+
 /// Folds `data` (a typed column of `in_type`) into one accumulator set.
 /// Exact engine semantics per live non-NULL row i with group g = gid[j]
 /// (gid == nullptr means keyless: every row hits group 0):
 ///   kCount:      count[g]++
-///   kSum/kAvg:   f64 input: f64[g] += v;  int input: i64[g] += v AND
-///                f64[g] += double(v) (the f64 shadow accumulates in row
-///                order — FP addition is non-associative, so it is never
-///                vectorized); then count[g]++
+///   kSum/kAvg:   f64 input: f64[g] += v;  int input: i64[g] += v
+///                (WrapAdd) AND f64[g] += double(v) (the f64 shadow
+///                accumulates in row order — FP addition is
+///                non-associative, so it is never vectorized); then
+///                count[g]++
 ///   kMin/kMax:   adopt v when count[g] == 0 or v beats the current best
 ///                (f64[g]/i64[g] both overwritten; int inputs store 0.0
 ///                into f64[g]); then count[g]++

@@ -32,12 +32,6 @@ Result<std::vector<BlockId>> PlaceBytes(BlockDevice* device,
   return blocks;
 }
 
-/// Writes one staged cell (the staging is a byte array).
-template <typename T>
-void StoreCell(uint8_t* dst, T v) {
-  std::memcpy(dst, &v, sizeof(T));
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -85,93 +79,10 @@ int64_t Table::compressed_bytes() const {
 // TableBuilder
 // ---------------------------------------------------------------------------
 
-/// The rows of the group being filled, one typed byte array per column
-/// (StrRefs into the group's heap for strings). NULL slots hold zero bytes
-/// (an empty string) whichever entry point staged them. Null flags exist
-/// only from a column's first NULL on. Nothing is reserved up front: a
-/// checkpoint stages a short group, and the arrays grow as rows arrive.
-struct TableBuilder::Staging {
-  struct Col {
-    std::vector<uint8_t> data;   // rows * TypeWidth(type) bytes
-    std::vector<uint8_t> nulls;  // rows flags once any_null, else empty
-    bool any_null = false;
-
-    uint8_t* Grow(size_t bytes) {
-      const size_t off = data.size();
-      data.resize(off + bytes);
-      return data.data() + off;
-    }
-    /// Turns the flags on at the column's first NULL (`rows` staged so
-    /// far, none of them NULL).
-    void MarkNullable(int64_t rows) {
-      if (any_null) return;
-      nulls.assign(static_cast<size_t>(rows), 0);
-      any_null = true;
-    }
-  };
-
-  explicit Staging(int num_cols) : cols(num_cols) {}
-
-  /// Appends live rows [from, from + n) of `v` (positions through `sel`
-  /// when non-null) to column `c`; `rows` is not advanced.
-  void AppendColumn(int c, const Vector& v, const sel_t* sel, int from,
-                    int n);
-
-  std::vector<Col> cols;
-  StringHeap heap;
-  int64_t rows = 0;
-};
-
-void TableBuilder::Staging::AppendColumn(int c, const Vector& v,
-                                         const sel_t* sel, int from, int n) {
-  Col& col = cols[c];
-  auto at = [&](int j) { return sel ? sel[from + j] : from + j; };
-  const uint8_t* vnulls = v.has_nulls() ? v.nulls() : nullptr;
-  bool null_seen = false;
-  for (int j = 0; vnulls != nullptr && j < n; j++) {
-    null_seen |= vnulls[at(j)] != 0;
-  }
-  if (null_seen) col.MarkNullable(rows);
-  if (col.any_null) {
-    const size_t off = col.nulls.size();
-    col.nulls.resize(off + n, 0);
-    for (int j = 0; null_seen && j < n; j++) {
-      col.nulls[off + j] = vnulls[at(j)] != 0 ? 1 : 0;
-    }
-  }
-  const int w = TypeWidth(v.type());
-  uint8_t* dst = col.Grow(static_cast<size_t>(n) * w);
-  if (v.type() == TypeId::kStr) {
-    const StrRef* src = v.Data<StrRef>();
-    for (int j = 0; j < n; j++) {
-      const int i = at(j);
-      StoreCell(dst + static_cast<size_t>(j) * w,
-                null_seen && vnulls[i] != 0 ? StrRef("", 0)
-                                            : heap.Add(src[i].view()));
-    }
-    return;
-  }
-  const auto* src = static_cast<const uint8_t*>(v.RawData());
-  if (sel == nullptr) {
-    std::memcpy(dst, src + static_cast<size_t>(from) * w,
-                static_cast<size_t>(n) * w);
-  } else {
-    for (int j = 0; j < n; j++) {
-      std::memcpy(dst + static_cast<size_t>(j) * w,
-                  src + static_cast<size_t>(at(j)) * w, w);
-    }
-  }
-  for (int j = 0; null_seen && j < n; j++) {
-    if (vnulls[at(j)] != 0) {
-      std::memset(dst + static_cast<size_t>(j) * w, 0, w);
-    }
-  }
-}
-
 /// A staged group while its column chunks compress (one task each), until
 /// the loading thread places it.
 struct TableBuilder::InFlight {
-  std::unique_ptr<Staging> staging;
+  std::unique_ptr<RowBuffer> staging;
   GroupMeta gm;
   std::vector<std::vector<uint8_t>> payloads;
   std::vector<std::vector<uint8_t>> null_payloads;
@@ -195,7 +106,7 @@ TableBuilder::TableBuilder(std::string name, Schema schema, Layout layout,
                                      layout, device)),
       group_rows_(group_rows > 0 ? group_rows : kBlockGroupRows),
       scheduler_(scheduler),
-      staging_(std::make_unique<Staging>(table_->schema().num_fields())) {}
+      staging_(std::make_unique<RowBuffer>(table_->schema())) {}
 
 TableBuilder::~TableBuilder() {
   // Stop the compressing group first: its tasks read the staging and
@@ -222,45 +133,8 @@ Status TableBuilder::AppendRow(const std::vector<Value>& row) {
                                      schema.field(c).name);
     }
   }
-  Staging& st = *staging_;
-  for (int c = 0; c < schema.num_fields(); c++) {
-    const TypeId type = schema.field(c).type;
-    const Value& v = row[c];
-    Staging::Col& col = st.cols[c];
-    if (v.is_null()) col.MarkNullable(st.rows);
-    if (col.any_null) col.nulls.push_back(v.is_null() ? 1 : 0);
-    uint8_t* dst = col.Grow(TypeWidth(type));
-    if (v.is_null()) {
-      if (type == TypeId::kStr) StoreCell(dst, StrRef("", 0));
-      continue;  // fixed-width NULL slots stay zero
-    }
-    switch (type) {
-      case TypeId::kBool:
-        StoreCell(dst, static_cast<uint8_t>(v.AsBool()));
-        break;
-      case TypeId::kI8:
-        StoreCell(dst, static_cast<int8_t>(v.AsI64()));
-        break;
-      case TypeId::kI16:
-        StoreCell(dst, static_cast<int16_t>(v.AsI64()));
-        break;
-      case TypeId::kI32:
-      case TypeId::kDate:
-        StoreCell(dst, static_cast<int32_t>(v.AsI64()));
-        break;
-      case TypeId::kI64:
-        StoreCell(dst, v.AsI64());
-        break;
-      case TypeId::kF64:
-        StoreCell(dst, v.AsF64());
-        break;
-      case TypeId::kStr:
-        StoreCell(dst, st.heap.Add(v.AsStr()));
-        break;
-    }
-  }
-  st.rows++;
-  if (st.rows >= group_rows_) return FlushGroup();
+  staging_->AppendValues(row);
+  if (staging_->rows() >= group_rows_) return FlushGroup();
   return Status::OK();
 }
 
@@ -286,15 +160,13 @@ Status TableBuilder::AppendBatch(const Batch& batch) {
       }
     }
   }
+  const std::vector<const Vector*> cols = batch.columns();
   for (int done = 0; done < n;) {
     const int take = static_cast<int>(
-        std::min<int64_t>(n - done, group_rows_ - staging_->rows));
-    for (int c = 0; c < schema.num_fields(); c++) {
-      staging_->AppendColumn(c, *batch.column(c), sel, done, take);
-    }
-    staging_->rows += take;
+        std::min<int64_t>(n - done, group_rows_ - staging_->rows()));
+    staging_->Append(cols, sel, done, take);
     done += take;
-    if (staging_->rows >= group_rows_) X100_RETURN_IF_ERROR(FlushGroup());
+    if (staging_->rows() >= group_rows_) X100_RETURN_IF_ERROR(FlushGroup());
   }
   return Status::OK();
 }
@@ -377,8 +249,8 @@ std::unique_ptr<TableBuilder::InFlight> TableBuilder::StartCompression() {
   const int num_cols = schema.num_fields();
   auto group = std::make_unique<InFlight>();
   group->staging = std::move(staging_);
-  staging_ = std::make_unique<Staging>(num_cols);
-  group->gm.rows = static_cast<uint32_t>(group->staging->rows);
+  staging_ = std::make_unique<RowBuffer>(schema);
+  group->gm.rows = static_cast<uint32_t>(group->staging->rows());
   group->gm.cols.resize(num_cols);
   group->payloads.resize(num_cols);
   group->null_payloads.resize(num_cols);
@@ -388,9 +260,8 @@ std::unique_ptr<TableBuilder::InFlight> TableBuilder::StartCompression() {
   InFlight* g = group.get();
   for (int c = 0; c < num_cols; c++) {
     auto compress = [g, c, type = schema.field(c).type]() {
-      const Staging::Col& col = g->staging->cols[c];
-      return CompressChunk(type, col.data.data(),
-                           col.any_null ? col.nulls.data() : nullptr,
+      return CompressChunk(type, g->staging->Col<uint8_t>(c),
+                           g->staging->Nulls(c),
                            static_cast<int>(g->gm.rows), &g->gm.cols[c],
                            &g->payloads[c], &g->null_payloads[c]);
     };
@@ -409,7 +280,7 @@ Status TableBuilder::FlushGroup() {
   // compresses.
   std::unique_ptr<InFlight> prev = std::move(in_flight_);
   if (prev != nullptr) X100_RETURN_IF_ERROR(prev->Wait());
-  if (staging_->rows > 0) in_flight_ = StartCompression();
+  if (staging_->rows() > 0) in_flight_ = StartCompression();
   return prev != nullptr ? Place(prev.get()) : Status::OK();
 }
 

@@ -34,6 +34,7 @@
 #include "storage/block_device.h"
 #include "storage/buffer_manager.h"
 #include "vector/batch.h"
+#include "vector/row_buffer.h"
 #include "vector/schema.h"
 
 namespace x100 {
@@ -135,7 +136,7 @@ class Table {
   int64_t num_rows_ = 0;
 };
 
-/// Builds a table group-by-group: stage rows column by column, compress,
+/// Builds a table group-by-group: stage rows in a RowBuffer, compress,
 /// place on device (docs/STORAGE.md, "Loading a table").
 ///
 /// With a scheduler, a full group's column chunks compress as one task
@@ -193,7 +194,6 @@ class TableBuilder {
   }
 
  private:
-  struct Staging;
   struct InFlight;
   /// Hands the staged rows to compression and places the group that was
   /// compressing before (it is awaited first).
@@ -204,7 +204,7 @@ class TableBuilder {
   std::unique_ptr<Table> table_;
   int64_t group_rows_;
   TaskScheduler* scheduler_;
-  std::unique_ptr<Staging> staging_;
+  std::unique_ptr<RowBuffer> staging_;  // the group being filled
   std::unique_ptr<InFlight> in_flight_;  // at most one compressing group
   std::vector<BlockId> blocks_written_;
   bool finished_ = false;

@@ -30,6 +30,12 @@ class Batch {
 
   Vector* column(int i) { return cols_[i].get(); }
   const Vector* column(int i) const { return cols_[i].get(); }
+  /// Every column, in schema order (what RowBuffer::Append reads).
+  std::vector<const Vector*> columns() const {
+    std::vector<const Vector*> out;
+    for (const auto& c : cols_) out.push_back(c.get());
+    return out;
+  }
 
   /// Number of physical rows filled in the vectors.
   int rows() const { return rows_; }

@@ -88,6 +88,8 @@ class Vector {
   /// Stores `v` (NULL, or a value of this vector's type) at position i;
   /// a string is copied into the heap.
   void SetValue(int i, const Value& v);
+  /// The value at position i (NULL-aware).
+  Value GetValue(int i) const;
 
   /// Copies `n` values (and null flags) from `src` starting at src_offset.
   /// Strings are re-added to this vector's heap.
@@ -110,6 +112,14 @@ class Vector {
   bool has_nulls_ = false;
   std::unique_ptr<StringHeap> heap_;
 };
+
+/// The one conversion between a Value and a cell of a typed column array
+/// (a Vector's or a RowBuffer's). Writes `v`, NULL or a value of `type`,
+/// into `cell`: a string is copied into `heap`, and NULL writes the safe
+/// value (zero bytes, or StrRef("", 0)).
+void ValueToCell(const Value& v, TypeId type, void* cell, StringHeap* heap);
+/// Reads the non-NULL `cell` of `type` as a Value.
+Value CellToValue(TypeId type, const void* cell);
 
 }  // namespace x100
 

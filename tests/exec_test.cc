@@ -528,6 +528,39 @@ TEST(HashAggTest, ManyGroupsTriggerRehash) {
   EXPECT_EQ(res->rows.size(), 2000u);
 }
 
+TEST(GroupTableTest, MergeWrapsI64SumsLikeTheKernel) {
+  // Two one-group tables whose SUM and AVG i64 accumulators overflow
+  // when added: the barrier merge wraps (two's complement), as the fold
+  // kernels do, instead of overflowing a signed add.
+  const Schema key_schema({Field("k", TypeId::kI64)});
+  const std::vector<AggKind> kinds = {AggKind::kSum, AggKind::kAvg};
+  const std::vector<TypeId> in_types = {TypeId::kI64, TypeId::kI64};
+  Vector key(TypeId::kI64, 1);
+  key.Data<int64_t>()[0] = 7;
+  const std::vector<const Vector*> keys = {&key};
+  GroupTable dst(key_schema, kinds, in_types);
+  GroupTable src(key_schema, kinds, in_types);
+  const int64_t addends[] = {INT64_MAX - 1, int64_t{1} << 62};
+  GroupTable* tables[] = {&dst, &src};
+  for (int t = 0; t < 2; t++) {
+    auto gid = tables[t]->FindOrAdd(keys, 0, /*hash=*/99);
+    ASSERT_TRUE(gid.ok());
+    ASSERT_EQ(*gid, 0u);
+    for (size_t a = 0; a < kinds.size(); a++) {
+      tables[t]->accum(a).i64[0] = addends[t];
+      tables[t]->accum(a).count[0] = 1;
+    }
+  }
+  ASSERT_TRUE(dst.MergeFrom(src).ok());
+  ASSERT_EQ(dst.num_groups(), 1);
+  const int64_t want = static_cast<int64_t>(
+      static_cast<uint64_t>(addends[0]) + static_cast<uint64_t>(addends[1]));
+  for (size_t a = 0; a < kinds.size(); a++) {
+    EXPECT_EQ(dst.accum(a).i64[0], want) << AggKindName(kinds[a]);
+    EXPECT_EQ(dst.accum(a).count[0], 2);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Sort / TopN
 // ---------------------------------------------------------------------------
@@ -1008,7 +1041,7 @@ std::vector<std::string> BatchKeys(const Batch& batch) {
   for (int i = 0; i < batch.rows(); i++) {
     std::vector<Value> row;
     for (int c = 0; c < batch.num_columns(); c++) {
-      row.push_back(CellValue(*batch.column(c), i));
+      row.push_back(batch.column(c)->GetValue(i));
     }
     keys.push_back(RowKey(row));
   }

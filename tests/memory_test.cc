@@ -26,8 +26,8 @@
 #include "common/memory_tracker.h"
 #include "engine/session.h"
 #include "exec/hash_agg.h"
-#include "exec/row_buffer.h"
 #include "storage/spill_file.h"
+#include "vector/row_buffer.h"
 
 namespace x100 {
 namespace {
@@ -154,7 +154,7 @@ TEST(RowBufferSerdeTest, RoundTripWithNullsAndStrings) {
     b.column(2)->Data<double>()[i] = i * 0.5;
   }
   b.set_rows(8);
-  buf.AppendBatch(b);
+  buf.Append(b.columns(), b.sel(), 0, b.ActiveRows());
 
   // SqlEquals is NULL != NULL by design; the round trip must preserve
   // null-ness exactly, so compare that separately.
@@ -163,7 +163,7 @@ TEST(RowBufferSerdeTest, RoundTripWithNullsAndStrings) {
   };
 
   std::vector<uint8_t> blob;
-  buf.SerializeTo(&blob);
+  buf.Serialize(nullptr, 0, buf.rows(), &blob);
   auto rt = RowBuffer::Deserialize(schema, blob.data(), blob.size());
   ASSERT_TRUE(rt.ok()) << rt.status().ToString();
   ASSERT_EQ((*rt)->rows(), 8);
@@ -177,7 +177,7 @@ TEST(RowBufferSerdeTest, RoundTripWithNullsAndStrings) {
   // Permuted slice: rows {7, 2, 4} in that order.
   std::vector<int64_t> order = {7, 2, 4};
   std::vector<uint8_t> slice;
-  buf.SerializeRowsTo(order, 0, 3, &slice);
+  buf.Serialize(order.data(), 0, 3, &slice);
   auto st = RowBuffer::Deserialize(schema, slice.data(), slice.size());
   ASSERT_TRUE(st.ok());
   ASSERT_EQ((*st)->rows(), 3);

@@ -386,6 +386,45 @@ TEST_F(PipelineTest, SkewedKeysCollapseIntoOnePartition) {
   SetRadixBits(-1);
 }
 
+TEST_F(PipelineTest, SumOfI64WrapsAtAnyRadixBitsAndWorkers) {
+  // Each group's i64 sum passes INT64_MAX once: in the partitioned fold,
+  // or in the barrier merge when the workers' partial sums are added.
+  // Both must wrap as the fold kernels do, so every run equals the sum
+  // in uint64_t arithmetic.
+  constexpr int kRows = 4000, kKeys = 8;
+  auto b = db_->CreateTable(
+      "wrap", Schema({Field("k", TypeId::kI64), Field("v", TypeId::kI64)}),
+      Layout::kDsm, 64);
+  std::vector<uint64_t> want(kKeys, 0);
+  for (int i = 0; i < kRows; i++) {
+    const int64_t v = INT64_MAX / 300 + int64_t{7919} * i;
+    ASSERT_TRUE(b->AppendRow({Value::I64(i % kKeys), Value::I64(v)}).ok());
+    want[i % kKeys] += static_cast<uint64_t>(v);
+  }
+  auto t = b->Finish();
+  ASSERT_TRUE(t.ok());
+  ASSERT_TRUE(db_->RegisterTable(std::move(t).value()).ok());
+  for (int bits : {0, 3}) {
+    for (int workers : {1, 4}) {
+      SetWorkers(workers);
+      SetRadixBits(bits);
+      const std::string what = "radix_bits=" + std::to_string(bits) +
+                               " workers=" + std::to_string(workers);
+      auto res = session_->ExecuteSql(
+          "SELECT k, SUM(v) AS s FROM wrap GROUP BY k ORDER BY k");
+      ASSERT_TRUE(res.ok()) << what << ": " << res.status().ToString();
+      ASSERT_EQ(res->rows.size(), static_cast<size_t>(kKeys)) << what;
+      for (int k = 0; k < kKeys; k++) {
+        EXPECT_EQ(res->rows[k][0].AsI64(), k) << what;
+        EXPECT_EQ(res->rows[k][1].AsI64(), static_cast<int64_t>(want[k]))
+            << what << " k=" << k;
+      }
+    }
+  }
+  SetWorkers(0);
+  SetRadixBits(-1);
+}
+
 TEST_F(PipelineTest, PartitionCountVsWorkerCountMismatch) {
   // More partitions than workers (16 vs 2) and fewer partitions than
   // workers (2 vs 8): the merge fan-out must cover every partition
