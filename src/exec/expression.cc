@@ -1,5 +1,6 @@
 #include "exec/expression.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "simd/simd_kernels.h"
@@ -9,46 +10,16 @@ namespace x100 {
 namespace {
 
 /// Fills a register with a constant (broadcast), used when no val-shaped
-/// kernel exists for an argument position.
+/// kernel exists for an argument position. The constant is written once
+/// (ValueToCell) and its cell's bytes are copied to every other slot, so
+/// a string is one heap copy that every slot shares.
 void BroadcastConst(const Value& v, int n, Vector* out) {
-  switch (out->type()) {
-    case TypeId::kBool: {
-      uint8_t* d = out->Data<uint8_t>();
-      std::memset(d, v.AsBool() ? 1 : 0, n);
-      break;
-    }
-    case TypeId::kI8: {
-      int8_t* d = out->Data<int8_t>();
-      std::fill(d, d + n, static_cast<int8_t>(v.AsI64()));
-      break;
-    }
-    case TypeId::kI16: {
-      int16_t* d = out->Data<int16_t>();
-      std::fill(d, d + n, static_cast<int16_t>(v.AsI64()));
-      break;
-    }
-    case TypeId::kI32:
-    case TypeId::kDate: {
-      int32_t* d = out->Data<int32_t>();
-      std::fill(d, d + n, static_cast<int32_t>(v.AsI64()));
-      break;
-    }
-    case TypeId::kI64: {
-      int64_t* d = out->Data<int64_t>();
-      std::fill(d, d + n, v.AsI64());
-      break;
-    }
-    case TypeId::kF64: {
-      double* d = out->Data<double>();
-      std::fill(d, d + n, v.AsF64());
-      break;
-    }
-    case TypeId::kStr: {
-      StrRef* d = out->Data<StrRef>();
-      const StrRef r = out->heap()->Add(v.AsStr());
-      std::fill(d, d + n, r);
-      break;
-    }
+  if (n <= 0) return;
+  auto* d = static_cast<uint8_t*>(out->RawData());
+  ValueToCell(v, out->type(), d, out->heap());
+  const size_t total = static_cast<size_t>(n) * TypeWidth(out->type());
+  for (size_t done = TypeWidth(out->type()); done < total; done *= 2) {
+    std::memcpy(d + done, d, std::min(done, total - done));
   }
 }
 

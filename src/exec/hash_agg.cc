@@ -2,7 +2,6 @@
 
 #include <chrono>
 
-#include "common/bitutil.h"
 #include "common/hash.h"
 #include "common/pod_serde.h"
 #include "common/task_scheduler.h"
@@ -12,29 +11,11 @@ namespace x100 {
 
 namespace {
 
-/// Typed equality of one cell between two row buffers (group merge).
-bool CellsEqual(const RowBuffer& a, int col, int64_t ra, const RowBuffer& b,
-                int64_t rb) {
-  const bool an = a.IsNull(col, ra), bn = b.IsNull(col, rb);
-  if (an || bn) return an == bn;
-  switch (a.schema().field(col).type) {
-    case TypeId::kBool:
-      return a.Col<uint8_t>(col)[ra] == b.Col<uint8_t>(col)[rb];
-    case TypeId::kI8:
-      return a.Col<int8_t>(col)[ra] == b.Col<int8_t>(col)[rb];
-    case TypeId::kI16:
-      return a.Col<int16_t>(col)[ra] == b.Col<int16_t>(col)[rb];
-    case TypeId::kI32:
-    case TypeId::kDate:
-      return a.Col<int32_t>(col)[ra] == b.Col<int32_t>(col)[rb];
-    case TypeId::kI64:
-      return a.Col<int64_t>(col)[ra] == b.Col<int64_t>(col)[rb];
-    case TypeId::kF64:
-      return a.Col<double>(col)[ra] == b.Col<double>(col)[rb];
-    case TypeId::kStr:
-      return a.Col<StrRef>(col)[ra] == b.Col<StrRef>(col)[rb];
-  }
-  return false;
+/// Every column of `schema`: a group table's keys are its whole rows.
+std::vector<int> AllColumns(const Schema& schema) {
+  std::vector<int> cols(schema.num_fields());
+  for (int c = 0; c < schema.num_fields(); c++) cols[c] = c;
+  return cols;
 }
 
 }  // namespace
@@ -45,101 +26,37 @@ bool CellsEqual(const RowBuffer& a, int col, int64_t ra, const RowBuffer& b,
 
 GroupTable::GroupTable(const Schema& key_schema, std::vector<AggKind> kinds,
                        std::vector<TypeId> in_types)
-    : kinds_(std::move(kinds)) {
-  keys_ = std::make_unique<RowBuffer>(key_schema);
-  buckets_.assign(1024, -1);
-  bucket_mask_ = buckets_.size() - 1;
+    : kinds_(std::move(kinds)), keys_(key_schema, AllColumns(key_schema)) {
+  keys_.BuildIndex();
   accums_.resize(kinds_.size());
   for (size_t a = 0; a < accums_.size(); a++) {
     accums_[a].in_type = in_types[a];
   }
 }
 
-Result<uint32_t> GroupTable::FinishNewGroup(uint64_t hash) {
-  const int64_t gid = keys_->rows() - 1;  // key row appended by the caller
+Result<uint32_t> GroupTable::FinishNewGroup() {
+  const int64_t gid = keys_.size() - 1;  // key row appended by the caller
   if (gid >= static_cast<int64_t>(UINT32_MAX)) {
     return Status::ResourceExhausted("too many groups");
   }
-  key_hashes_.push_back(hash);
-  chain_.push_back(buckets_[hash & bucket_mask_]);
-  buckets_[hash & bucket_mask_] = gid;
   for (Accum& a : accums_) {
     a.i64.push_back(0);
     a.f64.push_back(0);
     a.count.push_back(0);
-  }
-  // Rehash when load factor exceeds ~0.7.
-  if (keys_->rows() * 10 > static_cast<int64_t>(buckets_.size()) * 7) {
-    buckets_.assign(buckets_.size() * 2, -1);
-    bucket_mask_ = buckets_.size() - 1;
-    for (int64_t r = 0; r < keys_->rows(); r++) {
-      const uint64_t slot = key_hashes_[r] & bucket_mask_;
-      chain_[r] = buckets_[slot];
-      buckets_[slot] = r;
-    }
   }
   return static_cast<uint32_t>(gid);
 }
 
 Result<uint32_t> GroupTable::FindOrAdd(
     const std::vector<const Vector*>& key_vecs, int row, uint64_t hash) {
-  int64_t node = buckets_[hash & bucket_mask_];
-  while (node >= 0) {
-    if (key_hashes_[node] == hash) {
-      bool eq = true;
-      for (size_t k = 0; k < key_vecs.size() && eq; k++) {
-        const Vector* v = key_vecs[k];
-        const bool in_null = v->IsNull(row);
-        const bool g_null = keys_->IsNull(static_cast<int>(k), node);
-        if (in_null != g_null) {
-          eq = false;
-        } else if (!in_null) {
-          // Typed equality against the stored key.
-          switch (v->type()) {
-            case TypeId::kBool:
-              eq = v->Data<uint8_t>()[row] ==
-                   keys_->Col<uint8_t>(static_cast<int>(k))[node];
-              break;
-            case TypeId::kI8:
-              eq = v->Data<int8_t>()[row] ==
-                   keys_->Col<int8_t>(static_cast<int>(k))[node];
-              break;
-            case TypeId::kI16:
-              eq = v->Data<int16_t>()[row] ==
-                   keys_->Col<int16_t>(static_cast<int>(k))[node];
-              break;
-            case TypeId::kI32:
-            case TypeId::kDate:
-              eq = v->Data<int32_t>()[row] ==
-                   keys_->Col<int32_t>(static_cast<int>(k))[node];
-              break;
-            case TypeId::kI64:
-              eq = v->Data<int64_t>()[row] ==
-                   keys_->Col<int64_t>(static_cast<int>(k))[node];
-              break;
-            case TypeId::kF64:
-              eq = v->Data<double>()[row] ==
-                   keys_->Col<double>(static_cast<int>(k))[node];
-              break;
-            case TypeId::kStr:
-              eq = v->Data<StrRef>()[row] ==
-                   keys_->Col<StrRef>(static_cast<int>(k))[node];
-              break;
-          }
-        }
-      }
-      if (eq) return static_cast<uint32_t>(node);
-    }
-    node = chain_[node];
-  }
-  keys_->Append(key_vecs, nullptr, row, 1);
-  return FinishNewGroup(hash);
+  const int64_t g = keys_.Find(keys_.Head(hash), hash, key_vecs, row);
+  if (g >= 0) return static_cast<uint32_t>(g);
+  keys_.Append(key_vecs, nullptr, row, 1, &hash);
+  return FinishNewGroup();
 }
 
 size_t GroupTable::MemoryBytes() const {
-  size_t b = keys_->MemoryBytes();
-  b += (buckets_.capacity() + chain_.capacity()) * sizeof(int64_t);
-  b += key_hashes_.capacity() * sizeof(uint64_t);
+  size_t b = keys_.MemoryBytes();
   for (const Accum& a : accums_) {
     b += a.i64.capacity() * sizeof(int64_t) +
          a.f64.capacity() * sizeof(double) +
@@ -149,13 +66,11 @@ size_t GroupTable::MemoryBytes() const {
 }
 
 void GroupTable::SerializeTo(std::vector<uint8_t>* out) const {
-  // [u64 keys blob size][keys RowBuffer][hashes][per accum: i64/f64/count].
-  // The open-addressed index is rebuilt on reload — hashes are enough.
+  // [u64 keys blob size][keys HashTable blob][per accum: i64/f64/count].
   std::vector<uint8_t> keys_blob;
-  keys_->Serialize(nullptr, 0, keys_->rows(), &keys_blob);
+  keys_.Serialize(0, keys_.size(), &keys_blob);
   serde::AppendPod<uint64_t>(out, keys_blob.size());
   out->insert(out->end(), keys_blob.begin(), keys_blob.end());
-  serde::AppendPodVec(out, key_hashes_);
   for (const Accum& a : accums_) {
     serde::AppendPodVec(out, a.i64);
     serde::AppendPodVec(out, a.f64);
@@ -176,54 +91,31 @@ Result<std::unique_ptr<GroupTable>> GroupTable::Deserialize(
   }
   auto t = std::make_unique<GroupTable>(key_schema, std::move(kinds),
                                         std::move(in_types));
-  auto keys = RowBuffer::Deserialize(key_schema, keys_blob,
-                                     static_cast<size_t>(keys_bytes));
-  X100_RETURN_IF_ERROR(keys.status());
-  t->keys_ = std::move(keys).value();
-  const size_t n = static_cast<size_t>(t->keys_->rows());
-  if (!in.TakePodVec(n, &t->key_hashes_)) return corrupt;
+  X100_RETURN_IF_ERROR(t->keys_.AppendSerialized(
+      keys_blob, static_cast<size_t>(keys_bytes)));
+  const size_t n = static_cast<size_t>(t->keys_.size());
   for (Accum& a : t->accums_) {
     if (!in.TakePodVec(n, &a.i64) || !in.TakePodVec(n, &a.f64) ||
         !in.TakePodVec(n, &a.count)) {
       return corrupt;
     }
   }
-  // Rebuild the index so the reloaded table is fully functional (MergeFrom
-  // sources only need keys/hashes/accums, but a valid table is cheap).
-  t->buckets_.assign(std::max<size_t>(1024, NextPow2(n * 2)), -1);
-  t->bucket_mask_ = t->buckets_.size() - 1;
-  t->chain_.resize(n);
-  for (size_t r = 0; r < n; r++) {
-    const uint64_t slot = t->key_hashes_[r] & t->bucket_mask_;
-    t->chain_[r] = t->buckets_[slot];
-    t->buckets_[slot] = static_cast<int64_t>(r);
-  }
   return t;
 }
 
 void GroupTable::EnsureGlobalGroup() {
-  if (keys_->rows() > 0) return;
-  keys_->Append({}, nullptr, 0, 1);
-  (void)FinishNewGroup(0);
+  if (keys_.size() > 0) return;
+  const uint64_t hash = 0;
+  keys_.Append({}, nullptr, 0, 1, &hash);
+  (void)FinishNewGroup();
 }
 
 Status GroupTable::MergeFrom(const GroupTable& src) {
   for (int64_t g = 0; g < src.num_groups(); g++) {
-    const uint64_t h = src.key_hashes_[g];
-    int64_t node = buckets_[h & bucket_mask_];
-    while (node >= 0) {
-      if (key_hashes_[node] == h) {
-        bool eq = true;
-        for (int k = 0; k < keys_->schema().num_fields() && eq; k++) {
-          eq = CellsEqual(*keys_, k, node, *src.keys_, g);
-        }
-        if (eq) break;
-      }
-      node = chain_[node];
-    }
+    int64_t node = keys_.Find(src.keys_, g);
     if (node < 0) {
-      keys_->AppendFrom(*src.keys_, &g, 1);
-      auto gid = FinishNewGroup(h);
+      keys_.AppendFrom(src.keys_, &g, 1);
+      auto gid = FinishNewGroup();
       X100_RETURN_IF_ERROR(gid.status());
       node = *gid;
     }
@@ -562,11 +454,11 @@ Result<Batch*> EmitGroupBatch(GroupTable* t,
   out->Reset();
   const int n = static_cast<int>(
       std::min<int64_t>(vector_size, t->num_groups() - *emit_pos));
+  for (int k = 0; k < nkeys; k++) {
+    t->keys().Gather(k, nullptr, *emit_pos, n, out->column(k), 0);
+  }
   for (int j = 0; j < n; j++) {
     const int64_t g = *emit_pos + j;
-    for (int k = 0; k < nkeys; k++) {
-      t->keys().GatherCell(k, g, out->column(k), j);
-    }
     for (size_t a = 0; a < aggs.size(); a++) {
       Vector* dst = out->column(nkeys + static_cast<int>(a));
       const GroupTable::Accum& acc = t->accum(a);

@@ -1,7 +1,7 @@
 // Hash group-by aggregation: the pipeline sink for every Aggr node.
 //
 // The machinery is split so the pipeline executor can reuse it:
-//  * GroupTable      — open-addressed group store (key rows + accumulator
+//  * GroupTable      — group store (key rows in a HashTable + accumulator
 //                      arrays) with an aggregate-aware MergeFrom, the
 //                      barrier operation of parallel aggregation.
 //  * AggWorkerState  — one worker chain's thread-local state: compiled
@@ -30,10 +30,10 @@
 
 #include "common/memory_tracker.h"
 #include "exec/expression.h"
+#include "exec/hash_table.h"
 #include "exec/operator.h"
 #include "exec/select_project.h"
 #include "primitives/agg_kernels.h"
-#include "simd/prefetch.h"
 #include "storage/spill_file.h"
 #include "vector/row_buffer.h"
 
@@ -46,9 +46,9 @@ struct AggItem {
   std::string name;
 };
 
-/// Group store: key rows + open-addressed index + one accumulator set per
-/// aggregate. Single-writer; parallel aggregation gives each worker its
-/// own table and merges them at the barrier.
+/// Group store: key rows in a HashTable (group id = row id) + one
+/// accumulator set per aggregate. Single-writer; parallel aggregation
+/// gives each worker its own table and merges them at the barrier.
 class GroupTable {
  public:
   /// Accumulators for one aggregate: i64/f64 running values plus the
@@ -72,9 +72,7 @@ class GroupTable {
   /// Hints the bucket head for `hash` into cache. The whole vector's
   /// hashes are known before the FindOrAdd loop runs, so the lookup for
   /// row j can overlap the memory latency of row j + kPrefetchDistance.
-  void PrefetchBucket(uint64_t hash) const {
-    if (!buckets_.empty()) PrefetchRead(&buckets_[hash & bucket_mask_]);
-  }
+  void PrefetchBucket(uint64_t hash) const { keys_.PrefetchBucket(hash); }
 
   /// Materializes the single group of a keyless aggregation so an empty
   /// input still yields one output row.
@@ -85,33 +83,29 @@ class GroupTable {
   /// add, MIN/MAX compare). `src` must share this table's construction.
   Status MergeFrom(const GroupTable& src);
 
-  int64_t num_groups() const { return keys_->rows(); }
-  const RowBuffer& keys() const { return *keys_; }
+  int64_t num_groups() const { return keys_.size(); }
+  const RowBuffer& keys() const { return keys_.rows(); }
   Accum& accum(size_t a) { return accums_[a]; }
   const Accum& accum(size_t a) const { return accums_[a]; }
 
   /// Footprint for memory accounting: key rows, index, accumulators.
   size_t MemoryBytes() const;
 
-  /// Spill serialization: key rows + hashes + accumulator arrays (the
-  /// index is rebuilt on reload). kinds/in_types are NOT serialized —
-  /// the reloader constructs the table and merges it back via MergeFrom.
+  /// Spill serialization: the key table's (rows + hashes) + accumulator
+  /// arrays; a reload indexes the keys as they arrive. kinds/in_types are
+  /// NOT serialized — the reloader constructs the table and merges it
+  /// back via MergeFrom.
   void SerializeTo(std::vector<uint8_t>* out) const;
   static Result<std::unique_ptr<GroupTable>> Deserialize(
       const Schema& key_schema, std::vector<AggKind> kinds,
       std::vector<TypeId> in_types, const uint8_t* data, size_t size);
 
  private:
-  /// Appends a group row (already added to keys_) to the index +
-  /// accumulators; rehashes at ~0.7 load factor.
-  Result<uint32_t> FinishNewGroup(uint64_t hash);
+  /// Gives the key row just appended its accumulators.
+  Result<uint32_t> FinishNewGroup();
 
   std::vector<AggKind> kinds_;
-  std::unique_ptr<RowBuffer> keys_;
-  std::vector<int64_t> buckets_;
-  std::vector<int64_t> chain_;
-  std::vector<uint64_t> key_hashes_;
-  uint64_t bucket_mask_ = 0;
+  HashTable keys_;
   std::vector<Accum> accums_;
 };
 

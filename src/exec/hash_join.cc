@@ -4,8 +4,6 @@
 #include <atomic>
 #include <chrono>
 
-#include "common/bitutil.h"
-#include "common/pod_serde.h"
 #include "common/task_scheduler.h"
 #include "primitives/hash_kernels.h"
 #include "storage/buffer_manager.h"
@@ -24,42 +22,24 @@ inline int64_t NowNs() {
 /// whole probe partition.
 constexpr int64_t kProbeSpillChunkRows = 4096;
 
-/// Spill blob for one join-build partition chunk:
-/// [i64 nrows][nrows u64 key hashes][RowBuffer serialization]. Hashes ride
-/// along so the reload never re-evaluates key expressions — build and
-/// probe stay bit-for-bit agreed on partition assignment and bucket index.
-std::vector<uint8_t> SerializeBuildChunk(const RowBuffer& rows,
-                                         const std::vector<uint64_t>& hashes) {
-  std::vector<uint8_t> blob;
-  serde::AppendPod<int64_t>(&blob, rows.rows());
-  serde::AppendPodVec(&blob, hashes);
-  rows.Serialize(nullptr, 0, rows.rows(), &blob);
-  return blob;
-}
-
-/// Writes `rows`+`hashes` as build chunks of at most kProbeSpillChunkRows
-/// rows each, appended to `out`. Slicing bounds the transient
-/// serialization blob: the merge-time defer sites run at the exact
-/// moment the memory budget is exhausted, so a whole-partition blob
-/// there would spike the REAL footprint past what the tracker reports.
-/// Returns the bytes written; on a failed write the chunks already
-/// placed stay in `out` (their blocks are owned and freed with it).
-Result<int64_t> WriteBuildChunks(const RowBuffer& rows,
-                                 const std::vector<uint64_t>& hashes,
-                                 SpillDevice* device,
+/// Writes `table` as build chunks (HashTable::Serialize blobs) of at
+/// most kProbeSpillChunkRows rows each, appended to `out`. Slicing bounds
+/// the transient serialization blob: the merge-time defer sites run at
+/// the exact moment the memory budget is exhausted, so a whole-partition
+/// blob there would spike the REAL footprint past what the tracker
+/// reports. Returns the bytes written; on a failed write the chunks
+/// already placed stay in `out` (their blocks are owned and freed with
+/// it).
+Result<int64_t> WriteBuildChunks(const HashTable& table, SpillDevice* device,
                                  std::vector<SpillFile>* out,
                                  int64_t* chunks_out) {
   int64_t bytes = 0;
-  for (int64_t begin = 0; begin < rows.rows();
+  for (int64_t begin = 0; begin < table.size();
        begin += kProbeSpillChunkRows) {
     const int64_t end =
-        std::min<int64_t>(rows.rows(), begin + kProbeSpillChunkRows);
+        std::min<int64_t>(table.size(), begin + kProbeSpillChunkRows);
     std::vector<uint8_t> blob;
-    serde::AppendPod<int64_t>(&blob, end - begin);
-    const auto* h = reinterpret_cast<const uint8_t*>(hashes.data());
-    blob.insert(blob.end(), h + begin * sizeof(uint64_t),
-                h + end * sizeof(uint64_t));
-    rows.Serialize(nullptr, begin, end, &blob);
+    table.Serialize(begin, end, &blob);
     SpillFile file;
     X100_ASSIGN_OR_RETURN(file, SpillFile::Write(device, blob));
     bytes += file.bytes();
@@ -67,45 +47,6 @@ Result<int64_t> WriteBuildChunks(const RowBuffer& rows,
     out->push_back(std::move(file));
   }
   return bytes;
-}
-
-/// Appends a reloaded chunk to `rows_out`/`hashes_out`.
-Status AppendBuildChunk(const Schema& schema,
-                        const std::vector<uint8_t>& blob, RowBuffer* rows_out,
-                        std::vector<uint64_t>* hashes_out) {
-  const Status corrupt =
-      Status::IoError("corrupt join spill chunk: truncated blob");
-  serde::Reader in{blob.data(), blob.size()};
-  int64_t n;
-  std::vector<uint64_t> hashes;
-  if (!in.TakePod(&n) || n < 0 ||
-      !in.TakePodVec(static_cast<size_t>(n), &hashes)) {
-    return corrupt;
-  }
-  std::unique_ptr<RowBuffer> rb;
-  X100_ASSIGN_OR_RETURN(
-      rb, RowBuffer::Deserialize(schema, blob.data() + in.pos,
-                                 in.remaining()));
-  if (rb->rows() != n) {
-    return Status::IoError("corrupt join spill chunk: row count mismatch");
-  }
-  hashes_out->insert(hashes_out->end(), hashes.begin(), hashes.end());
-  rows_out->AppendFrom(*rb);
-  return Status::OK();
-}
-
-/// The one bucket-table sizing rule: IndexPartition allocates with it
-/// and IndexBytes estimates with it, so merge-time admission and
-/// settle-time actuals can never drift apart on the index size.
-uint64_t JoinBucketCount(int64_t n) {
-  return std::max<uint64_t>(16, NextPow2(n * 2));
-}
-
-/// Resident footprint of a chained hash index over n rows (buckets +
-/// next chain + kept hashes), for merge-time admission estimates.
-int64_t IndexBytes(int64_t n) {
-  return (static_cast<int64_t>(JoinBucketCount(n)) + 2 * n) *
-         static_cast<int64_t>(sizeof(int64_t));
 }
 }  // namespace
 
@@ -149,29 +90,12 @@ JoinBuildState::JoinBuildState(std::vector<OperatorPtr> chains,
   build_schema_ = chains_.front()->output_schema();
 }
 
-/// Resets a partition to the empty-but-probeable deferred shape: no
-/// resident rows or charge, and a one-slot empty bucket table so a stray
-/// Head() misses instead of faulting. Shared by the two merge-time defer
-/// sites and the pair-phase release.
-static void ResetPartitionToDeferred(JoinBuildState::Partition* part) {
-  part->rows.reset();
-  std::vector<uint64_t>().swap(part->hashes);
-  std::vector<int64_t>().swap(part->next);
-  part->buckets.assign(1, -1);
-  part->bucket_mask = 0;
+/// Shared by the two merge-time defer sites and the pair-phase release:
+/// no resident rows or charge, and an empty indexed table.
+void JoinBuildState::ResetToDeferred(Partition* part) const {
+  part->table = NewTable();
+  part->table->BuildIndex();
   part->mem.ReleaseAll();
-}
-
-void JoinBuildState::IndexPartition(Partition* part) {
-  const int64_t n = part->rows->rows();
-  part->buckets.assign(JoinBucketCount(n), -1);
-  part->bucket_mask = part->buckets.size() - 1;
-  part->next.assign(n, -1);
-  for (int64_t r = 0; r < n; r++) {
-    const uint64_t slot = part->hashes[r] & part->bucket_mask;
-    part->next[r] = part->buckets[slot];
-    part->buckets[slot] = r;
-  }
 }
 
 Status JoinBuildState::Build(ExecContext* ctx) {
@@ -187,8 +111,7 @@ Status JoinBuildState::Build(ExecContext* ctx) {
   // hashes only reach a few partitions (or a tiny build the planner
   // could not predict) pays nothing for the empty ones.
   struct WorkerPartial {
-    std::vector<std::unique_ptr<RowBuffer>> rows;    // one per partition
-    std::vector<std::vector<uint64_t>> hashes;       // parallel to rows
+    std::vector<std::unique_ptr<HashTable>> tables;  // one per partition
     bool saw_null_key = false;
     MemoryReservation reserv;  // tracks this worker's partial footprint
     int64_t spill_bytes = 0, spill_chunks = 0, spill_rows = 0;
@@ -216,17 +139,14 @@ Status JoinBuildState::Build(ExecContext* ctx) {
       [this, &partials, ctx, P](int w, TaskGroup& group) -> Status {
         X100_RETURN_IF_ERROR(group.CheckCancel());
         WorkerPartial& part = partials[w];
-        part.rows.resize(P);
-        part.hashes.resize(P);
+        part.tables.resize(P);
         part.reserv.Init(ctx->memory);
         auto footprint = [&part, P]() {
           int64_t b = 0;
           for (int p = 0; p < P; p++) {
-            if (part.rows[p] != nullptr) {
-              b += static_cast<int64_t>(part.rows[p]->MemoryBytes());
+            if (part.tables[p] != nullptr) {
+              b += static_cast<int64_t>(part.tables[p]->MemoryBytes());
             }
-            b += static_cast<int64_t>(part.hashes[p].capacity() *
-                                      sizeof(uint64_t));
           }
           return b;
         };
@@ -241,11 +161,10 @@ Status JoinBuildState::Build(ExecContext* ctx) {
           size_t best = 0;
           size_t spillable = 0;
           for (int p = 0; p < P; p++) {
-            if (part.rows[p] == nullptr || part.rows[p]->rows() == 0) {
+            if (part.tables[p] == nullptr || part.tables[p]->size() == 0) {
               continue;
             }
-            const size_t b = part.rows[p]->MemoryBytes() +
-                             part.hashes[p].capacity() * sizeof(uint64_t);
+            const size_t b = part.tables[p]->MemoryBytes();
             spillable += b;
             if (victim < 0 || b > best) {
               best = b;
@@ -256,9 +175,9 @@ Status JoinBuildState::Build(ExecContext* ctx) {
               spillable < static_cast<size_t>(kMinSpillBytes)) {
             return int64_t{0};
           }
-          const int64_t victim_rows = part.rows[victim]->rows();
-          const std::vector<uint8_t> blob =
-              SerializeBuildChunk(*part.rows[victim], part.hashes[victim]);
+          const int64_t victim_rows = part.tables[victim]->size();
+          std::vector<uint8_t> blob;
+          part.tables[victim]->Serialize(0, victim_rows, &blob);
           SpillFile file;
           X100_ASSIGN_OR_RETURN(file,
                                 SpillFile::Write(ctx->spill_device, blob));
@@ -271,8 +190,7 @@ Status JoinBuildState::Build(ExecContext* ctx) {
             spilled_rows_[victim] += victim_rows;
             spilled_bytes_[victim] += static_cast<int64_t>(blob.size());
           }
-          part.rows[victim].reset();
-          std::vector<uint64_t>().swap(part.hashes[victim]);
+          part.tables[victim].reset();
           return static_cast<int64_t>(best);
         };
         auto ensure = [&]() -> Status {
@@ -317,13 +235,10 @@ Status JoinBuildState::Build(ExecContext* ctx) {
           const std::vector<const Vector*> cols = batch.columns();
           for (size_t p : groups.touched()) {
             const auto& g = groups.group(p);
-            if (part.rows[p] == nullptr) {
-              part.rows[p] = std::make_unique<RowBuffer>(build_schema_);
-            }
-            part.rows[p]->Append(cols, g.pos.data(), 0,
-                                 static_cast<int>(g.pos.size()));
-            part.hashes[p].insert(part.hashes[p].end(), g.tag.begin(),
-                                  g.tag.end());
+            if (part.tables[p] == nullptr) part.tables[p] = NewTable();
+            part.tables[p]->Append(cols, g.pos.data(), 0,
+                                   static_cast<int>(g.pos.size()),
+                                   g.tag.data());
           }
           s = ensure();
         }
@@ -354,8 +269,8 @@ Status JoinBuildState::Build(ExecContext* ctx) {
   // disk round trip.
   int64_t observed = 0;
   for (const WorkerPartial& wp : partials) {
-    for (int p = 0; p < P; p++) {
-      observed += static_cast<int64_t>(wp.hashes[p].size());
+    for (const auto& t : wp.tables) {
+      if (t != nullptr) observed += t->size();
     }
   }
   for (int p = 0; p < P; p++) observed += spilled_rows_[p];
@@ -368,18 +283,11 @@ Status JoinBuildState::Build(ExecContext* ctx) {
     // partition q's buffers live at index q, which aliases NEW partition
     // q (a child of old partition q >> d) — splitting in place would
     // have task 0 writing child slots that still hold task 1's source.
-    struct OldPartial {
-      std::vector<std::unique_ptr<RowBuffer>> rows;
-      std::vector<std::vector<uint64_t>> hashes;
-    };
-    std::vector<OldPartial> old_partials(W);
+    std::vector<std::vector<std::unique_ptr<HashTable>>> old_tables(W);
     for (int w = 0; w < W; w++) {
-      old_partials[w].rows = std::move(partials[w].rows);
-      old_partials[w].hashes = std::move(partials[w].hashes);
-      partials[w].rows.clear();
-      partials[w].rows.resize(P2);
-      partials[w].hashes.clear();
-      partials[w].hashes.resize(P2);
+      old_tables[w] = std::move(partials[w].tables);
+      partials[w].tables.clear();
+      partials[w].tables.resize(P2);
     }
     std::vector<std::vector<SpillFile>> old_spilled = std::move(spilled_);
     spilled_.clear();
@@ -390,7 +298,7 @@ Status JoinBuildState::Build(ExecContext* ctx) {
     radix_bits_ = new_bits;  // PartitionOf now routes at the new width
     X100_RETURN_IF_ERROR(RunPipelineTasks(
         sched, ctx->quota, ctx->cancel, P,
-        [this, &partials, &old_partials, &old_spilled, ctx, observed,
+        [this, &partials, &old_tables, &old_spilled, ctx, observed,
          old_bits, new_bits](int q, TaskGroup& group) -> Status {
           X100_RETURN_IF_ERROR(group.CheckCancel());
           const int64_t t0 = NowNs();
@@ -417,49 +325,36 @@ Status JoinBuildState::Build(ExecContext* ctx) {
           };
           const int d = new_bits - old_bits;
           const size_t first_child = static_cast<size_t>(q) << d;
-          // Appends src's rows to the child partitions' buffers
-          // (out_rows[c] for child first_child + c), grouped a chunk of
-          // rows at a time so the routing scratch stays small.
+          // Appends src's rows to the child partitions' tables
+          // (out[c] for child first_child + c), grouped a chunk of rows at
+          // a time so the routing scratch stays small.
           RadixGroups<int64_t, uint64_t> groups(size_t{1} << d);
-          auto split = [&](const RowBuffer& src,
-                           const std::vector<uint64_t>& hashes,
-                           std::unique_ptr<RowBuffer>* out_rows,
-                           std::vector<uint64_t>* out_hashes) {
-            for (int64_t begin = 0; begin < src.rows();
+          auto split = [&](const HashTable& src,
+                           std::unique_ptr<HashTable>* out) {
+            for (int64_t begin = 0; begin < src.size();
                  begin += kProbeSpillChunkRows) {
               const int64_t end =
-                  std::min(src.rows(), begin + kProbeSpillChunkRows);
+                  std::min(src.size(), begin + kProbeSpillChunkRows);
               groups.Clear();
               for (int64_t r = begin; r < end; r++) {
-                groups.Add(PartitionOf(hashes[r]) - first_child, r,
-                           hashes[r]);
+                groups.Add(PartitionOf(src.hash(r)) - first_child, r,
+                           src.hash(r));
               }
               for (size_t c : groups.touched()) {
                 const auto& g = groups.group(c);
-                if (out_rows[c] == nullptr) {
-                  out_rows[c] = std::make_unique<RowBuffer>(build_schema_);
-                }
-                out_rows[c]->AppendFrom(src, g.pos.data(),
-                                        static_cast<int64_t>(g.pos.size()));
-                out_hashes[c].insert(out_hashes[c].end(), g.tag.begin(),
-                                     g.tag.end());
+                if (out[c] == nullptr) out[c] = NewTable();
+                out[c]->AppendFrom(src, g.pos.data(),
+                                   static_cast<int64_t>(g.pos.size()));
               }
             }
           };
           int64_t moved = 0;
-          for (size_t w = 0; w < old_partials.size(); w++) {
-            std::unique_ptr<RowBuffer> src =
-                std::move(old_partials[w].rows[q]);
-            std::vector<uint64_t> src_hashes;
-            src_hashes.swap(old_partials[w].hashes[q]);
+          for (size_t w = 0; w < old_tables.size(); w++) {
+            const std::unique_ptr<HashTable> src = std::move(old_tables[w][q]);
             if (src == nullptr) continue;
-            charge(static_cast<int64_t>(src->MemoryBytes()) * 2 +
-                   static_cast<int64_t>(src_hashes.capacity() *
-                                        sizeof(uint64_t)));
-            WorkerPartial& wp = partials[w];
-            split(*src, src_hashes, &wp.rows[first_child],
-                  &wp.hashes[first_child]);
-            moved += src->rows();
+            charge(static_cast<int64_t>(src->MemoryBytes()) * 2);
+            split(*src, &partials[w].tables[first_child]);
+            moved += src->size();
           }
           // Spilled chunks of q split through one reload: each child
           // slice is rewritten as its own chunk and the parent chunk is
@@ -468,26 +363,24 @@ Status JoinBuildState::Build(ExecContext* ctx) {
             std::vector<uint8_t> blob;
             X100_ASSIGN_OR_RETURN(blob, chunk.ReadAll(ctx->cancel));
             charge(static_cast<int64_t>(blob.size()) * 3);
-            RowBuffer rows(build_schema_);
-            std::vector<uint64_t> hashes;
+            HashTable reloaded(build_schema_, build_keys_);
             X100_RETURN_IF_ERROR(
-                AppendBuildChunk(build_schema_, blob, &rows, &hashes));
-            std::vector<std::unique_ptr<RowBuffer>> children(size_t{1} << d);
-            std::vector<std::vector<uint64_t>> child_hashes(size_t{1} << d);
-            split(rows, hashes, children.data(), child_hashes.data());
+                reloaded.AppendSerialized(blob.data(), blob.size()));
+            std::vector<std::unique_ptr<HashTable>> children(size_t{1} << d);
+            split(reloaded, children.data());
             for (size_t c = 0; c < children.size(); c++) {
               if (children[c] == nullptr) continue;
-              const std::vector<uint8_t> child_blob =
-                  SerializeBuildChunk(*children[c], child_hashes[c]);
+              std::vector<uint8_t> child_blob;
+              children[c]->Serialize(0, children[c]->size(), &child_blob);
               SpillFile file;
               X100_ASSIGN_OR_RETURN(
                   file, SpillFile::Write(ctx->spill_device, child_blob));
               const size_t child_p = first_child + c;
-              spilled_rows_[child_p] += children[c]->rows();
+              spilled_rows_[child_p] += children[c]->size();
               spilled_bytes_[child_p] +=
                   static_cast<int64_t>(child_blob.size());
               spilled_[child_p].push_back(std::move(file));
-              moved += children[c]->rows();
+              moved += children[c]->size();
             }
             chunk.Free();
           }
@@ -533,30 +426,28 @@ Status JoinBuildState::Build(ExecContext* ctx) {
         int64_t est_rows = spilled_rows_[p];
         int64_t est_bytes = spilled_bytes_[p];
         for (WorkerPartial& wp : partials) {
-          if (wp.rows[p] == nullptr) continue;
-          est_rows += static_cast<int64_t>(wp.hashes[p].size());
-          est_bytes += static_cast<int64_t>(wp.rows[p]->MemoryBytes()) +
-                       static_cast<int64_t>(wp.hashes[p].capacity() *
-                                            sizeof(uint64_t));
+          if (wp.tables[p] == nullptr) continue;
+          est_rows += wp.tables[p]->size();
+          est_bytes += static_cast<int64_t>(wp.tables[p]->MemoryBytes());
         }
-        est_bytes += IndexBytes(est_rows);
+        est_bytes += HashTable::IndexBytes(est_rows);
         const bool can_defer =
             ctx->spill_device != nullptr && ctx->memory != nullptr;
         auto defer_partials = [this, &partials, ctx, p]() -> Status {
           int64_t bytes = 0, rows = 0, chunks = 0;
           for (WorkerPartial& wp : partials) {
-            if (wp.rows[p] == nullptr || wp.rows[p]->rows() == 0) continue;
+            if (wp.tables[p] == nullptr || wp.tables[p]->size() == 0) {
+              continue;
+            }
             int64_t written;
             X100_ASSIGN_OR_RETURN(
-                written, WriteBuildChunks(*wp.rows[p], wp.hashes[p],
-                                          ctx->spill_device, &spilled_[p],
-                                          &chunks));
+                written, WriteBuildChunks(*wp.tables[p], ctx->spill_device,
+                                          &spilled_[p], &chunks));
             bytes += written;
-            rows += wp.rows[p]->rows();
-            spilled_rows_[p] += wp.rows[p]->rows();
+            rows += wp.tables[p]->size();
+            spilled_rows_[p] += wp.tables[p]->size();
             spilled_bytes_[p] += written;
-            wp.rows[p].reset();
-            std::vector<uint64_t>().swap(wp.hashes[p]);
+            wp.tables[p].reset();
           }
           if (chunks > 0) {
             OperatorProfile prof;
@@ -570,7 +461,7 @@ Status JoinBuildState::Build(ExecContext* ctx) {
         };
         if (can_defer && est_rows > 0 && !part.mem.GrowTo(est_bytes).ok()) {
           X100_RETURN_IF_ERROR(defer_partials());
-          ResetPartitionToDeferred(&part);
+          ResetToDeferred(&part);
           part.deferred = true;
           any_deferred_.store(true, std::memory_order_relaxed);
           OperatorProfile prof;
@@ -582,41 +473,32 @@ Status JoinBuildState::Build(ExecContext* ctx) {
         }
         const int W = static_cast<int>(partials.size());
         if (W == 1 && spilled_[p].empty() &&
-            partials[0].rows[p] != nullptr) {
-          part.rows = std::move(partials[0].rows[p]);
-          part.hashes = std::move(partials[0].hashes[p]);
+            partials[0].tables[p] != nullptr) {
+          part.table = std::move(partials[0].tables[p]);
         } else {
-          part.rows = std::make_unique<RowBuffer>(build_schema_);
+          part.table = NewTable();
           for (WorkerPartial& wp : partials) {
-            if (wp.rows[p] == nullptr) continue;
-            part.rows->AppendFrom(*wp.rows[p]);
-            part.hashes.insert(part.hashes.end(), wp.hashes[p].begin(),
-                               wp.hashes[p].end());
+            if (wp.tables[p] != nullptr) part.table->AppendFrom(*wp.tables[p]);
           }
           for (SpillFile& file : spilled_[p]) {
             std::vector<uint8_t> blob;
             X100_ASSIGN_OR_RETURN(blob, file.ReadAll(ctx->cancel));
-            X100_RETURN_IF_ERROR(AppendBuildChunk(
-                build_schema_, blob, part.rows.get(), &part.hashes));
+            X100_RETURN_IF_ERROR(
+                part.table->AppendSerialized(blob.data(), blob.size()));
             file.Free();  // consumed: the device recycles the blocks now
           }
           spilled_[p].clear();
           spilled_rows_[p] = 0;
           spilled_bytes_[p] = 0;
         }
-        const int64_t n = part.rows->rows();
-        IndexPartition(&part);
+        const int64_t n = part.table->size();
+        part.table->BuildIndex();
         // Settle the estimate against the materialized footprint. If the
         // actual size no longer fits (allocator slack past the
         // estimate), the partition is serialized back out and deferred —
         // never force-charged — so resident partitions are always WITHIN
         // the budget. Without a spill device the old force-admit stands.
-        const int64_t actual =
-            static_cast<int64_t>(part.rows->MemoryBytes()) +
-            static_cast<int64_t>((part.buckets.capacity() +
-                                  part.next.capacity() +
-                                  part.hashes.capacity()) *
-                                 sizeof(int64_t));
+        const int64_t actual = static_cast<int64_t>(part.table->MemoryBytes());
         if (actual <= part.mem.charged()) {
           part.mem.ShrinkTo(actual);
         } else if (!can_defer) {
@@ -624,9 +506,8 @@ Status JoinBuildState::Build(ExecContext* ctx) {
         } else if (!part.mem.GrowTo(actual).ok()) {
           int64_t written, chunks = 0;
           X100_ASSIGN_OR_RETURN(
-              written, WriteBuildChunks(*part.rows, part.hashes,
-                                        ctx->spill_device, &spilled_[p],
-                                        &chunks));
+              written, WriteBuildChunks(*part.table, ctx->spill_device,
+                                        &spilled_[p], &chunks));
           OperatorProfile dprof;
           dprof.op = "JoinBuildDefer";
           dprof.rows = n;
@@ -635,7 +516,7 @@ Status JoinBuildState::Build(ExecContext* ctx) {
           ctx->RecordOperator(std::move(dprof));
           spilled_rows_[p] = n;
           spilled_bytes_[p] = written;
-          ResetPartitionToDeferred(&part);
+          ResetToDeferred(&part);
           part.deferred = true;
           any_deferred_.store(true, std::memory_order_relaxed);
         }
@@ -739,8 +620,7 @@ std::vector<int> JoinBuildState::DeferredPairList() const {
 Result<int64_t> JoinBuildState::LoadDeferredPartition(
     int p, ExecContext* ctx, std::vector<std::vector<uint8_t>>* preloaded) {
   Partition& part = partitions_[p];
-  part.rows = std::make_unique<RowBuffer>(build_schema_);
-  part.hashes.clear();
+  part.table = NewTable();
   const bool use_preloaded =
       preloaded != nullptr && preloaded->size() == spilled_[p].size();
   for (size_t i = 0; i < spilled_[p].size(); i++) {
@@ -750,15 +630,11 @@ Result<int64_t> JoinBuildState::LoadDeferredPartition(
     } else {
       X100_ASSIGN_OR_RETURN(blob, spilled_[p][i].ReadAll(ctx->cancel));
     }
-    X100_RETURN_IF_ERROR(AppendBuildChunk(build_schema_, blob,
-                                          part.rows.get(), &part.hashes));
+    X100_RETURN_IF_ERROR(
+        part.table->AppendSerialized(blob.data(), blob.size()));
   }
-  IndexPartition(&part);
-  const int64_t bytes =
-      static_cast<int64_t>(part.rows->MemoryBytes()) +
-      static_cast<int64_t>((part.buckets.capacity() + part.next.capacity() +
-                            part.hashes.capacity()) *
-                           sizeof(int64_t));
+  part.table->BuildIndex();
+  const int64_t bytes = static_cast<int64_t>(part.table->MemoryBytes());
   // The pair IS the minimum working set of a deferred partition — it
   // cannot be subdivided further, so it is force-admitted (the
   // documented floor: limit + one pair + SpillForceAdmitSlack).
@@ -768,8 +644,7 @@ Result<int64_t> JoinBuildState::LoadDeferredPartition(
 }
 
 void JoinBuildState::ReleaseDeferredPartition(int p) {
-  Partition& part = partitions_[p];
-  ResetPartitionToDeferred(&part);
+  ResetToDeferred(&partitions_[p]);
   for (SpillFile& f : spilled_[p]) f.Free();
   spilled_[p].clear();
   for (SpillFile& f : probe_spilled_[p]) f.Free();
@@ -793,6 +668,9 @@ void JoinProber::Init(JoinBuildState* state, std::vector<int> probe_keys,
 Status JoinProber::Open(ExecContext* ctx) {
   out_ = std::make_unique<Batch>(*out_schema_, ctx->vector_size);
   probe_hashes_.resize(ctx->vector_size);
+  out_probe_.resize(ctx->vector_size);
+  out_table_.resize(ctx->vector_size);
+  out_row_.resize(ctx->vector_size);
   simd_ = ctx->simd;
   prefetch_ = ctx->simd != SimdLevel::kScalar;
   probe_batch_ = nullptr;
@@ -831,78 +709,35 @@ void JoinProber::Close(ExecContext* ctx) {
   pair_probe_rows_.reset();
 }
 
-bool JoinProber::ProbeKeyHasNull(const Batch& probe, int i) const {
-  for (int c : probe_keys_) {
-    if (probe.column(c)->IsNull(i)) return true;
+bool JoinProber::ProbeKeyHasNull(int i) const {
+  for (const Vector* v : probe_key_vecs_) {
+    if (v->IsNull(i)) return true;
   }
   return false;
 }
 
-bool JoinProber::KeysEqual(const Batch& probe, int probe_i,
-                           const RowBuffer& rows, int64_t build_row) const {
-  const std::vector<int>& bkeys = state_->build_keys();
-  for (size_t k = 0; k < probe_keys_.size(); k++) {
-    const Vector* pv = probe.column(probe_keys_[k]);
-    const int bc = bkeys[k];
-    switch (pv->type()) {
-      case TypeId::kBool:
-        if (pv->Data<uint8_t>()[probe_i] !=
-            rows.Col<uint8_t>(bc)[build_row]) return false;
-        break;
-      case TypeId::kI8:
-        if (pv->Data<int8_t>()[probe_i] !=
-            rows.Col<int8_t>(bc)[build_row]) return false;
-        break;
-      case TypeId::kI16:
-        if (pv->Data<int16_t>()[probe_i] !=
-            rows.Col<int16_t>(bc)[build_row]) return false;
-        break;
-      case TypeId::kI32:
-      case TypeId::kDate:
-        if (pv->Data<int32_t>()[probe_i] !=
-            rows.Col<int32_t>(bc)[build_row]) return false;
-        break;
-      case TypeId::kI64:
-        if (pv->Data<int64_t>()[probe_i] !=
-            rows.Col<int64_t>(bc)[build_row]) return false;
-        break;
-      case TypeId::kF64:
-        if (pv->Data<double>()[probe_i] !=
-            rows.Col<double>(bc)[build_row]) return false;
-        break;
-      case TypeId::kStr:
-        if (pv->Data<StrRef>()[probe_i] !=
-            rows.Col<StrRef>(bc)[build_row]) return false;
-        break;
-    }
-  }
-  return true;
-}
-
-void JoinProber::EmitPair(const Batch& probe, int probe_i,
-                          const RowBuffer& build, int64_t build_row,
-                          int out_i) {
-  const int pcols = probe.num_columns();
+void JoinProber::Materialize(int begin, int end) {
+  const int pcols = probe_batch_->num_columns();
   for (int c = 0; c < pcols; c++) {
-    const Vector& src = *probe.column(c);
-    Vector* dst = out_->column(c);
-    dst->CopyFrom(src, probe_i, 1, out_i);
+    out_->column(c)->CopyFrom(*probe_batch_->column(c), begin, end - begin,
+                              begin, out_probe_.data());
   }
-  for (int c = 0; c < build.schema().num_fields(); c++) {
-    build.GatherCell(c, build_row, out_->column(pcols + c), out_i);
-  }
-}
-
-void JoinProber::EmitProbeOnly(const Batch& probe, int probe_i, int out_i,
-                               bool null_build_side) {
-  const int pcols = probe.num_columns();
-  for (int c = 0; c < pcols; c++) {
-    out_->column(c)->CopyFrom(*probe.column(c), probe_i, 1, out_i);
-  }
-  if (null_build_side) {
+  // Build columns (inner, left outer): one gather per run of rows from
+  // one partition's table; a run of left-outer padding is NULL.
+  for (int from = begin; from < end && pcols < out_->num_columns();) {
+    const HashTable* table = out_table_[from];
+    int to = from + 1;
+    while (to < end && out_table_[to] == table) to++;
     for (int c = pcols; c < out_->num_columns(); c++) {
-      out_->column(c)->SetNull(out_i);
+      Vector* dst = out_->column(c);
+      if (table == nullptr) {
+        for (int j = from; j < to; j++) dst->SetNull(j);
+      } else {
+        table->rows().Gather(c - pcols, out_row_.data(), from, to - from, dst,
+                             from);
+      }
     }
+    from = to;
   }
 }
 
@@ -1177,10 +1012,8 @@ Result<Batch*> JoinProber::NextProbeBatch(Operator* child, ExecContext* ctx) {
           ctx->vector_size, pair_probe_rows_->rows() - pair_row_));
       pair_batch_->Reset();
       for (int c = 0; c < probe_schema_->num_fields(); c++) {
-        Vector* col = pair_batch_->column(c);
-        for (int r = 0; r < n; r++) {
-          pair_probe_rows_->GatherCell(c, pair_row_ + r, col, r);
-        }
+        pair_probe_rows_->Gather(c, nullptr, pair_row_, n,
+                                 pair_batch_->column(c), 0);
       }
       pair_batch_->set_rows(n);
       pair_row_ += n;
@@ -1214,6 +1047,10 @@ Result<Batch*> JoinProber::Next(Operator* child, ExecContext* ctx) {
           break;
         }
         probe_cols_ = probe_batch_->columns();
+        probe_key_vecs_.clear();
+        for (int c : probe_keys_) {
+          probe_key_vecs_.push_back(probe_batch_->column(c));
+        }
         probe_pos_ = 0;
         chain_pos_ = -1;
         row_matched_ = false;
@@ -1232,14 +1069,14 @@ Result<Batch*> JoinProber::Next(Operator* child, ExecContext* ctx) {
         if (prefetch_) {
           const int w = n < kPrefetchDistance ? n : kPrefetchDistance;
           for (int j = 0; j < w; j++) {
-            state_->partition(probe_hashes_[j])
-                .PrefetchBucket(probe_hashes_[j]);
+            state_->table(probe_hashes_[j]).PrefetchBucket(probe_hashes_[j]);
           }
         }
       }
 
       const int n = probe_batch_->ActiveRows();
       const sel_t* sel = probe_batch_->sel();
+      const int begin = filled;
       bool batch_done = true;
       while (probe_pos_ < n) {
         // Keep the in-flight window full: hint the bucket head the loop
@@ -1247,10 +1084,10 @@ Result<Batch*> JoinProber::Next(Operator* child, ExecContext* ctx) {
         // harmlessly — prefetch is advisory).
         if (prefetch_ && probe_pos_ + kPrefetchDistance < n) {
           const uint64_t ph = probe_hashes_[probe_pos_ + kPrefetchDistance];
-          state_->partition(ph).PrefetchBucket(ph);
+          state_->table(ph).PrefetchBucket(ph);
         }
         const int i = sel ? sel[probe_pos_] : probe_pos_;
-        const bool key_null = ProbeKeyHasNull(*probe_batch_, i);
+        const bool key_null = ProbeKeyHasNull(i);
 
         // Grace routing: a non-NULL-keyed row whose partition stayed on
         // disk cannot be probed now — it is buffered (and spilled) for
@@ -1271,16 +1108,8 @@ Result<Batch*> JoinProber::Next(Operator* child, ExecContext* ctx) {
           bool matched = false;
           if (!key_null) {
             const uint64_t h = probe_hashes_[probe_pos_];
-            const JoinBuildState::Partition& part = state_->partition(h);
-            int64_t node = part.Head(h);
-            while (node >= 0) {
-              if (part.hashes[node] == h &&
-                  KeysEqual(*probe_batch_, i, *part.rows, node)) {
-                matched = true;
-                break;
-              }
-              node = part.next[node];
-            }
+            const HashTable& table = state_->table(h);
+            matched = table.Find(table.Head(h), h, probe_key_vecs_, i) >= 0;
           }
           bool emit;
           switch (type_) {
@@ -1298,10 +1127,7 @@ Result<Batch*> JoinProber::Next(Operator* child, ExecContext* ctx) {
               emit = !matched && !key_null && !state_->has_null_key();
               break;
           }
-          if (emit) {
-            EmitProbeOnly(*probe_batch_, i, filled, false);
-            filled++;
-          }
+          if (emit) Emit(&filled, i, nullptr, -1);
           probe_pos_++;
           if (filled >= ctx->vector_size) {
             batch_done = probe_pos_ >= n;
@@ -1314,23 +1140,20 @@ Result<Batch*> JoinProber::Next(Operator* child, ExecContext* ctx) {
         // is a pure function of the probe hash, so a resumed row lands
         // back in the partition its chain_pos_ refers to.
         const uint64_t h = probe_hashes_[probe_pos_];
-        const JoinBuildState::Partition& part = state_->partition(h);
+        const HashTable& table = state_->table(h);
         if (chain_pos_ < 0 && !row_matched_) {
-          chain_pos_ = key_null ? -1 : part.Head(h);
+          chain_pos_ = key_null ? -1 : table.Head(h);
         }
         bool overflowed = false;
         while (chain_pos_ >= 0) {
-          const int64_t node = chain_pos_;
-          chain_pos_ = part.next[node];
-          if (part.hashes[node] == h &&
-              KeysEqual(*probe_batch_, i, *part.rows, node)) {
-            EmitPair(*probe_batch_, i, *part.rows, node, filled);
-            filled++;
-            row_matched_ = true;
-            if (filled >= ctx->vector_size) {
-              overflowed = true;
-              break;
-            }
+          const int64_t node = table.Find(chain_pos_, h, probe_key_vecs_, i);
+          chain_pos_ = node < 0 ? -1 : table.Next(node);
+          if (node < 0) break;
+          Emit(&filled, i, &table, node);
+          row_matched_ = true;
+          if (filled >= ctx->vector_size) {
+            overflowed = true;
+            break;
           }
         }
         if (overflowed) {
@@ -1338,8 +1161,7 @@ Result<Batch*> JoinProber::Next(Operator* child, ExecContext* ctx) {
           break;
         }
         if (type_ == JoinType::kLeftOuter && !row_matched_) {
-          EmitProbeOnly(*probe_batch_, i, filled, true);
-          filled++;
+          Emit(&filled, i, nullptr, -1);
         }
         probe_pos_++;
         chain_pos_ = -1;
@@ -1349,6 +1171,9 @@ Result<Batch*> JoinProber::Next(Operator* child, ExecContext* ctx) {
           break;
         }
       }
+      // The next probe batch may reuse this one's vectors: materialize
+      // first.
+      Materialize(begin, filled);
       if (probe_pos_ >= n && batch_done) probe_batch_ = nullptr;
       if (filled >= ctx->vector_size) break;
     }

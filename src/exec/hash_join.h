@@ -13,7 +13,7 @@
 //
 // Pipeline decomposition (docs/EXECUTION.md): the build side is its own
 // pipeline. JoinBuildState owns N cloned build chains, drains them with
-// scheduler tasks into per-worker, per-partition row buffers — rows are
+// scheduler tasks into per-worker, per-partition HashTables — rows are
 // radix-partitioned by the TOP `radix_bits` bits of the key hash as they
 // arrive — then merges + hash-indexes each of the 2^radix_bits
 // partitions with an independent scheduler task (no cross-partition
@@ -49,10 +49,9 @@
 
 #include "common/memory_tracker.h"
 #include "common/task_scheduler.h"
+#include "exec/hash_table.h"
 #include "exec/operator.h"
-#include "simd/prefetch.h"
 #include "storage/spill_file.h"
-#include "vector/row_buffer.h"
 
 namespace x100 {
 
@@ -77,13 +76,11 @@ const char* JoinTypeName(JoinType t);
 class JoinBuildState {
  public:
   /// One radix partition of the built table: rows whose key hash has the
-  /// same top `radix_bits` bits, with a private chained hash index.
+  /// same top `radix_bits` bits, in one indexed HashTable.
   struct Partition {
-    std::unique_ptr<RowBuffer> rows;
-    std::vector<int64_t> buckets;  // head index per bucket, -1 empty
-    std::vector<int64_t> next;     // chain (partition-local row ids)
-    std::vector<uint64_t> hashes;
-    uint64_t bucket_mask = 0;
+    /// The resident rows and their index. A deferred partition holds an
+    /// empty indexed table, so a stray lookup misses instead of faulting.
+    std::unique_ptr<HashTable> table;
     /// Charge for the merged, probe-resident partition. RESERVED (not
     /// forced) at the merge: a partition that does not fit is deferred
     /// to the partition-pair phase instead of overcommitting. Released
@@ -93,15 +90,6 @@ class JoinBuildState {
     /// probe phase routes matching rows to probe-side spill and a later
     /// partition-pair task joins the two.
     bool deferred = false;
-
-    int64_t Head(uint64_t hash) const { return buckets[hash & bucket_mask]; }
-
-    /// Hints the bucket head for `hash` into cache ahead of the probe.
-    /// Deferred partitions have no resident index (buckets is empty) —
-    /// nothing useful to prefetch there.
-    void PrefetchBucket(uint64_t hash) const {
-      if (!buckets.empty()) PrefetchRead(&buckets[hash & bucket_mask]);
-    }
   };
 
   /// `radix_bits` = 0 keeps the single-table path (one partition, one
@@ -137,15 +125,15 @@ class JoinBuildState {
   size_t PartitionOf(uint64_t hash) const {
     return RadixPartitionOf(hash, radix_bits_);
   }
-  const Partition& partition(uint64_t hash) const {
-    return partitions_[PartitionOf(hash)];
+  /// The table of the partition `hash` routes to.
+  const HashTable& table(uint64_t hash) const {
+    return *partitions_[PartitionOf(hash)].table;
   }
   bool partition_deferred(size_t p) const { return partitions_[p].deferred; }
   bool any_deferred() const {
     return any_deferred_.load(std::memory_order_relaxed);
   }
   bool has_null_key() const { return has_null_key_; }
-  const std::vector<int>& build_keys() const { return build_keys_; }
 
   // --- Partition-wise (Grace) probe protocol -------------------------------
   //
@@ -202,7 +190,11 @@ class JoinBuildState {
 
  private:
   Status Build(ExecContext* ctx);
-  static void IndexPartition(Partition* part);
+  std::unique_ptr<HashTable> NewTable() const {
+    return std::make_unique<HashTable>(build_schema_, build_keys_);
+  }
+  /// Empties a partition to the deferred shape and releases its charge.
+  void ResetToDeferred(Partition* part) const;
 
   std::vector<OperatorPtr> chains_;
   std::vector<int> build_keys_;
@@ -226,8 +218,8 @@ class JoinBuildState {
   std::atomic<bool> any_deferred_{false};
 
   /// Out-of-core drain (Grace-style): when a drain worker's memory
-  /// reservation fails it writes its largest radix partition (rows +
-  /// hashes, one self-contained blob) to a SpillFile and continues with a
+  /// reservation fails it writes its largest radix partition (one
+  /// HashTable blob: rows + hashes) to a SpillFile and continues with a
   /// fresh buffer; the partition's merge task re-reads every spilled
   /// chunk before indexing — or leaves them on disk when the partition
   /// is deferred. `spill_mu_` guards the per-partition chunk lists
@@ -271,13 +263,18 @@ class JoinProber {
   void Close(ExecContext* ctx);
 
  private:
-  bool ProbeKeyHasNull(const Batch& probe, int i) const;
-  bool KeysEqual(const Batch& probe, int probe_i, const RowBuffer& build,
-                 int64_t build_row) const;
-  void EmitPair(const Batch& probe, int probe_i, const RowBuffer& build,
-                int64_t build_row, int out_i);
-  void EmitProbeOnly(const Batch& probe, int probe_i, int out_i,
-                     bool null_build_side);
+  bool ProbeKeyHasNull(int i) const;
+  /// Records output row `*filled`: probe row `i` joined with row `row` of
+  /// `table` (nullptr: the build columns are NULL, or not emitted).
+  void Emit(int* filled, int i, const HashTable* table, int64_t row) {
+    out_probe_[*filled] = i;
+    out_table_[*filled] = table;
+    out_row_[*filled] = row;
+    (*filled)++;
+  }
+  /// Materializes output rows [begin, end), recorded from the current
+  /// probe batch, a column at a time.
+  void Materialize(int begin, int end);
 
   // Grace probe-side machinery (see the header comment).
   /// Appends row i of the current probe batch (probe_cols_) to
@@ -318,6 +315,11 @@ class JoinProber {
   bool prefetch_ = false;
   Batch* probe_batch_ = nullptr;
   std::vector<const Vector*> probe_cols_;  // probe_batch_'s columns
+  std::vector<const Vector*> probe_key_vecs_;  // its key columns
+  // Per output row: probe position, build table and row (Emit).
+  std::vector<sel_t> out_probe_;
+  std::vector<const HashTable*> out_table_;
+  std::vector<int64_t> out_row_;
   int probe_pos_ = 0;        // index into the probe batch's live rows
   int64_t chain_pos_ = -1;   // current chain node (inner/outer continue)
   bool row_matched_ = false; // left outer bookkeeping

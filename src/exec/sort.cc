@@ -14,83 +14,55 @@ namespace {
 /// each spilled run in memory.
 constexpr int64_t kSortSpillChunkRows = 4096;
 
-/// -1 / 0 / +1 three-way compare of two cells, possibly from different
-/// row buffers of the same schema; NULLs compare greater (NULLS LAST
-/// ascending).
-int CompareCellAB(const RowBuffer& ra, int64_t a, const RowBuffer& rb,
-                  int64_t b, int col) {
-  const bool an = ra.IsNull(col, a), bn = rb.IsNull(col, b);
-  if (an || bn) return an == bn ? 0 : (an ? 1 : -1);
-  switch (ra.schema().field(col).type) {
-    case TypeId::kBool: {
-      const auto x = ra.Col<uint8_t>(col)[a], y = rb.Col<uint8_t>(col)[b];
-      return x < y ? -1 : x > y ? 1 : 0;
-    }
-    case TypeId::kI8: {
-      const auto x = ra.Col<int8_t>(col)[a], y = rb.Col<int8_t>(col)[b];
-      return x < y ? -1 : x > y ? 1 : 0;
-    }
-    case TypeId::kI16: {
-      const auto x = ra.Col<int16_t>(col)[a], y = rb.Col<int16_t>(col)[b];
-      return x < y ? -1 : x > y ? 1 : 0;
-    }
-    case TypeId::kI32:
-    case TypeId::kDate: {
-      const auto x = ra.Col<int32_t>(col)[a], y = rb.Col<int32_t>(col)[b];
-      return x < y ? -1 : x > y ? 1 : 0;
-    }
-    case TypeId::kI64: {
-      const auto x = ra.Col<int64_t>(col)[a], y = rb.Col<int64_t>(col)[b];
-      return x < y ? -1 : x > y ? 1 : 0;
-    }
-    case TypeId::kF64: {
-      const auto x = ra.Col<double>(col)[a], y = rb.Col<double>(col)[b];
-      return x < y ? -1 : x > y ? 1 : 0;
-    }
-    case TypeId::kStr: {
-      const StrRef& x = ra.Col<StrRef>(col)[a];
-      const StrRef& y = rb.Col<StrRef>(col)[b];
-      return x < y ? -1 : y < x ? 1 : 0;
-    }
-  }
-  return 0;
+/// The key columns of `rows` (each key's cells, in key order).
+std::vector<Cells> KeyCells(const RowBuffer& rows,
+                            const std::vector<SortKey>& keys) {
+  std::vector<Cells> cells;
+  for (const SortKey& k : keys) cells.push_back(rows.cells(k.col));
+  return cells;
 }
 
-inline int CompareCell(const RowBuffer& rows, int col, int64_t a,
-                       int64_t b) {
-  return CompareCellAB(rows, a, rows, b, col);
-}
-
-/// Keyed three-way compare across (possibly distinct) run buffers.
-int CompareRowsAB(const RowBuffer& ra, int64_t a, const RowBuffer& rb,
-                  int64_t b, const std::vector<SortKey>& keys) {
-  for (const SortKey& k : keys) {
-    int c = CompareCellAB(ra, a, rb, b, k.col);
-    if (!k.ascending) c = -c;
-    if (c != 0) return c;
+/// Keyed three-way order of row i (key columns `a`, from KeyCells) and
+/// row j (`b`), from key `from` on: CompareCells per key, mirrored when
+/// the key descends.
+int CompareRows(const std::vector<Cells>& a, int64_t i,
+                const std::vector<Cells>& b, int64_t j,
+                const std::vector<SortKey>& keys, size_t from = 0) {
+  for (size_t k = from; k < keys.size(); k++) {
+    const int c = CompareCells(a[k], i, b[k], j);
+    if (c != 0) return keys[k].ascending ? c : -c;
   }
   return 0;
 }
 
 /// Sorts `order` (indexes into `rows`) by `keys`; a non-negative limit
-/// keeps only the first `limit` entries (top-N runs).
+/// keeps only the first `limit` entries (top-N runs). The first key's
+/// cell type is dispatched once per run: its typed compare decides most
+/// pairs, and only its ties reach the other keys.
 void SortIndexRun(const RowBuffer& rows, const std::vector<SortKey>& keys,
                   int64_t limit, std::vector<int64_t>* order) {
-  auto cmp = [&](int64_t a, int64_t b) {
-    for (const SortKey& k : keys) {
-      int c = CompareCell(rows, k.col, a, b);
-      if (!k.ascending) c = -c;
-      if (c != 0) return c < 0;
+  const std::vector<Cells> cols = KeyCells(rows, keys);
+  const auto sort = [&](auto first) {
+    const auto cmp = [&](int64_t a, int64_t b) {
+      int c = first(a, b);
+      if (c == 0) c = CompareRows(cols, a, cols, b, keys, 1);
+      return c != 0 ? c < 0 : a < b;  // stable tie-break within one run
+    };
+    if (limit >= 0 && limit < static_cast<int64_t>(order->size())) {
+      std::partial_sort(order->begin(), order->begin() + limit,
+                        order->end(), cmp);
+      order->resize(limit);
+    } else {
+      std::sort(order->begin(), order->end(), cmp);
     }
-    return a < b;  // stable tie-break within one run
   };
-  if (limit >= 0 && limit < static_cast<int64_t>(order->size())) {
-    std::partial_sort(order->begin(), order->begin() + limit, order->end(),
-                      cmp);
-    order->resize(limit);
-  } else {
-    std::sort(order->begin(), order->end(), cmp);
-  }
+  if (keys.empty()) return sort([](int64_t, int64_t) { return 0; });
+  VisitCellType(cols[0].type, [&](auto t) {
+    sort([&](int64_t a, int64_t b) {
+      const int c = CompareCellsAs<decltype(t)>(cols[0], a, cols[0], b);
+      return keys[0].ascending ? c : -c;
+    });
+  });
 }
 
 /// Per-drain-worker run construction under a memory budget: batches
@@ -219,6 +191,8 @@ Status SortRunMerger::Init(const Schema* schema,
       X100_RETURN_IF_ERROR(AdvanceChunk(&c));
     } else if (c.run->order.empty()) {
       c.done = true;
+    } else {
+      c.key_cells = KeyCells(*c.run->rows, *keys_);
     }
   }
   return Status::OK();
@@ -240,6 +214,7 @@ Status SortRunMerger::AdvanceChunk(Cursor* c) {
     if (rows->rows() == 0) continue;
     c->chunk_rows = std::move(rows);
     c->chunk_pos = 0;
+    c->key_cells = KeyCells(*c->chunk_rows, *keys_);
     // One resident chunk per spilled run is the merge's minimum working
     // set — force-charged, released when the cursor advances past it.
     c->mem.ForceGrowTo(static_cast<int64_t>(c->chunk_rows->MemoryBytes()));
@@ -266,6 +241,18 @@ Status SortRunMerger::NextBatch(Batch* out, int* n) {
   *n = 0;
   if (ctx_ != nullptr) X100_RETURN_IF_ERROR(ctx_->CheckCancel());
   const int cap = ctx_ != nullptr ? ctx_->vector_size : kDefaultVectorSize;
+  picks_.resize(cap);
+  // Picked rows are gathered a column at a time, one run of consecutive
+  // picks from the same buffer per Gather: `seg` rows [seg_begin, *n).
+  const RowBuffer* seg = nullptr;
+  int seg_begin = 0;
+  const auto gather = [&]() {
+    for (int c = 0; seg != nullptr && c < out->num_columns(); c++) {
+      seg->Gather(c, picks_.data(), seg_begin, *n - seg_begin, out->column(c),
+                  seg_begin);
+    }
+    seg = nullptr;
+  };
   while (*n < cap && (limit_ < 0 || emitted_ < limit_)) {
     int best = -1;
     const RowBuffer* best_rows = nullptr;
@@ -274,23 +261,28 @@ Status SortRunMerger::NextBatch(Batch* out, int* n) {
       const RowBuffer* rows;
       int64_t row;
       if (!CurrentRow(cursors_[i], &rows, &row)) continue;
-      if (best < 0 ||
-          CompareRowsAB(*rows, row, *best_rows, best_row, *keys_) < 0) {
+      if (best < 0 || CompareRows(cursors_[i].key_cells, row,
+                                  cursors_[best].key_cells, best_row,
+                                  *keys_) < 0) {
         best = static_cast<int>(i);
         best_rows = rows;
         best_row = row;
       }
     }
     if (best < 0) break;  // every run exhausted
-    for (int c = 0; c < out->num_columns(); c++) {
-      best_rows->GatherCell(c, best_row, out->column(c), *n);
+    if (best_rows != seg) {
+      gather();
+      seg = best_rows;
+      seg_begin = *n;
     }
+    picks_[*n] = best_row;
     (*n)++;
     emitted_++;
     Cursor& bc = cursors_[best];
     if (bc.run->spilled()) {
       bc.chunk_pos++;
       if (bc.chunk_pos >= bc.chunk_rows->rows()) {
+        gather();  // before the chunk it reads is released
         X100_RETURN_IF_ERROR(AdvanceChunk(&bc));
       }
     } else {
@@ -298,6 +290,7 @@ Status SortRunMerger::NextBatch(Batch* out, int* n) {
       if (bc.pos >= bc.run->order.size()) bc.done = true;
     }
   }
+  gather();
   return Status::OK();
 }
 

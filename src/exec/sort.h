@@ -1,6 +1,8 @@
 // SortOp: the pipeline sink for ORDER BY — full materializing sort and
-// bounded top-N. NULLs order last ascending, first descending (documented
-// engine rule).
+// bounded top-N. The documented engine order (CompareCells in
+// vector/vector.h): NULLs order last ascending, first descending; an f64
+// NaN orders after every number and before NULL ascending, mirrored
+// descending (NULL, then NaN, then the numbers); -0.0 ties 0.0.
 //
 // Per-worker sorted runs built by scheduler tasks, merged at the pipeline
 // barrier (docs/EXECUTION.md). Each of the N >= 1 input chains (clones of
@@ -74,6 +76,7 @@ class SortRunMerger {
     size_t chunk = 0;                        // spilled: next chunk to load
     std::unique_ptr<RowBuffer> chunk_rows;   // spilled: resident chunk
     int64_t chunk_pos = 0;                   // spilled: row within chunk
+    std::vector<Cells> key_cells;            // the current buffer's keys
     MemoryReservation mem;
     bool done = false;
   };
@@ -91,6 +94,7 @@ class SortRunMerger {
   int64_t emitted_ = 0;
   ExecContext* ctx_ = nullptr;
   std::vector<Cursor> cursors_;
+  std::vector<int64_t> picks_;  // NextBatch: row picked per output position
 };
 
 class SortOp : public Operator {

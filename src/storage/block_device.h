@@ -35,6 +35,7 @@
 #ifndef X100_STORAGE_BLOCK_DEVICE_H_
 #define X100_STORAGE_BLOCK_DEVICE_H_
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -97,7 +98,7 @@ class BandwidthChannel {
   /// Waits out `bytes` of channel time, interruptibly via `cancel` (may be
   /// nullptr). Unthrottled, it returns before taking the lock.
   Status Charge(size_t bytes, CancellationToken* cancel) {
-    const int64_t bw = bandwidth_;
+    const int64_t bw = bandwidth_.load();
     if (bw <= 0) return Status::OK();
     using Clock = std::chrono::steady_clock;
     const auto cost = std::chrono::nanoseconds(
@@ -118,10 +119,13 @@ class BandwidthChannel {
     return Status::OK();
   }
 
-  void set_bandwidth(int64_t bytes_per_sec) { bandwidth_ = bytes_per_sec; }
+  /// Safe while other threads Charge: each charge reads the rate once.
+  void set_bandwidth(int64_t bytes_per_sec) {
+    bandwidth_.store(bytes_per_sec);
+  }
 
  private:
-  int64_t bandwidth_;
+  std::atomic<int64_t> bandwidth_;
   std::mutex mu_;
   std::chrono::steady_clock::time_point busy_until_{};
 };

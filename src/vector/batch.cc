@@ -2,60 +2,11 @@
 
 namespace x100 {
 
-namespace {
-template <typename T>
-void GatherColumn(const Vector& src, const sel_t* sel, int n, Vector* dst) {
-  const T* in = src.Data<T>();
-  T* out = dst->Data<T>();
-  for (int i = 0; i < n; i++) out[i] = in[sel[i]];
-}
-}  // namespace
-
 std::unique_ptr<Batch> Batch::Compact(const Schema& schema) const {
   auto out = std::make_unique<Batch>(schema, capacity_);
   const int n = ActiveRows();
   for (int c = 0; c < num_columns(); c++) {
-    const Vector& src = *cols_[c];
-    Vector* dst = out->column(c);
-    if (!has_sel_) {
-      dst->CopyFrom(src, 0, n, 0);
-      continue;
-    }
-    const sel_t* s = sel_buf_.get();
-    switch (src.type()) {
-      case TypeId::kBool:
-        GatherColumn<uint8_t>(src, s, n, dst);
-        break;
-      case TypeId::kI8:
-        GatherColumn<int8_t>(src, s, n, dst);
-        break;
-      case TypeId::kI16:
-        GatherColumn<int16_t>(src, s, n, dst);
-        break;
-      case TypeId::kI32:
-      case TypeId::kDate:
-        GatherColumn<int32_t>(src, s, n, dst);
-        break;
-      case TypeId::kI64:
-        GatherColumn<int64_t>(src, s, n, dst);
-        break;
-      case TypeId::kF64:
-        GatherColumn<double>(src, s, n, dst);
-        break;
-      case TypeId::kStr: {
-        const StrRef* in = src.Data<StrRef>();
-        StrRef* outp = dst->Data<StrRef>();
-        for (int i = 0; i < n; i++) {
-          outp[i] = dst->heap()->Add(in[s[i]].view());
-        }
-        break;
-      }
-    }
-    if (src.has_nulls()) {
-      const uint8_t* in_nulls = src.nulls();
-      uint8_t* out_nulls = dst->MutableNulls();
-      for (int i = 0; i < n; i++) out_nulls[i] = in_nulls[s[i]];
-    }
+    out->column(c)->CopyFrom(*cols_[c], 0, n, 0, sel());
   }
   out->set_rows(n);
   return out;

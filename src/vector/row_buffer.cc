@@ -108,19 +108,31 @@ void RowBuffer::AppendValues(const std::vector<Value>& row) {
   rows_++;
 }
 
-void RowBuffer::GatherCell(int c, int64_t row, Vector* out, int out_i) const {
-  if (IsNull(c, row)) {
-    out->SetNull(out_i);
-    return;
+void RowBuffer::Gather(int c, const int64_t* rows, int64_t from, int n,
+                       Vector* out, int out_pos) const {
+  if (n <= 0) return;
+  const Column& col = cols_[c];
+  const auto at = [rows, from](int64_t j) {
+    return rows != nullptr ? rows[from + j] : from + j;
+  };
+  VisitCellType(schema_.field(c).type, [&](auto t) {
+    using T = decltype(t);
+    const T* in = reinterpret_cast<const T*>(col.data.data());
+    T* dst = out->Data<T>() + out_pos;
+    if constexpr (std::is_same_v<T, StrRef>) {
+      for (int j = 0; j < n; j++) dst[j] = out->heap()->Add(in[at(j)].view());
+    } else if (rows == nullptr) {
+      std::memcpy(dst, in + from, static_cast<size_t>(n) * sizeof(T));
+    } else {
+      for (int j = 0; j < n; j++) dst[j] = in[rows[from + j]];
+    }
+  });
+  if (!col.nulls.empty()) {
+    uint8_t* flags = out->MutableNulls() + out_pos;
+    for (int j = 0; j < n; j++) flags[j] = col.nulls[at(j)];
+  } else if (out->has_nulls()) {
+    std::memset(out->MutableNulls() + out_pos, 0, n);
   }
-  if (schema_.field(c).type == TypeId::kStr) {
-    out->Data<StrRef>()[out_i] = out->heap()->Add(Col<StrRef>(c)[row].view());
-  } else {
-    const size_t w = TypeWidth(schema_.field(c).type);
-    std::memcpy(static_cast<uint8_t*>(out->RawData()) + out_i * w,
-                cols_[c].data.data() + static_cast<size_t>(row) * w, w);
-  }
-  if (out->has_nulls()) out->MutableNulls()[out_i] = 0;
 }
 
 Value RowBuffer::GetValue(int c, int64_t row) const {

@@ -6,7 +6,9 @@
 // into the buffer's one StringHeap). A column gets null flags at its first
 // NULL, and a NULL slot holds the safe value Vector::SetNull writes: zero
 // bytes, or StrRef("", 0). Rows arrive a column at a time: a dense column
-// is one memcpy, a column under a selection one gather.
+// is one memcpy, a column under a selection one gather. They leave the
+// same way (Gather): a contiguous range is one memcpy, a row list one
+// typed gather.
 #ifndef X100_VECTOR_ROW_BUFFER_H_
 #define X100_VECTOR_ROW_BUFFER_H_
 
@@ -55,9 +57,18 @@ class RowBuffer {
   bool IsNull(int c, int64_t row) const {
     return !cols_[c].nulls.empty() && cols_[c].nulls[row] != 0;
   }
+  /// Column c's cells and null flags, for EqualCells / CompareCells.
+  Cells cells(int c) const {
+    return {schema_.field(c).type, cols_[c].data.data(), Nulls(c)};
+  }
 
-  /// Copies row `row`, column `c` into position `out_i` of `out`.
-  void GatherCell(int c, int64_t row, Vector* out, int out_i) const;
+  /// The read-side twin of Append: copies column c of `n` rows into
+  /// positions [out_pos, out_pos + n) of `out` (a vector of the field's
+  /// type) — rows [from, from + n), or rows[from + j] when `rows` is
+  /// non-null. Strings are copied into out's heap; NULL rows arrive
+  /// NULL, holding the safe value.
+  void Gather(int c, const int64_t* rows, int64_t from, int n, Vector* out,
+              int out_pos) const;
 
   /// Value view of one cell.
   Value GetValue(int c, int64_t row) const;

@@ -5,21 +5,27 @@
 namespace x100 {
 
 void Vector::CopyFrom(const Vector& src, int src_offset, int n,
-                      int dst_offset) {
+                      int dst_offset, const sel_t* sel) {
   assert(src.type_ == type_);
   assert(dst_offset + n <= capacity_);
-  if (type_ == TypeId::kStr) {
-    const StrRef* in = src.Data<StrRef>() + src_offset;
-    StrRef* out = Data<StrRef>() + dst_offset;
-    for (int i = 0; i < n; i++) out[i] = heap_->Add(in[i].view());
-  } else {
-    std::memcpy(data_.get() + static_cast<size_t>(dst_offset) * width_,
-                src.data_.get() + static_cast<size_t>(src_offset) * width_,
-                static_cast<size_t>(n) * width_);
-  }
+  const auto at = [sel, src_offset](int j) {
+    return sel != nullptr ? sel[src_offset + j] : src_offset + j;
+  };
+  VisitCellType(type_, [&](auto t) {
+    using T = decltype(t);
+    const T* in = src.Data<T>();
+    T* out = Data<T>() + dst_offset;
+    if constexpr (std::is_same_v<T, StrRef>) {
+      for (int j = 0; j < n; j++) out[j] = heap_->Add(in[at(j)].view());
+    } else if (sel == nullptr) {
+      std::memcpy(out, in + src_offset, static_cast<size_t>(n) * sizeof(T));
+    } else {
+      for (int j = 0; j < n; j++) out[j] = in[sel[src_offset + j]];
+    }
+  });
   if (src.has_nulls_) {
-    uint8_t* nd = MutableNulls();
-    std::memcpy(nd + dst_offset, src.nulls_.get() + src_offset, n);
+    uint8_t* nd = MutableNulls() + dst_offset;
+    for (int j = 0; j < n; j++) nd[j] = src.nulls_[at(j)];
   } else if (has_nulls_) {
     std::memset(nulls_.get() + dst_offset, 0, n);
   }

@@ -9,9 +9,11 @@
 #define X100_VECTOR_VECTOR_H_
 
 #include <cassert>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <type_traits>
 
 #include "common/types.h"
 #include "vector/string_heap.h"
@@ -22,6 +24,74 @@ class Value;  // common/value.h
 
 /// Index type of selection vectors.
 using sel_t = int32_t;
+
+/// The one TypeId -> C type dispatch over cells: returns f(T()) for the
+/// cell type T of `type` (uint8_t for bool, int32_t for i32 and date,
+/// StrRef for strings). Typed loops over cells are written once, as a
+/// generic lambda; the switch runs once per call.
+template <typename F>
+decltype(auto) VisitCellType(TypeId type, F&& f) {
+  switch (type) {
+    case TypeId::kBool: return f(uint8_t());
+    case TypeId::kI8: return f(int8_t());
+    case TypeId::kI16: return f(int16_t());
+    case TypeId::kI32:
+    case TypeId::kDate: return f(int32_t());
+    case TypeId::kI64: return f(int64_t());
+    case TypeId::kF64: return f(double());
+    case TypeId::kStr: break;
+  }
+  return f(StrRef());
+}
+
+/// A typed cell array and its null flags (1 = NULL; nullptr: no NULLs):
+/// a Vector's values or a RowBuffer column.
+struct Cells {
+  TypeId type;
+  const void* data;
+  const uint8_t* nulls;
+
+  bool IsNull(int64_t i) const { return nulls != nullptr && nulls[i] != 0; }
+  template <typename T>
+  const T& at(int64_t i) const {
+    return static_cast<const T*>(data)[i];
+  }
+};
+
+/// Key equality of cell i of `a` and cell j of `b` (one type): NULL
+/// equals NULL, otherwise the cell type's == (NaN equals nothing, -0.0
+/// equals 0.0). Join and group-by keys compare with this.
+inline bool EqualCells(const Cells& a, int64_t i, const Cells& b, int64_t j) {
+  const bool an = a.IsNull(i), bn = b.IsNull(j);
+  if (an || bn) return an == bn;
+  return VisitCellType(a.type, [&](auto t) {
+    using T = decltype(t);
+    return a.at<T>(i) == b.at<T>(j);
+  });
+}
+
+/// Sort order of cell i of `a` and cell j of `b`, cells of C type T: -1,
+/// 0 or 1. Ascending, numbers come first, then NaN, then NULL; -0.0 ties
+/// 0.0. A loop that dispatches the type once calls this directly.
+template <typename T>
+int CompareCellsAs(const Cells& a, int64_t i, const Cells& b, int64_t j) {
+  const bool an = a.IsNull(i), bn = b.IsNull(j);
+  if (an || bn) return an == bn ? 0 : (an ? 1 : -1);
+  const T& x = a.at<T>(i);
+  const T& y = b.at<T>(j);
+  if constexpr (std::is_same_v<T, double>) {
+    const bool xn = std::isnan(x), yn = std::isnan(y);
+    if (xn || yn) return xn == yn ? 0 : (xn ? 1 : -1);
+  }
+  return x < y ? -1 : (y < x ? 1 : 0);
+}
+
+/// CompareCellsAs for cells of any one type.
+inline int CompareCells(const Cells& a, int64_t i, const Cells& b, int64_t j) {
+  return VisitCellType(a.type, [&](auto t) {
+    return CompareCellsAs<decltype(t)>(a, i, b, j);
+  });
+}
 
 class Vector {
  public:
@@ -82,6 +152,11 @@ class Vector {
 
   bool IsNull(int i) const { return has_nulls_ && nulls_[i] != 0; }
 
+  /// The values and null flags, for EqualCells / CompareCells.
+  Cells cells() const {
+    return {type_, data_.get(), has_nulls_ ? nulls_.get() : nullptr};
+  }
+
   /// String heap backing StrRef values (kStr vectors only).
   StringHeap* heap() { return heap_.get(); }
 
@@ -91,9 +166,12 @@ class Vector {
   /// The value at position i (NULL-aware).
   Value GetValue(int i) const;
 
-  /// Copies `n` values (and null flags) from `src` starting at src_offset.
+  /// Copies `n` values (and null flags) of `src` into positions
+  /// [dst_offset, dst_offset + n): positions [src_offset, src_offset + n),
+  /// read through `sel` when it is non-null (sel[src_offset + j]).
   /// Strings are re-added to this vector's heap.
-  void CopyFrom(const Vector& src, int src_offset, int n, int dst_offset);
+  void CopyFrom(const Vector& src, int src_offset, int n, int dst_offset,
+                const sel_t* sel = nullptr);
 
   /// Byte footprint of the vector's buffers (memory accounting).
   size_t MemoryBytes() const {

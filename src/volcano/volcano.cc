@@ -1,6 +1,7 @@
 #include "volcano/volcano.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 namespace x100 {
@@ -566,8 +567,11 @@ Status VSort::Open() {
       } else if (x.type() == TypeId::kStr) {
         c = x.AsStr().compare(y.AsStr());
       } else {
+        // The engine's order: NaN after every number (and before NULL).
         const double dx = x.AsF64(), dy = y.AsF64();
-        c = dx < dy ? -1 : dx > dy ? 1 : 0;
+        const bool xn = std::isnan(dx), yn = std::isnan(dy);
+        c = xn || yn ? (xn == yn ? 0 : (xn ? 1 : -1))
+                     : (dx < dy ? -1 : dx > dy ? 1 : 0);
       }
       if (!k.ascending) c = -c;
       if (c != 0) return c < 0;

@@ -75,6 +75,32 @@ TEST_F(ExprTest, ArithmeticChain) {
   EXPECT_EQ((*r)->Data<int64_t>()[9], (9 + 90) * 2);
 }
 
+TEST_F(ExprTest, ConstantOfEveryTypeFillsEveryPosition) {
+  // A constant program broadcasts its value into every live position; a
+  // string is one heap copy that every slot shares.
+  const Value consts[] = {Value::Bool(true),   Value::I8(-7),
+                          Value::I16(-300),    Value::I32(123456),
+                          Value::Date(9131),   Value::I64(int64_t{1} << 40),
+                          Value::F64(-2.5),    Value::Str("broadcast")};
+  for (const int rows : {1, 37, 64}) {
+    auto b = MakeBatch(rows);
+    for (const Value& c : consts) {
+      auto r = Run(Lit(c), *b);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      const Vector* v = *r;
+      ASSERT_EQ(v->type(), c.type());
+      for (int i = 0; i < rows; i++) {
+        ASSERT_TRUE(v->GetValue(i).SqlEquals(c))
+            << TypeName(c.type()) << " rows=" << rows << " position " << i
+            << ": " << v->GetValue(i).ToString();
+        if (c.type() == TypeId::kStr) {
+          EXPECT_EQ(v->Data<StrRef>()[i].data, v->Data<StrRef>()[0].data);
+        }
+      }
+    }
+  }
+}
+
 TEST_F(ExprTest, MixedTypePromotion) {
   auto b = MakeBatch(4);
   // a (i64) + f (f64) -> f64

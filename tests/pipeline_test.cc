@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <functional>
 #include <thread>
 
@@ -14,6 +16,7 @@
 #include "engine/session.h"
 #include "exec/sort.h"
 #include "tpch/tpch.h"
+#include "volcano/volcano.h"
 
 namespace x100 {
 namespace {
@@ -421,6 +424,263 @@ TEST_F(PipelineTest, SumOfI64WrapsAtAnyRadixBitsAndWorkers) {
       }
     }
   }
+  SetWorkers(0);
+  SetRadixBits(-1);
+}
+
+// ---------------------------------------------------------------------------
+// Key order and key equality in the breakers: NaN, -0.0, NULL, ""
+// ---------------------------------------------------------------------------
+
+/// Registers table `name` (k: a nullable key of `type`, v: the row
+/// number) holding `keys` in order.
+void RegisterKeyTable(Database* db, const std::string& name, TypeId type,
+                      const std::vector<Value>& keys) {
+  auto b = db->CreateTable(
+      name, Schema({Field("k", type, true), Field("v", TypeId::kI64)}),
+      Layout::kDsm, 512);
+  for (size_t i = 0; i < keys.size(); i++) {
+    ASSERT_TRUE(
+        b->AppendRow({keys[i], Value::I64(static_cast<int64_t>(i))}).ok());
+  }
+  auto t = b->Finish();
+  ASSERT_TRUE(t.ok());
+  ASSERT_TRUE(db->RegisterTable(std::move(t).value()).ok());
+}
+
+/// Sort class of a key: 0 a number, 1 NaN, 2 NULL.
+int KeyClass(const Value& k) {
+  return k.is_null() ? 2 : (std::isnan(k.AsF64()) ? 1 : 0);
+}
+
+/// Both NULL, both NaN, or equal values.
+bool SameKey(const Value& a, const Value& b) {
+  if (a.is_null() || b.is_null()) return a.is_null() == b.is_null();
+  if (std::isnan(a.AsF64()) || std::isnan(b.AsF64())) {
+    return std::isnan(a.AsF64()) && std::isnan(b.AsF64());
+  }
+  return a.AsF64() == b.AsF64();
+}
+
+/// Ascending: numbers ascending, then NaN, then NULL; descending mirrors.
+void ExpectKeyOrder(const std::vector<std::vector<Value>>& rows,
+                    bool ascending, const std::string& what) {
+  for (size_t r = 1; r < rows.size(); r++) {
+    const Value& a = rows[ascending ? r - 1 : r][0];
+    const Value& b = rows[ascending ? r : r - 1][0];
+    ASSERT_LE(KeyClass(a), KeyClass(b)) << what << " row " << r;
+    if (KeyClass(a) == 0 && KeyClass(b) == 0) {
+      ASSERT_LE(a.AsF64(), b.AsF64()) << what << " row " << r;
+    }
+  }
+}
+
+TEST_F(PipelineTest, NaNKeysSortAfterNumbersAndBeforeNulls) {
+  // A NaN that compared "equal" to every number handed std::sort and
+  // std::partial_sort a comparator that is not a strict weak order: rows
+  // came out with numbers out of order, and where the NaN groups landed
+  // depended on the radix width. Numbers ascend, then NaNs, then NULLs,
+  // at any width, in a top-N, and as Volcano's sort orders them.
+  constexpr int kRows = 4000;
+  constexpr int64_t kLimit = 500;
+  std::vector<Value> keys;
+  for (int i = 0; i < kRows; i++) {
+    if (i % 11 == 3) {
+      keys.push_back(Value::F64(std::nan("")));
+    } else if (i % 53 == 7) {
+      keys.push_back(Value::Null(TypeId::kF64));
+    } else {
+      keys.push_back(Value::F64((i * 7919 % 1000) / 4.0 - 60.0));
+    }
+  }
+  RegisterKeyTable(db_.get(), "nan_keys", TypeId::kF64, keys);
+  auto rows = tpch::MaterializeRows(db_.get(), "nan_keys");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  const Schema schema({Field("k", TypeId::kF64, true),
+                       Field("v", TypeId::kI64)});
+  // (k, v) orders every row: v is unique, and NaNs tie with each other.
+  const auto volcano_sort = [&](bool ascending, int64_t limit) {
+    volcano::VSort sort(std::make_unique<volcano::VScan>(schema, &*rows),
+                        {{0, ascending}, {1, true}}, limit);
+    auto out = volcano::Collect(&sort);
+    EXPECT_TRUE(out.ok());
+    return out.ok() ? *out : std::vector<volcano::Row>{};
+  };
+  const std::vector<volcano::Row> full = volcano_sort(true, -1);
+  const std::vector<volcano::Row> top = volcano_sort(false, kLimit);
+  ASSERT_EQ(full.size(), static_cast<size_t>(kRows));
+  ExpectKeyOrder(full, true, "volcano");
+  ExpectKeyOrder(top, false, "volcano top-N");
+
+  for (int bits : {0, 3}) {
+    for (int workers : {1, 4}) {
+      SetWorkers(workers);
+      SetRadixBits(bits);
+      const std::string what = "radix_bits=" + std::to_string(bits) +
+                               " workers=" + std::to_string(workers);
+      struct Query {
+        const char* name;
+        bool ascending;
+        int64_t limit;
+        const std::vector<volcano::Row>* want;
+      };
+      const Query queries[] = {{"order by", true, -1, &full},
+                               {"top-N", false, kLimit, &top}};
+      for (const Query& q : queries) {
+        auto res = session_->Execute(OrderNode(
+            ScanNode("nan_keys"), {{"k", q.ascending}, {"v", true}}, q.limit));
+        ASSERT_TRUE(res.ok()) << what << ": " << res.status().ToString();
+        ExpectKeyOrder(res->rows, q.ascending, what + " " + q.name);
+        ASSERT_EQ(res->rows.size(), q.want->size()) << what << " " << q.name;
+        for (size_t r = 0; r < res->rows.size(); r++) {
+          ASSERT_TRUE(SameKey(res->rows[r][0], (*q.want)[r][0]) &&
+                      res->rows[r][1].AsI64() == (*q.want)[r][1].AsI64())
+              << what << " " << q.name << " row " << r << ": "
+              << res->rows[r][0].ToString() << " vs "
+              << (*q.want)[r][0].ToString();
+        }
+      }
+      auto grouped = session_->ExecuteSql(
+          "SELECT k, COUNT(*) AS c FROM nan_keys GROUP BY k ORDER BY k");
+      ASSERT_TRUE(grouped.ok()) << what << ": "
+                                << grouped.status().ToString();
+      ExpectKeyOrder(grouped->rows, true, what + " group by");
+    }
+  }
+  SetWorkers(0);
+  SetRadixBits(-1);
+}
+
+TEST_F(PipelineTest, KeyEqualityIsTheSameInGroupByAndJoin) {
+  // One key equality serves the group-by and the join: NULL groups with
+  // NULL but never joins, NaN equals nothing (each NaN row is its own
+  // group), -0.0 equals 0.0, and "" is not NULL. Thousands of filler keys
+  // that match nothing make the tables large enough to spill and reload
+  // under a memory limit; the answer is the same at every point.
+  constexpr int kFiller = 20000;
+  const Value nan = Value::F64(std::nan(""));
+  const Value f64_null = Value::Null(TypeId::kF64);
+  const Value str_null = Value::Null(TypeId::kStr);
+  std::vector<Value> fa = {Value::F64(0.0), Value::F64(-0.0), nan, nan, nan,
+                           f64_null, f64_null, Value::F64(1.5)};
+  std::vector<Value> fb = {Value::F64(0.0), nan, f64_null, Value::F64(1.5),
+                           Value::F64(-0.0)};
+  std::vector<Value> sa = {Value::Str(""), Value::Str(""), Value::Str("x"),
+                           str_null, str_null, Value::Str("yy")};
+  std::vector<Value> sb = {Value::Str(""), str_null, Value::Str("yy"),
+                           Value::Str("x"), Value::Str("zz")};
+  for (int i = 0; i < kFiller; i++) {
+    fa.push_back(Value::F64(1000.0 + i));
+    fb.push_back(Value::F64(-1000.0 - i));
+    sa.push_back(Value::Str("a" + std::to_string(i)));
+    sb.push_back(Value::Str("b" + std::to_string(i)));
+  }
+  RegisterKeyTable(db_.get(), "fa", TypeId::kF64, fa);
+  RegisterKeyTable(db_.get(), "fb", TypeId::kF64, fb);
+  RegisterKeyTable(db_.get(), "sa", TypeId::kStr, sa);
+  RegisterKeyTable(db_.get(), "sb", TypeId::kStr, sb);
+
+  const auto group_plan = [](const char* a) {
+    return AggrNode(ScanNode(a), {{"k", Col("k")}},
+                    {{AggKind::kCount, nullptr, "c"}});
+  };
+  const auto join_plan = [](const char* a, const char* b) {
+    AlgebraPtr rb = ProjectNode(ScanNode(b), {{"kb", Col("k")}});
+    return JoinNode(std::move(rb), ScanNode(a), JoinType::kInner, {"kb"},
+                    {"k"});
+  };
+  // The special keys' groups and the join's rows, as strings.
+  const auto key_str = [](const Value& k) {
+    if (k.is_null()) return std::string("NULL");
+    if (k.type() == TypeId::kStr) return "'" + k.AsStr() + "'";
+    if (std::isnan(k.AsF64())) return std::string("NaN");
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%g", k.AsF64() == 0.0 ? 0.0 : k.AsF64());
+    return std::string(buf);
+  };
+  const auto groups = [&](const QueryResult& res) {
+    std::vector<std::string> out;
+    for (const auto& row : res.rows) {
+      const Value& k = row[0];
+      const bool filler =
+          !k.is_null() && (k.type() == TypeId::kStr
+                               ? k.AsStr().rfind("a", 0) == 0
+                               : k.AsF64() >= 1000.0);
+      if (!filler) {
+        out.push_back(key_str(k) + ":" + std::to_string(row[1].AsI64()));
+      }
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const auto pairs = [&](const QueryResult& res) {
+    std::vector<std::string> out;
+    for (const auto& row : res.rows) {
+      out.push_back(key_str(row[0]) + "=" + key_str(row[2]));
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const std::vector<std::string> f64_groups = {
+      "0:2", "1.5:1", "NULL:2", "NaN:1", "NaN:1", "NaN:1"};
+  const std::vector<std::string> f64_pairs = {"0=0", "0=0", "0=0", "0=0",
+                                              "1.5=1.5"};
+  const std::vector<std::string> str_groups = {"'':2", "'x':1", "'yy':1",
+                                               "NULL:2"};
+  const std::vector<std::string> str_pairs = {"''=''", "''=''", "'x'='x'",
+                                              "'yy'='yy'"};
+
+  // The unlimited peak of each query sizes its spilling limit.
+  struct Point {
+    int workers, bits;
+    bool limited;
+  };
+  const Point points[] = {{1, 0, false}, {1, 3, false}, {4, 0, false},
+                          {4, 3, false}, {4, 3, true}};
+  for (const Point& pt : points) {
+    SetWorkers(pt.workers);
+    SetRadixBits(pt.bits);
+    const std::string what = "workers=" + std::to_string(pt.workers) +
+                             " radix_bits=" + std::to_string(pt.bits) +
+                             (pt.limited ? " limited" : "");
+    for (const bool str : {false, true}) {
+      const char* a = str ? "sa" : "fa";
+      const char* b = str ? "sb" : "fb";
+      for (const bool join : {false, true}) {
+        db_->config().memory_limit = 0;
+        int64_t spill_bytes = 0;
+        if (pt.limited) {
+          db_->memory()->ResetPeak();
+          auto unlimited = session_->Execute(join ? join_plan(a, b)
+                                                  : group_plan(a));
+          ASSERT_TRUE(unlimited.ok()) << unlimited.status().ToString();
+          db_->config().memory_limit = db_->memory()->peak() / 24;
+        }
+        auto res = session_->Execute(join ? join_plan(a, b) : group_plan(a));
+        ASSERT_TRUE(res.ok()) << what << ": " << res.status().ToString();
+        for (const OperatorProfile& p : res->profile.operators) {
+          if (p.op == (join ? "JoinBuildSpill" : "AggSpill") ||
+              (join && p.op == "JoinBuildDefer")) {
+            spill_bytes += p.spill_bytes;
+          }
+        }
+        if (pt.limited) {
+          EXPECT_GT(spill_bytes, 0) << what << " " << a;
+        }
+        if (join) {
+          EXPECT_EQ(pairs(*res), str ? str_pairs : f64_pairs)
+              << what << " " << a;
+        } else {
+          EXPECT_EQ(groups(*res), str ? str_groups : f64_groups)
+              << what << " " << a;
+          EXPECT_EQ(res->rows.size(),
+                    (str ? str_groups : f64_groups).size() + kFiller)
+              << what << " " << a;
+        }
+      }
+    }
+  }
+  db_->config().memory_limit = 0;
   SetWorkers(0);
   SetRadixBits(-1);
 }

@@ -115,6 +115,33 @@ TEST(BufferManagerTest, InvalidateDropsBlock) {
 // One copy: over the RAM device the pool holds the device's own bytes
 // ---------------------------------------------------------------------------
 
+TEST(BandwidthChannelTest, RateChangesWhileFourThreadsCharge) {
+  // A test may turn the throttle off while read-ahead tasks still charge
+  // the channel: set_bandwidth and Charge must not race (TSan), and the
+  // unthrottled charge stays lock-free.
+  BandwidthChannel channel(0);
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> charges{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; t++) {
+    threads.emplace_back([&channel, &stop, &charges]() {
+      while (!stop.load()) {
+        EXPECT_TRUE(channel.Charge(64, nullptr).ok());
+        charges.fetch_add(1);
+      }
+    });
+  }
+  // 1 GiB/s: a 64-byte charge waits well under a microsecond.
+  for (int i = 0; i < 1000 || charges.load() < 1000; i++) {
+    channel.set_bandwidth(i % 2 == 0 ? int64_t{1} << 30 : 0);
+    std::this_thread::yield();
+  }
+  channel.set_bandwidth(0);
+  stop = true;
+  for (std::thread& t : threads) t.join();
+  EXPECT_GE(charges.load(), 1000);
+}
+
 TEST(SharedBlockBytesTest, DemandPinHandsOutTheDevicesBytes) {
   SimulatedDisk disk;
   BufferManager bm(&disk, 1 << 20);
