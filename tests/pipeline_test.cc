@@ -862,15 +862,27 @@ TEST_F(PipelineTest, ParallelSortOverAggregationUsesRangeSplit) {
 // ---------------------------------------------------------------------------
 
 TEST_F(PipelineTest, CancellationMidPipelineJoinsAllTasks) {
-  // A self-join on a heavily duplicated key explodes quadratically
-  // (2500^2 pairs through the skewed key alone), so the pipeline cannot
-  // finish before the cancel lands. All worker tasks must observe the
-  // token and the query must unwind without deadlock.
+  // A self-join on one key held by every row explodes quadratically
+  // (20000^2 = 4e8 pairs, about a second on a 4-core host), so the
+  // pipeline cannot finish before the cancel lands 30 ms in. (The skewed
+  // `fact` key gives 2500^2 pairs, which a 4-worker probe can count in
+  // under 30 ms.) All worker tasks must observe the token and the query
+  // must unwind without deadlock.
+  constexpr int kRows = 20000;
+  auto b = db_->CreateTable(
+      "hot", Schema({Field("k", TypeId::kI64), Field("v", TypeId::kI64)}),
+      Layout::kDsm, 256);
+  for (int i = 0; i < kRows; i++) {
+    ASSERT_TRUE(b->AppendRow({Value::I64(7), Value::I64(i)}).ok());
+  }
+  auto t = b->Finish();
+  ASSERT_TRUE(t.ok());
+  ASSERT_TRUE(db_->RegisterTable(std::move(t).value()).ok());
   SetWorkers(4);
   CancellationToken token;
   AlgebraPtr join =
-      JoinNode(ScanNode("fact"), ScanNode("fact"), JoinType::kInner,
-               {"fk"}, {"fk"});
+      JoinNode(ScanNode("hot"), ScanNode("hot"), JoinType::kInner, {"k"},
+               {"k"});
   AlgebraPtr plan = AggrNode(std::move(join), {},
                              {{AggKind::kCount, nullptr, "n"}});
   std::thread canceller([&] {
