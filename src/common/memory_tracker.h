@@ -31,6 +31,7 @@
 #include <functional>
 #include <string>
 
+#include "common/config.h"
 #include "common/result.h"
 #include "common/status.h"
 
@@ -224,32 +225,66 @@ class MemoryReservation {
   int64_t charged_ = 0;
 };
 
-/// The shared out-of-core reservation policy used by every pipeline
-/// breaker — the ordering here is subtle enough that it must not be
-/// hand-rolled per site:
-///   1. Grow the reservation to the component's actual `footprint`.
+/// One partition of a breaker's state as GrowOrSpill sees it: its
+/// resident bytes, and whether it holds rows a spill would write out.
+struct SpillPart {
+  int64_t bytes = 0;
+  bool spillable = false;
+};
+
+/// The out-of-core reservation policy of every pipeline breaker — the
+/// ordering is subtle enough that it must not be hand-rolled per site.
+/// The breaker's state is `n` partitions: part(i) describes partition i,
+/// spill(i) writes it out and frees it (an error when the spill WRITE
+/// itself failed: a real device can run out of space, and that failure
+/// unwinds like any other IO error).
+///   1. Grow the reservation to the footprint, the sum of every
+///      partition's bytes.
 ///   2. On failure with spilling unavailable, surface the
 ///      kResourceExhausted (the caller's pipeline unwinds).
-///   3. Otherwise ask the component to `spill_some` state (it applies
-///      its own victim selection and kMinSpillBytes floor, returning the
-///      bytes it freed — 0 when nothing above the floor is left, or an
-///      error when the spill WRITE itself failed: a real device can run
-///      out of space, and that failure unwinds like any other IO error);
-///      then release the freed charge (Shrink BEFORE regrowing, or the
-///      retry compares against a stale charge) and retry.
-///   4. When nothing is left to spill, force-admit the remainder as
-///      minimum working set so the query progresses instead of wedging.
+///   3. The victim rule: when the spillable partitions hold at least
+///      kMinSpillBytes, spill them largest first until one pressure
+///      event has freed kMinSpillBytes — per-partition state can be
+///      small, and one tiny spill per batch degrades into micro-spill
+///      churn. Then release the freed charge (shrink BEFORE regrowing,
+///      or the retry compares against a stale charge) and retry.
+///   4. When less than kMinSpillBytes is spillable (the pressure comes
+///      from other operators), force-admit the footprint as minimum
+///      working set so the query progresses instead of wedging.
 inline Status GrowOrSpill(MemoryReservation* reserv, bool can_spill,
-                          const std::function<int64_t()>& footprint,
-                          const std::function<Result<int64_t>()>& spill_some) {
+                          size_t n,
+                          const std::function<SpillPart(size_t)>& part,
+                          const std::function<Status(size_t)>& spill) {
+  const auto footprint = [&]() {
+    int64_t b = 0;
+    for (size_t i = 0; i < n; i++) b += part(i).bytes;
+    return b;
+  };
   Status rs = reserv->GrowTo(footprint());
   while (!rs.ok()) {
     if (!can_spill) return rs;
-    int64_t freed;
-    X100_ASSIGN_OR_RETURN(freed, spill_some());
-    if (freed <= 0) {
+    int64_t spillable = 0;
+    for (size_t i = 0; i < n; i++) {
+      const SpillPart p = part(i);
+      if (p.spillable) spillable += p.bytes;
+    }
+    if (spillable < kMinSpillBytes) {
       reserv->ForceGrowTo(footprint());
       return Status::OK();
+    }
+    for (int64_t freed = 0; freed < kMinSpillBytes;) {
+      size_t victim = n;
+      int64_t best = 0;
+      for (size_t i = 0; i < n; i++) {
+        const SpillPart p = part(i);
+        if (p.spillable && (victim == n || p.bytes > best)) {
+          victim = i;
+          best = p.bytes;
+        }
+      }
+      if (victim == n) break;
+      X100_RETURN_IF_ERROR(spill(victim));
+      freed += best;
     }
     reserv->ShrinkTo(footprint());
     rs = reserv->GrowTo(footprint());

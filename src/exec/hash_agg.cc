@@ -26,8 +26,13 @@ std::vector<int> AllColumns(const Schema& schema) {
 
 GroupTable::GroupTable(const Schema& key_schema, std::vector<AggKind> kinds,
                        std::vector<TypeId> in_types)
+    : GroupTable(key_schema, std::move(kinds), std::move(in_types),
+                 /*indexed=*/true) {}
+
+GroupTable::GroupTable(const Schema& key_schema, std::vector<AggKind> kinds,
+                       std::vector<TypeId> in_types, bool indexed)
     : kinds_(std::move(kinds)), keys_(key_schema, AllColumns(key_schema)) {
-  keys_.BuildIndex();
+  if (indexed) keys_.BuildIndex();
   accums_.resize(kinds_.size());
   for (size_t a = 0; a < accums_.size(); a++) {
     accums_[a].in_type = in_types[a];
@@ -65,17 +70,23 @@ size_t GroupTable::MemoryBytes() const {
   return b;
 }
 
-void GroupTable::SerializeTo(std::vector<uint8_t>* out) const {
-  // [u64 keys blob size][keys HashTable blob][per accum: i64/f64/count].
-  std::vector<uint8_t> keys_blob;
-  keys_.Serialize(0, keys_.size(), &keys_blob);
-  serde::AppendPod<uint64_t>(out, keys_blob.size());
-  out->insert(out->end(), keys_blob.begin(), keys_blob.end());
-  for (const Accum& a : accums_) {
-    serde::AppendPodVec(out, a.i64);
-    serde::AppendPodVec(out, a.f64);
-    serde::AppendPodVec(out, a.count);
+void GroupTable::Serialize(int64_t begin, int64_t end,
+                           std::vector<uint8_t>* out) const {
+  // [i64 groups][u64 hashes][per accum: i64/f64/count][key RowBuffer].
+  serde::AppendPod<int64_t>(out, end - begin);
+  for (int64_t g = begin; g < end; g++) {
+    serde::AppendPod<uint64_t>(out, keys_.hash(g));
   }
+  const auto slice = [&](const auto& v) {
+    const auto* p = reinterpret_cast<const uint8_t*>(v.data() + begin);
+    out->insert(out->end(), p, p + (end - begin) * sizeof(v[0]));
+  };
+  for (const Accum& a : accums_) {
+    slice(a.i64);
+    slice(a.f64);
+    slice(a.count);
+  }
+  keys_.rows().Serialize(nullptr, begin, end, out);
 }
 
 Result<std::unique_ptr<GroupTable>> GroupTable::Deserialize(
@@ -83,23 +94,26 @@ Result<std::unique_ptr<GroupTable>> GroupTable::Deserialize(
     std::vector<TypeId> in_types, const uint8_t* data, size_t size) {
   const Status corrupt = Status::IoError("corrupt agg spill chunk");
   serde::Reader in{data, size};
-  uint64_t keys_bytes;
-  const uint8_t* keys_blob;
-  if (!in.TakePod(&keys_bytes) ||
-      !in.Take(static_cast<size_t>(keys_bytes), &keys_blob)) {
+  int64_t groups;
+  std::vector<uint64_t> hashes;
+  if (!in.TakePod(&groups) || groups < 0 ||
+      !in.TakePodVec(static_cast<size_t>(groups), &hashes)) {
     return corrupt;
   }
-  auto t = std::make_unique<GroupTable>(key_schema, std::move(kinds),
-                                        std::move(in_types));
-  X100_RETURN_IF_ERROR(t->keys_.AppendSerialized(
-      keys_blob, static_cast<size_t>(keys_bytes)));
-  const size_t n = static_cast<size_t>(t->keys_.size());
+  std::unique_ptr<GroupTable> t(new GroupTable(
+      key_schema, std::move(kinds), std::move(in_types), /*indexed=*/false));
+  const size_t n = hashes.size();
   for (Accum& a : t->accums_) {
     if (!in.TakePodVec(n, &a.i64) || !in.TakePodVec(n, &a.f64) ||
         !in.TakePodVec(n, &a.count)) {
       return corrupt;
     }
   }
+  std::unique_ptr<RowBuffer> keys;
+  X100_ASSIGN_OR_RETURN(
+      keys, RowBuffer::Deserialize(key_schema, data + in.pos, in.remaining()));
+  if (keys->rows() != groups) return corrupt;
+  t->keys_.AppendRows(*keys, hashes.data());
   return t;
 }
 
@@ -244,7 +258,6 @@ Status AggWorkerState::Prepare(const std::vector<ExprPtr>& bound_keys,
   }
   spilled_.clear();
   spilled_.resize(num_partitions());
-  spill_bytes_ = spill_chunks_ = spill_rows_ = 0;
   reserv_.ReleaseAll();
   gids_.resize(vector_size);
   groups_ = RadixGroups<sel_t, uint32_t>(num_partitions());
@@ -254,67 +267,37 @@ Status AggWorkerState::Prepare(const std::vector<ExprPtr>& bound_keys,
 
 Status AggWorkerState::EnsureReservation(ExecContext* ctx) {
   reserv_.Init(ctx->memory);
-  const auto footprint = [this]() {
-    int64_t b = 0;
-    for (const auto& t : tables_) {
-      b += static_cast<int64_t>(t->MemoryBytes());
-    }
-    return b;
+  // A spilled partition starts over with a fresh table; the barrier merge
+  // folds its run back via MergeFrom, so a group split across chunks
+  // recombines exactly. One spill writes each group to one chunk, so the
+  // fold order of every group is the order of the spill events.
+  const auto spill = [this, ctx](size_t p) -> Status {
+    const GroupTable& t = *tables_[p];
+    X100_RETURN_IF_ERROR(spilled_[p].Append(
+        ctx->spill_device, t.num_groups(),
+        [&t](int64_t begin, int64_t end, std::vector<uint8_t>* out) {
+          t.Serialize(begin, end, out);
+        }));
+    tables_[p] = std::make_unique<GroupTable>(key_schema_, kinds_, in_types_);
+    if (key_progs_.empty()) tables_[p]->EnsureGlobalGroup();
+    return Status::OK();
   };
-  // Spill victims largest-first until one pressure event has freed at
-  // least kMinSpillBytes: per-partition tables can individually be
-  // small, and one tiny spill per batch degrades into micro-spill churn
-  // (serialize + write + reload + merge per few KB). Each spilled
-  // partition starts over with a fresh table; the barrier merge folds
-  // the chunks back via MergeFrom, so a group split across chunks
-  // recombines exactly. Freeing nothing when the total spillable state
-  // is itself below the floor makes GrowOrSpill force-admit it.
-  const auto spill_some = [this, ctx]() -> Result<int64_t> {
-    int64_t spillable = 0;
-    for (const auto& t : tables_) {
-      if (t->num_groups() > 0) {
-        spillable += static_cast<int64_t>(t->MemoryBytes());
-      }
-    }
-    if (spillable < kMinSpillBytes) return int64_t{0};
-    int64_t freed = 0;
-    while (freed < kMinSpillBytes) {
-      int victim = -1;
-      size_t best = 0;
-      for (int p = 0; p < num_partitions(); p++) {
-        if (tables_[p]->num_groups() == 0) continue;
-        const size_t b = tables_[p]->MemoryBytes();
-        if (victim < 0 || b > best) {
-          best = b;
-          victim = p;
-        }
-      }
-      if (victim < 0) break;
-      freed += static_cast<int64_t>(tables_[victim]->MemoryBytes());
-      std::vector<uint8_t> blob;
-      tables_[victim]->SerializeTo(&blob);
-      SpillFile file;
-      X100_ASSIGN_OR_RETURN(file, SpillFile::Write(ctx->spill_device, blob));
-      spill_bytes_ += file.bytes();
-      spill_chunks_++;
-      spill_rows_ += tables_[victim]->num_groups();
-      spilled_[victim].push_back(std::move(file));
-      tables_[victim] =
-          std::make_unique<GroupTable>(key_schema_, kinds_, in_types_);
-      if (key_progs_.empty()) tables_[victim]->EnsureGlobalGroup();
-    }
-    return freed;
-  };
-  return GrowOrSpill(&reserv_, ctx->spill_device != nullptr, footprint,
-                     spill_some);
+  return GrowOrSpill(
+      &reserv_, ctx->spill_device != nullptr, tables_.size(),
+      [this](size_t p) {
+        return SpillPart{static_cast<int64_t>(tables_[p]->MemoryBytes()),
+                         tables_[p]->num_groups() > 0};
+      },
+      spill);
 }
 
 Status AggWorkerState::MergeSpilled(int partition, GroupTable* dst,
                                     CancellationToken* cancel) const {
   if (partition >= static_cast<int>(spilled_.size())) return Status::OK();
-  for (const SpillFile& file : spilled_[partition]) {
+  const SpillRun& run = spilled_[partition];
+  for (size_t i = 0; i < run.chunks(); i++) {
     std::vector<uint8_t> blob;
-    X100_ASSIGN_OR_RETURN(blob, file.ReadAll(cancel));
+    X100_ASSIGN_OR_RETURN(blob, run.Read(i, cancel));
     std::unique_ptr<GroupTable> chunk;
     X100_ASSIGN_OR_RETURN(
         chunk, GroupTable::Deserialize(key_schema_, kinds_, in_types_,
@@ -325,13 +308,7 @@ Status AggWorkerState::MergeSpilled(int partition, GroupTable* dst,
 }
 
 void AggWorkerState::RecordSpillProfile(ExecContext* ctx) const {
-  if (spill_chunks_ == 0) return;
-  OperatorProfile prof;
-  prof.op = "AggSpill";
-  prof.rows = spill_rows_;
-  prof.spill_bytes = spill_bytes_;
-  prof.spills = spill_chunks_;
-  ctx->RecordOperator(std::move(prof));
+  ctx->RecordSpill("AggSpill", spilled_.data(), spilled_.size());
 }
 
 std::unique_ptr<GroupTable> AggWorkerState::TakeTable(

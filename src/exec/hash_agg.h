@@ -91,16 +91,21 @@ class GroupTable {
   /// Footprint for memory accounting: key rows, index, accumulators.
   size_t MemoryBytes() const;
 
-  /// Spill serialization: the key table's (rows + hashes) + accumulator
-  /// arrays; a reload indexes the keys as they arrive. kinds/in_types are
-  /// NOT serialized — the reloader constructs the table and merges it
-  /// back via MergeFrom.
-  void SerializeTo(std::vector<uint8_t>* out) const;
+  /// Appends the spill serialization of groups [begin, end) to `out`:
+  /// the key table's rows + hashes, then each accumulator's slice.
+  /// kinds/in_types are NOT serialized — the reloader constructs the
+  /// table and merges it back via MergeFrom.
+  void Serialize(int64_t begin, int64_t end, std::vector<uint8_t>* out) const;
+  /// Rebuilds a spilled chunk of groups, without a bucket index: a
+  /// reloaded chunk is only ever the `src` of a MergeFrom, which reads
+  /// its rows and hashes. kIoError when the blob is corrupt.
   static Result<std::unique_ptr<GroupTable>> Deserialize(
       const Schema& key_schema, std::vector<AggKind> kinds,
       std::vector<TypeId> in_types, const uint8_t* data, size_t size);
 
  private:
+  GroupTable(const Schema& key_schema, std::vector<AggKind> kinds,
+             std::vector<TypeId> in_types, bool indexed);
   /// Gives the key row just appended its accumulators.
   Result<uint32_t> FinishNewGroup();
 
@@ -158,8 +163,8 @@ class AggWorkerState {
 
  private:
   /// Grows the reservation to the tables' footprint; on failure spills
-  /// the largest partition table (whole-partition chunks) or surfaces
-  /// kResourceExhausted when ctx has no spill device.
+  /// partition tables to their runs (GrowOrSpill's victim rule) or
+  /// surfaces kResourceExhausted when ctx has no spill device.
   Status EnsureReservation(ExecContext* ctx);
 
   std::vector<std::unique_ptr<ExprProgram>> key_progs_;
@@ -178,10 +183,7 @@ class AggWorkerState {
   std::vector<AggKind> kinds_;
   std::vector<TypeId> in_types_;
   MemoryReservation reserv_;
-  std::vector<std::vector<SpillFile>> spilled_;  // [partition][chunk]
-  int64_t spill_bytes_ = 0;
-  int64_t spill_chunks_ = 0;
-  int64_t spill_rows_ = 0;
+  std::vector<SpillRun> spilled_;  // one per partition
 };
 
 /// HashAggOp's binding: resolves group-by and aggregate expressions

@@ -17,36 +17,13 @@ inline int64_t NowNs() {
       .count();
 }
 
-/// Probe-side spill chunks reload into batches of this many rows at a
-/// time, so the pair phase holds one bounded chunk resident — never a
-/// whole probe partition.
-constexpr int64_t kProbeSpillChunkRows = 4096;
-
-/// Writes `table` as build chunks (HashTable::Serialize blobs) of at
-/// most kProbeSpillChunkRows rows each, appended to `out`. Slicing bounds
-/// the transient serialization blob: the merge-time defer sites run at
-/// the exact moment the memory budget is exhausted, so a whole-partition
-/// blob there would spike the REAL footprint past what the tracker
-/// reports. Returns the bytes written; on a failed write the chunks
-/// already placed stay in `out` (their blocks are owned and freed with
-/// it).
-Result<int64_t> WriteBuildChunks(const HashTable& table, SpillDevice* device,
-                                 std::vector<SpillFile>* out,
-                                 int64_t* chunks_out) {
-  int64_t bytes = 0;
-  for (int64_t begin = 0; begin < table.size();
-       begin += kProbeSpillChunkRows) {
-    const int64_t end =
-        std::min<int64_t>(table.size(), begin + kProbeSpillChunkRows);
-    std::vector<uint8_t> blob;
-    table.Serialize(begin, end, &blob);
-    SpillFile file;
-    X100_ASSIGN_OR_RETURN(file, SpillFile::Write(device, blob));
-    bytes += file.bytes();
-    (*chunks_out)++;
-    out->push_back(std::move(file));
-  }
-  return bytes;
+/// Appends every row of `table` (rows + hashes) to `run`.
+Status SpillTable(const HashTable& table, SpillDevice* device, SpillRun* run) {
+  return run->Append(device, table.size(),
+                     [&table](int64_t begin, int64_t end,
+                              std::vector<uint8_t>* out) {
+                       table.Serialize(begin, end, out);
+                     });
 }
 }  // namespace
 
@@ -112,15 +89,11 @@ Status JoinBuildState::Build(ExecContext* ctx) {
   // could not predict) pays nothing for the empty ones.
   struct WorkerPartial {
     std::vector<std::unique_ptr<HashTable>> tables;  // one per partition
+    std::vector<SpillRun> spilled;                   // one per partition
     bool saw_null_key = false;
     MemoryReservation reserv;  // tracks this worker's partial footprint
-    int64_t spill_bytes = 0, spill_chunks = 0, spill_rows = 0;
   };
   std::vector<WorkerPartial> partials(W);
-  spilled_.clear();
-  spilled_.resize(P);
-  spilled_rows_.assign(P, 0);
-  spilled_bytes_.assign(P, 0);
 
   // Phase 1 — drain pipeline: tasks drain the cloned chains (sharing one
   // morsel source underneath), hashing keys vectorized and scattering
@@ -130,8 +103,8 @@ Status JoinBuildState::Build(ExecContext* ctx) {
   // Tagged with `this` so losers of the EnsureBuilt race can help.
   //
   // Memory governance: after every batch the worker grows its
-  // reservation to its actual footprint. On failure it spills its
-  // largest radix partition (the whole partition-so-far, one blob) and
+  // reservation to its actual footprint. On failure GrowOrSpill spills
+  // radix partitions to the worker's runs by the one victim rule and
   // retries; with spilling disabled the kResourceExhausted status fails
   // this task, which cancels the group and unwinds the build.
   X100_RETURN_IF_ERROR(RunPipelineTasks(
@@ -140,62 +113,20 @@ Status JoinBuildState::Build(ExecContext* ctx) {
         X100_RETURN_IF_ERROR(group.CheckCancel());
         WorkerPartial& part = partials[w];
         part.tables.resize(P);
+        part.spilled.resize(P);
         part.reserv.Init(ctx->memory);
-        auto footprint = [&part, P]() {
-          int64_t b = 0;
-          for (int p = 0; p < P; p++) {
-            if (part.tables[p] != nullptr) {
-              b += static_cast<int64_t>(part.tables[p]->MemoryBytes());
-            }
-          }
-          return b;
+        const auto describe = [&part](size_t p) {
+          const HashTable* t = part.tables[p].get();
+          return t == nullptr
+                     ? SpillPart{}
+                     : SpillPart{static_cast<int64_t>(t->MemoryBytes()),
+                                 t->size() > 0};
         };
-        // Writes the worker's largest non-empty partition to disk and
-        // frees it, returning the freed bytes; 0 when nothing (worth the
-        // round trip) is left — totals under kMinSpillBytes make
-        // GrowOrSpill force-admit the remainder instead of churning
-        // through micro-spills. A failed spill WRITE (the device filling
-        // up) is a real error and unwinds the pipeline.
-        auto spill_one = [this, &part, ctx, P]() -> Result<int64_t> {
-          int victim = -1;
-          size_t best = 0;
-          size_t spillable = 0;
-          for (int p = 0; p < P; p++) {
-            if (part.tables[p] == nullptr || part.tables[p]->size() == 0) {
-              continue;
-            }
-            const size_t b = part.tables[p]->MemoryBytes();
-            spillable += b;
-            if (victim < 0 || b > best) {
-              best = b;
-              victim = p;
-            }
-          }
-          if (victim < 0 ||
-              spillable < static_cast<size_t>(kMinSpillBytes)) {
-            return int64_t{0};
-          }
-          const int64_t victim_rows = part.tables[victim]->size();
-          std::vector<uint8_t> blob;
-          part.tables[victim]->Serialize(0, victim_rows, &blob);
-          SpillFile file;
-          X100_ASSIGN_OR_RETURN(file,
-                                SpillFile::Write(ctx->spill_device, blob));
-          part.spill_bytes += file.bytes();
-          part.spill_chunks++;
-          part.spill_rows += victim_rows;
-          {
-            std::lock_guard<std::mutex> lock(spill_mu_);
-            spilled_[victim].push_back(std::move(file));
-            spilled_rows_[victim] += victim_rows;
-            spilled_bytes_[victim] += static_cast<int64_t>(blob.size());
-          }
-          part.tables[victim].reset();
-          return static_cast<int64_t>(best);
-        };
-        auto ensure = [&]() -> Status {
-          return GrowOrSpill(&part.reserv, ctx->spill_device != nullptr,
-                             footprint, spill_one);
+        const auto spill = [&part, ctx](size_t p) -> Status {
+          X100_RETURN_IF_ERROR(
+              SpillTable(*part.tables[p], ctx->spill_device, &part.spilled[p]));
+          part.tables[p].reset();
+          return Status::OK();
         };
         std::vector<uint64_t> hash_scratch(ctx->vector_size);
         RadixGroups<sel_t, uint64_t> groups(P);
@@ -240,22 +171,22 @@ Status JoinBuildState::Build(ExecContext* ctx) {
                                    static_cast<int>(g.pos.size()),
                                    g.tag.data());
           }
-          s = ensure();
+          s = GrowOrSpill(&part.reserv, ctx->spill_device != nullptr, P,
+                          describe, spill);
         }
         chain->Close();
-        if (part.spill_chunks > 0) {
-          OperatorProfile prof;
-          prof.op = "JoinBuildSpill";
-          prof.rows = part.spill_rows;
-          prof.spill_bytes = part.spill_bytes;
-          prof.spills = part.spill_chunks;
-          ctx->RecordOperator(std::move(prof));
-        }
+        ctx->RecordSpill("JoinBuildSpill", part.spilled.data(),
+                         part.spilled.size());
         return s;
       },
       /*help_tag=*/this));
 
-  for (const WorkerPartial& p : partials) has_null_key_ |= p.saw_null_key;
+  spilled_.clear();
+  spilled_.resize(P);
+  for (WorkerPartial& wp : partials) {
+    has_null_key_ |= wp.saw_null_key;
+    for (int p = 0; p < P; p++) spilled_[p].Splice(std::move(wp.spilled[p]));
+  }
 
   // Phase 1.5 — dynamic radix re-sizing: the drain just OBSERVED the
   // build cardinality; when it dwarfs the planner's scan-spine estimate
@@ -273,7 +204,7 @@ Status JoinBuildState::Build(ExecContext* ctx) {
       if (t != nullptr) observed += t->size();
     }
   }
-  for (int p = 0; p < P; p++) observed += spilled_rows_[p];
+  for (const SpillRun& run : spilled_) observed += run.rows();
   if (allow_radix_resize_ && estimated_rows_ >= 0 &&
       observed >= kRadixResizeFactor * std::max<int64_t>(estimated_rows_, 1) &&
       RadixBitsForObserved(observed) > radix_bits_) {
@@ -289,11 +220,9 @@ Status JoinBuildState::Build(ExecContext* ctx) {
       partials[w].tables.clear();
       partials[w].tables.resize(P2);
     }
-    std::vector<std::vector<SpillFile>> old_spilled = std::move(spilled_);
+    std::vector<SpillRun> old_spilled = std::move(spilled_);
     spilled_.clear();
     spilled_.resize(P2);
-    spilled_rows_.assign(P2, 0);
-    spilled_bytes_.assign(P2, 0);
     const int old_bits = radix_bits_;
     radix_bits_ = new_bits;  // PartitionOf now routes at the new width
     X100_RETURN_IF_ERROR(RunPipelineTasks(
@@ -332,9 +261,9 @@ Status JoinBuildState::Build(ExecContext* ctx) {
           auto split = [&](const HashTable& src,
                            std::unique_ptr<HashTable>* out) {
             for (int64_t begin = 0; begin < src.size();
-                 begin += kProbeSpillChunkRows) {
+                 begin += kSpillChunkRows) {
               const int64_t end =
-                  std::min(src.size(), begin + kProbeSpillChunkRows);
+                  std::min(src.size(), begin + kSpillChunkRows);
               groups.Clear();
               for (int64_t r = begin; r < end; r++) {
                 groups.Add(PartitionOf(src.hash(r)) - first_child, r,
@@ -356,12 +285,13 @@ Status JoinBuildState::Build(ExecContext* ctx) {
             split(*src, &partials[w].tables[first_child]);
             moved += src->size();
           }
-          // Spilled chunks of q split through one reload: each child
-          // slice is rewritten as its own chunk and the parent chunk is
-          // freed (the device recycles its blocks).
-          for (SpillFile& chunk : old_spilled[q]) {
+          // Old partition q's run splits through one reload per chunk:
+          // each child slice is appended to its child's run and the
+          // parent chunk is freed (the device recycles its blocks).
+          SpillRun& old_run = old_spilled[q];
+          for (size_t i = 0; i < old_run.chunks(); i++) {
             std::vector<uint8_t> blob;
-            X100_ASSIGN_OR_RETURN(blob, chunk.ReadAll(ctx->cancel));
+            X100_ASSIGN_OR_RETURN(blob, old_run.Take(i, ctx->cancel));
             charge(static_cast<int64_t>(blob.size()) * 3);
             HashTable reloaded(build_schema_, build_keys_);
             X100_RETURN_IF_ERROR(
@@ -370,19 +300,10 @@ Status JoinBuildState::Build(ExecContext* ctx) {
             split(reloaded, children.data());
             for (size_t c = 0; c < children.size(); c++) {
               if (children[c] == nullptr) continue;
-              std::vector<uint8_t> child_blob;
-              children[c]->Serialize(0, children[c]->size(), &child_blob);
-              SpillFile file;
-              X100_ASSIGN_OR_RETURN(
-                  file, SpillFile::Write(ctx->spill_device, child_blob));
-              const size_t child_p = first_child + c;
-              spilled_rows_[child_p] += children[c]->size();
-              spilled_bytes_[child_p] +=
-                  static_cast<int64_t>(child_blob.size());
-              spilled_[child_p].push_back(std::move(file));
+              X100_RETURN_IF_ERROR(SpillTable(*children[c], ctx->spill_device,
+                                              &spilled_[first_child + c]));
               moved += children[c]->size();
             }
-            chunk.Free();
           }
           OperatorProfile prof;
           prof.op = "JoinBuildResize";
@@ -423,8 +344,9 @@ Status JoinBuildState::Build(ExecContext* ctx) {
         const int64_t t0 = NowNs();
         Partition& part = partitions_[p];
         part.mem.Init(ctx->memory);
-        int64_t est_rows = spilled_rows_[p];
-        int64_t est_bytes = spilled_bytes_[p];
+        SpillRun& run = spilled_[p];
+        int64_t est_rows = run.rows();
+        int64_t est_bytes = run.bytes();
         for (WorkerPartial& wp : partials) {
           if (wp.tables[p] == nullptr) continue;
           est_rows += wp.tables[p]->size();
@@ -433,37 +355,31 @@ Status JoinBuildState::Build(ExecContext* ctx) {
         est_bytes += HashTable::IndexBytes(est_rows);
         const bool can_defer =
             ctx->spill_device != nullptr && ctx->memory != nullptr;
-        auto defer_partials = [this, &partials, ctx, p]() -> Status {
-          int64_t bytes = 0, rows = 0, chunks = 0;
-          for (WorkerPartial& wp : partials) {
-            if (wp.tables[p] == nullptr || wp.tables[p]->size() == 0) {
-              continue;
-            }
-            int64_t written;
-            X100_ASSIGN_OR_RETURN(
-                written, WriteBuildChunks(*wp.tables[p], ctx->spill_device,
-                                          &spilled_[p], &chunks));
-            bytes += written;
-            rows += wp.tables[p]->size();
-            spilled_rows_[p] += wp.tables[p]->size();
-            spilled_bytes_[p] += written;
-            wp.tables[p].reset();
+        // Leaves the partition on disk: `tables` (null ones skipped) are
+        // appended to its run and freed, and a "JoinBuildDefer" entry
+        // reports what they wrote.
+        const auto defer =
+            [this, ctx, &part, &run](
+                const std::vector<std::unique_ptr<HashTable>*>& tables)
+            -> Status {
+          SpillRun written;
+          for (std::unique_ptr<HashTable>* t : tables) {
+            if (*t == nullptr) continue;
+            X100_RETURN_IF_ERROR(
+                SpillTable(**t, ctx->spill_device, &written));
+            t->reset();
           }
-          if (chunks > 0) {
-            OperatorProfile prof;
-            prof.op = "JoinBuildDefer";
-            prof.rows = rows;
-            prof.spill_bytes = bytes;
-            prof.spills = chunks;
-            ctx->RecordOperator(std::move(prof));
-          }
-          return Status::OK();
-        };
-        if (can_defer && est_rows > 0 && !part.mem.GrowTo(est_bytes).ok()) {
-          X100_RETURN_IF_ERROR(defer_partials());
+          ctx->RecordSpill("JoinBuildDefer", &written, 1);
+          run.Splice(std::move(written));
           ResetToDeferred(&part);
           part.deferred = true;
           any_deferred_.store(true, std::memory_order_relaxed);
+          return Status::OK();
+        };
+        if (can_defer && est_rows > 0 && !part.mem.GrowTo(est_bytes).ok()) {
+          std::vector<std::unique_ptr<HashTable>*> resident;
+          for (WorkerPartial& wp : partials) resident.push_back(&wp.tables[p]);
+          X100_RETURN_IF_ERROR(defer(resident));
           OperatorProfile prof;
           prof.op = "JoinBuildMerge";
           prof.rows = 0;
@@ -472,30 +388,26 @@ Status JoinBuildState::Build(ExecContext* ctx) {
           return Status::OK();
         }
         const int W = static_cast<int>(partials.size());
-        if (W == 1 && spilled_[p].empty() &&
-            partials[0].tables[p] != nullptr) {
+        if (W == 1 && run.empty() && partials[0].tables[p] != nullptr) {
           part.table = std::move(partials[0].tables[p]);
         } else {
           part.table = NewTable();
           for (WorkerPartial& wp : partials) {
             if (wp.tables[p] != nullptr) part.table->AppendFrom(*wp.tables[p]);
           }
-          for (SpillFile& file : spilled_[p]) {
+          for (size_t i = 0; i < run.chunks(); i++) {
             std::vector<uint8_t> blob;
-            X100_ASSIGN_OR_RETURN(blob, file.ReadAll(ctx->cancel));
+            X100_ASSIGN_OR_RETURN(blob, run.Take(i, ctx->cancel));
             X100_RETURN_IF_ERROR(
                 part.table->AppendSerialized(blob.data(), blob.size()));
-            file.Free();  // consumed: the device recycles the blocks now
           }
-          spilled_[p].clear();
-          spilled_rows_[p] = 0;
-          spilled_bytes_[p] = 0;
+          run.Free();
         }
         const int64_t n = part.table->size();
         part.table->BuildIndex();
         // Settle the estimate against the materialized footprint. If the
         // actual size no longer fits (allocator slack past the
-        // estimate), the partition is serialized back out and deferred —
+        // estimate), the partition is written back out and deferred —
         // never force-charged — so resident partitions are always WITHIN
         // the budget. Without a spill device the old force-admit stands.
         const int64_t actual = static_cast<int64_t>(part.table->MemoryBytes());
@@ -504,21 +416,7 @@ Status JoinBuildState::Build(ExecContext* ctx) {
         } else if (!can_defer) {
           part.mem.ForceGrowTo(actual);
         } else if (!part.mem.GrowTo(actual).ok()) {
-          int64_t written, chunks = 0;
-          X100_ASSIGN_OR_RETURN(
-              written, WriteBuildChunks(*part.table, ctx->spill_device,
-                                        &spilled_[p], &chunks));
-          OperatorProfile dprof;
-          dprof.op = "JoinBuildDefer";
-          dprof.rows = n;
-          dprof.spill_bytes = written;
-          dprof.spills = chunks;
-          ctx->RecordOperator(std::move(dprof));
-          spilled_rows_[p] = n;
-          spilled_bytes_[p] = written;
-          ResetToDeferred(&part);
-          part.deferred = true;
-          any_deferred_.store(true, std::memory_order_relaxed);
+          X100_RETURN_IF_ERROR(defer({&part.table}));
         }
         OperatorProfile prof;
         prof.op = "JoinBuildMerge";
@@ -590,16 +488,13 @@ void JoinBuildState::CloseChains() {
   }
 }
 
-bool JoinBuildState::FinishProber(
-    std::vector<std::vector<SpillFile>> probe_chunks) {
+bool JoinBuildState::FinishProber(std::vector<SpillRun> probe_runs) {
   std::lock_guard<std::mutex> lock(probe_mu_);
-  if (probe_spilled_.size() < probe_chunks.size()) {
-    probe_spilled_.resize(probe_chunks.size());
+  if (probe_spilled_.size() < probe_runs.size()) {
+    probe_spilled_.resize(probe_runs.size());
   }
-  for (size_t p = 0; p < probe_chunks.size(); p++) {
-    for (SpillFile& f : probe_chunks[p]) {
-      probe_spilled_[p].push_back(std::move(f));
-    }
+  for (size_t p = 0; p < probe_runs.size(); p++) {
+    probe_spilled_[p].Splice(std::move(probe_runs[p]));
   }
   probers_finished_++;
   return probers_finished_ ==
@@ -621,14 +516,15 @@ Result<int64_t> JoinBuildState::LoadDeferredPartition(
     int p, ExecContext* ctx, std::vector<std::vector<uint8_t>>* preloaded) {
   Partition& part = partitions_[p];
   part.table = NewTable();
+  const SpillRun& run = spilled_[p];
   const bool use_preloaded =
-      preloaded != nullptr && preloaded->size() == spilled_[p].size();
-  for (size_t i = 0; i < spilled_[p].size(); i++) {
+      preloaded != nullptr && preloaded->size() == run.chunks();
+  for (size_t i = 0; i < run.chunks(); i++) {
     std::vector<uint8_t> blob;
     if (use_preloaded) {
       blob = std::move((*preloaded)[i]);
     } else {
-      X100_ASSIGN_OR_RETURN(blob, spilled_[p][i].ReadAll(ctx->cancel));
+      X100_ASSIGN_OR_RETURN(blob, run.Read(i, ctx->cancel));
     }
     X100_RETURN_IF_ERROR(
         part.table->AppendSerialized(blob.data(), blob.size()));
@@ -645,10 +541,8 @@ Result<int64_t> JoinBuildState::LoadDeferredPartition(
 
 void JoinBuildState::ReleaseDeferredPartition(int p) {
   ResetToDeferred(&partitions_[p]);
-  for (SpillFile& f : spilled_[p]) f.Free();
-  spilled_[p].clear();
-  for (SpillFile& f : probe_spilled_[p]) f.Free();
-  probe_spilled_[p].clear();
+  spilled_[p].Free();
+  probe_spilled_[p].Free();
 }
 
 // ---------------------------------------------------------------------------
@@ -671,6 +565,7 @@ Status JoinProber::Open(ExecContext* ctx) {
   out_probe_.resize(ctx->vector_size);
   out_table_.resize(ctx->vector_size);
   out_row_.resize(ctx->vector_size);
+  live_sel_.resize(ctx->vector_size);
   simd_ = ctx->simd;
   prefetch_ = ctx->simd != SimdLevel::kScalar;
   probe_batch_ = nullptr;
@@ -693,17 +588,10 @@ void JoinProber::Close(ExecContext* ctx) {
     ctx->RecordOperator(std::move(prof));
     pair_prefetch_issued_ = pair_prefetch_adopted_ = 0;
   }
-  if (ctx != nullptr && probe_spill_chunks_ > 0) {
-    OperatorProfile prof;
-    prof.op = "JoinProbeSpill";
-    prof.rows = probe_spill_rows_;
-    prof.spill_bytes = probe_spill_bytes_;
-    prof.spills = probe_spill_chunks_;
-    ctx->RecordOperator(std::move(prof));
-    probe_spill_bytes_ = probe_spill_chunks_ = probe_spill_rows_ = 0;
-  }
+  // A prober that never finished still reports what it wrote.
+  if (ctx != nullptr) RecordProbeSpill(ctx);
   defer_rows_.clear();
-  defer_chunks_.clear();
+  defer_runs_.clear();
   defer_mem_.ReleaseAll();
   pair_mem_.ReleaseAll();
   pair_probe_rows_.reset();
@@ -743,85 +631,72 @@ void JoinProber::Materialize(int begin, int end) {
 
 // --- Grace probe-side spill ------------------------------------------------
 
-Status JoinProber::DeferRow(int i, size_t partition) {
+void JoinProber::DeferRows() {
+  const size_t P = static_cast<size_t>(state_->num_partitions());
   if (defer_rows_.empty()) {
-    defer_rows_.resize(state_->num_partitions());
-    defer_chunks_.resize(state_->num_partitions());
+    defer_rows_.resize(P);
+    defer_runs_.resize(P);
+    defer_groups_ = RadixGroups<sel_t, uint64_t>(P);
   }
-  if (defer_rows_[partition] == nullptr) {
-    defer_rows_[partition] = std::make_unique<RowBuffer>(*probe_schema_);
+  defer_groups_.Clear();
+  int kept = 0;
+  for (int j = 0; j < probe_n_; j++) {
+    const int i = probe_sel_ ? probe_sel_[j] : j;
+    const size_t p = state_->PartitionOf(probe_hashes_[j]);
+    if (state_->partition_deferred(p) && !ProbeKeyHasNull(i)) {
+      defer_groups_.Add(p, static_cast<sel_t>(i), probe_hashes_[j]);
+      continue;
+    }
+    live_sel_[kept] = static_cast<sel_t>(i);
+    probe_hashes_[kept++] = probe_hashes_[j];
   }
-  defer_rows_[partition]->Append(probe_cols_, nullptr, i, 1);
-  return Status::OK();
+  if (kept == probe_n_) return;
+  for (size_t p : defer_groups_.touched()) {
+    const auto& g = defer_groups_.group(p);
+    if (defer_rows_[p] == nullptr) {
+      defer_rows_[p] = std::make_unique<RowBuffer>(*probe_schema_);
+    }
+    defer_rows_[p]->Append(probe_cols_, g.pos.data(), 0,
+                           static_cast<int>(g.pos.size()));
+  }
+  probe_sel_ = live_sel_.data();
+  probe_n_ = kept;
 }
 
-/// Writes partition `victim`'s deferred probe rows as chunks of at most
-/// kProbeSpillChunkRows rows each (the pair phase reloads one chunk at a
-/// time, so chunk size bounds the pair's probe-side working set) and
-/// frees the buffer. Returns the resident bytes freed.
-Result<int64_t> JoinProber::SpillDeferredPartition(ExecContext* ctx,
-                                                   int victim) {
-  RowBuffer& rows = *defer_rows_[victim];
-  const int64_t freed = static_cast<int64_t>(rows.MemoryBytes());
-  for (int64_t begin = 0; begin < rows.rows();
-       begin += kProbeSpillChunkRows) {
-    const int64_t end =
-        std::min<int64_t>(rows.rows(), begin + kProbeSpillChunkRows);
-    std::vector<uint8_t> blob;
-    rows.Serialize(nullptr, begin, end, &blob);
-    SpillFile file;
-    X100_ASSIGN_OR_RETURN(file, SpillFile::Write(ctx->spill_device, blob));
-    probe_spill_bytes_ += file.bytes();
-    probe_spill_chunks_++;
-    defer_chunks_[victim].push_back(std::move(file));
-  }
-  probe_spill_rows_ += rows.rows();
-  defer_rows_[victim].reset();
-  return freed;
-}
-
-Status JoinProber::EnsureDeferReservation(ExecContext* ctx) {
+Status JoinProber::SpillDeferred(ExecContext* ctx, bool flush) {
   if (defer_rows_.empty()) return Status::OK();
   defer_mem_.Init(ctx->memory);
-  const auto footprint = [this]() {
-    int64_t b = 0;
-    for (const auto& rb : defer_rows_) {
-      if (rb != nullptr) b += static_cast<int64_t>(rb->MemoryBytes());
-    }
-    return b;
+  const auto spill = [this, ctx](size_t p) -> Status {
+    const RowBuffer& rows = *defer_rows_[p];
+    X100_RETURN_IF_ERROR(defer_runs_[p].Append(
+        ctx->spill_device, rows.rows(),
+        [&rows](int64_t begin, int64_t end, std::vector<uint8_t>* out) {
+          rows.Serialize(nullptr, begin, end, out);
+        }));
+    defer_rows_[p].reset();
+    return Status::OK();
   };
-  // Same policy as the drain: spill the largest deferred buffer, floor
-  // kMinSpillBytes so pressure from other operators cannot degrade this
-  // into per-row chunks.
-  const auto spill_some = [this, ctx]() -> Result<int64_t> {
-    int victim = -1;
-    size_t best = 0, spillable = 0;
+  if (flush) {
     for (size_t p = 0; p < defer_rows_.size(); p++) {
-      if (defer_rows_[p] == nullptr || defer_rows_[p]->rows() == 0) continue;
-      const size_t b = defer_rows_[p]->MemoryBytes();
-      spillable += b;
-      if (victim < 0 || b > best) {
-        best = b;
-        victim = static_cast<int>(p);
-      }
+      if (defer_rows_[p] != nullptr) X100_RETURN_IF_ERROR(spill(p));
     }
-    if (victim < 0 || spillable < static_cast<size_t>(kMinSpillBytes)) {
-      return int64_t{0};
-    }
-    return SpillDeferredPartition(ctx, victim);
-  };
-  return GrowOrSpill(&defer_mem_, ctx->spill_device != nullptr, footprint,
-                     spill_some);
+    defer_mem_.ReleaseAll();
+    return Status::OK();
+  }
+  return GrowOrSpill(
+      &defer_mem_, ctx->spill_device != nullptr, defer_rows_.size(),
+      [this](size_t p) {
+        const RowBuffer* rb = defer_rows_[p].get();
+        return rb == nullptr
+                   ? SpillPart{}
+                   : SpillPart{static_cast<int64_t>(rb->MemoryBytes()),
+                               rb->rows() > 0};
+      },
+      spill);
 }
 
-Status JoinProber::SpillAllDeferred(ExecContext* ctx) {
-  for (size_t p = 0; p < defer_rows_.size(); p++) {
-    if (defer_rows_[p] == nullptr || defer_rows_[p]->rows() == 0) continue;
-    Result<int64_t> r = SpillDeferredPartition(ctx, static_cast<int>(p));
-    X100_RETURN_IF_ERROR(r.status());
-  }
-  defer_mem_.ReleaseAll();
-  return Status::OK();
+void JoinProber::RecordProbeSpill(ExecContext* ctx) const {
+  ctx->RecordSpill("JoinProbeSpill", defer_runs_.data(), defer_runs_.size());
 }
 
 // --- Partition-pair streaming (last finisher) ------------------------------
@@ -878,11 +753,10 @@ void JoinProber::MaybePrefetchNextPair(ExecContext* ctx) {
   if (ctx->buffers == nullptr || ctx->scheduler == nullptr) return;
   if (!ctx->buffers->prefetch_enabled()) return;
   const int p = pair_parts_[pair_idx_ + 1];
-  const std::vector<SpillFile>& build = state_->build_chunks(p);
-  const std::vector<SpillFile>& probe = state_->probe_chunks(p);
-  int64_t bytes = 0;
-  for (const SpillFile& f : build) bytes += f.bytes();
-  if (!probe.empty()) bytes += probe[0].bytes();
+  const SpillRun& build = state_->build_run(p);
+  const SpillRun& probe = state_->probe_run(p);
+  int64_t bytes = build.bytes();
+  if (!probe.empty()) bytes += probe.chunk_bytes(0);
   if (bytes <= 0) return;
   // Ahead-of-demand bytes ride the buffer pool's read-ahead budget, not
   // the query memory limit — during the pair phase the resident pair
@@ -892,7 +766,7 @@ void JoinProber::MaybePrefetchNextPair(ExecContext* ctx) {
   next_pair_.part = p;
   next_pair_.charged_bytes = bytes;
   next_pair_.buffers = ctx->buffers;
-  next_pair_.build_blobs.assign(build.size(), {});
+  next_pair_.build_blobs.assign(build.chunks(), {});
   next_pair_.has_probe_blob = !probe.empty();
   next_pair_.probe_blob.clear();
   next_pair_.tasks =
@@ -901,13 +775,13 @@ void JoinProber::MaybePrefetchNextPair(ExecContext* ctx) {
   PairPrefetch* pf = &next_pair_;
   CancellationToken* cancel = ctx->cancel;
   next_pair_.tasks->Spawn([this, pf, p, cancel]() -> Status {
-    const std::vector<SpillFile>& bchunks = state_->build_chunks(p);
-    for (size_t i = 0; i < bchunks.size(); i++) {
-      X100_ASSIGN_OR_RETURN(pf->build_blobs[i], bchunks[i].ReadAll(cancel));
+    const SpillRun& build = state_->build_run(p);
+    for (size_t i = 0; i < build.chunks(); i++) {
+      X100_ASSIGN_OR_RETURN(pf->build_blobs[i], build.Read(i, cancel));
     }
     if (pf->has_probe_blob) {
       X100_ASSIGN_OR_RETURN(pf->probe_blob,
-                            state_->probe_chunks(p)[0].ReadAll(cancel));
+                            state_->probe_run(p).Read(0, cancel));
     }
     return Status::OK();
   });
@@ -946,17 +820,17 @@ Status JoinProber::FinishPair(ExecContext* ctx) {
 
 Result<bool> JoinProber::NextPairChunk(ExecContext* ctx) {
   const int p = pair_parts_[pair_idx_];
-  const std::vector<SpillFile>& chunks = state_->probe_chunks(p);
+  const SpillRun& run = state_->probe_run(p);
   pair_probe_rows_.reset();
   pair_mem_.ShrinkTo(0);
-  if (pair_chunk_ >= chunks.size()) return false;
+  if (pair_chunk_ >= run.chunks()) return false;
   std::vector<uint8_t> blob;
   if (pair_chunk_ == 0 && has_adopted_probe_blob_) {
     blob = std::move(adopted_probe_blob_);
     has_adopted_probe_blob_ = false;
     adopted_probe_blob_.clear();
   } else {
-    X100_ASSIGN_OR_RETURN(blob, chunks[pair_chunk_].ReadAll(ctx->cancel));
+    X100_ASSIGN_OR_RETURN(blob, run.Read(pair_chunk_, ctx->cancel));
   }
   std::unique_ptr<RowBuffer> rb;
   X100_ASSIGN_OR_RETURN(
@@ -979,23 +853,24 @@ Result<Batch*> JoinProber::NextProbeBatch(Operator* child, ExecContext* ctx) {
     if (b != nullptr) {
       // Budget check one batch behind: the rows deferred from the batch
       // just processed are covered before the next one grows the
-      // buffers further (the final batch settles in SpillAllDeferred).
+      // buffers further (the final batch settles in the flush below).
       if (state_->any_deferred()) {
-        X100_RETURN_IF_ERROR(EnsureDeferReservation(ctx));
+        X100_RETURN_IF_ERROR(SpillDeferred(ctx, /*flush=*/false));
       }
       return b;
     }
     // Probe child exhausted. With deferred partitions, this prober's
-    // chunks are handed to the shared state; the LAST prober to arrive
+    // runs are handed to the shared state; the LAST prober to arrive
     // owns the pair phase — every other prober has already returned
     // end-of-stream to its sink, so the pairs have exactly one owner
     // and stream through this prober's (arbitrary, sinks merge anyway)
     // chain.
     if (finished_ || !state_->any_deferred()) return nullptr;
     finished_ = true;
-    X100_RETURN_IF_ERROR(SpillAllDeferred(ctx));
-    const bool last = state_->FinishProber(std::move(defer_chunks_));
-    defer_chunks_.clear();
+    X100_RETURN_IF_ERROR(SpillDeferred(ctx, /*flush=*/true));
+    RecordProbeSpill(ctx);
+    const bool last = state_->FinishProber(std::move(defer_runs_));
+    defer_runs_.clear();
     defer_rows_.clear();
     if (!last) return nullptr;
     pair_parts_ = state_->DeferredPairList();
@@ -1055,18 +930,24 @@ Result<Batch*> JoinProber::Next(Operator* child, ExecContext* ctx) {
         chain_pos_ = -1;
         row_matched_ = false;
         // Hash all live probe keys for this batch.
-        const int n = probe_batch_->ActiveRows();
-        const sel_t* sel = probe_batch_->sel();
+        probe_n_ = probe_batch_->ActiveRows();
+        probe_sel_ = probe_batch_->sel();
         bool first = true;
         for (int c : probe_keys_) {
-          hashk::HashColumn(*probe_batch_->column(c), n, sel,
+          hashk::HashColumn(*probe_batch_->column(c), probe_n_, probe_sel_,
                             probe_hashes_.data(), !first, simd_);
           first = false;
         }
+        // Grace routing: a non-NULL-keyed row whose partition stayed on
+        // disk cannot be probed now — it is buffered (and spilled) for
+        // the partition-pair phase. NULL-keyed rows never need the
+        // table, so every flavor's NULL semantics resolve immediately.
+        if (!pair_mode_ && state_->any_deferred()) DeferRows();
         // Prime the prefetch window: the whole batch's hashes are known,
         // so the first rows' bucket heads can start their trip from DRAM
         // before the probe loop touches them.
         if (prefetch_) {
+          const int n = probe_n_;
           const int w = n < kPrefetchDistance ? n : kPrefetchDistance;
           for (int j = 0; j < w; j++) {
             state_->table(probe_hashes_[j]).PrefetchBucket(probe_hashes_[j]);
@@ -1074,8 +955,8 @@ Result<Batch*> JoinProber::Next(Operator* child, ExecContext* ctx) {
         }
       }
 
-      const int n = probe_batch_->ActiveRows();
-      const sel_t* sel = probe_batch_->sel();
+      const int n = probe_n_;
+      const sel_t* sel = probe_sel_;
       const int begin = filled;
       bool batch_done = true;
       while (probe_pos_ < n) {
@@ -1088,20 +969,6 @@ Result<Batch*> JoinProber::Next(Operator* child, ExecContext* ctx) {
         }
         const int i = sel ? sel[probe_pos_] : probe_pos_;
         const bool key_null = ProbeKeyHasNull(i);
-
-        // Grace routing: a non-NULL-keyed row whose partition stayed on
-        // disk cannot be probed now — it is buffered (and spilled) for
-        // the partition-pair phase. NULL-keyed rows never need the
-        // table, so every flavor's NULL semantics resolve immediately.
-        if (!pair_mode_ && !key_null && state_->any_deferred() &&
-            chain_pos_ < 0 && !row_matched_ &&
-            state_->partition_deferred(
-                state_->PartitionOf(probe_hashes_[probe_pos_]))) {
-          X100_RETURN_IF_ERROR(
-              DeferRow(i, state_->PartitionOf(probe_hashes_[probe_pos_])));
-          probe_pos_++;
-          continue;
-        }
 
         if (type_ == JoinType::kSemi || type_ == JoinType::kAnti ||
             type_ == JoinType::kAntiNullAware) {

@@ -28,8 +28,8 @@
 // leaves that partition on disk ("deferred") instead of force-charging it
 // resident. Probe rows hashing into a deferred partition are not probed;
 // each prober routes them — same RadixPartitionOf bits, so build and
-// probe agree bit-for-bit — into probe-side SpillFiles under its own
-// memory reservation. When the LAST registered prober exhausts its probe
+// probe agree bit-for-bit — into one probe-side SpillRun per partition
+// under its own memory reservation. When the LAST registered prober exhausts its probe
 // child it takes over the partition-pair phase: one deferred partition at
 // a time, it reloads the build side (chunks + index, force-charged as the
 // pair's minimum working set), streams every prober's probe chunks back
@@ -149,43 +149,38 @@ class JoinBuildState {
     probers_registered_.fetch_add(1, std::memory_order_acq_rel);
   }
 
-  /// Hands a finished prober's probe-side spill chunks (per partition) to
-  /// the shared state. Returns true iff this was the last registered
-  /// prober — the caller then owns the partition-pair phase.
-  bool FinishProber(std::vector<std::vector<SpillFile>> probe_chunks);
+  /// Hands a finished prober's probe-side runs (one per partition) to the
+  /// shared state. Returns true iff this was the last registered prober —
+  /// the caller then owns the partition-pair phase.
+  bool FinishProber(std::vector<SpillRun> probe_runs);
 
   /// The deferred partitions that received probe rows, in partition
   /// order. Call only as the last finisher.
   std::vector<int> DeferredPairList() const;
 
-  /// Loads deferred partition `p` resident: merges its build spill
+  /// Loads deferred partition `p` resident: merges its build run's
   /// chunks, indexes them, and force-charges the result as the pair's
   /// minimum working set. Returns the resident bytes charged. Call only
   /// as the last finisher, one partition at a time. `preloaded`, when
-  /// non-null and sized like build_chunks(p), supplies the chunk blobs
-  /// already read ahead (the pair prefetcher) — they are consumed in
-  /// chunk order instead of re-reading the spill device.
+  /// non-null and sized like build_run(p)'s chunks, supplies the chunk
+  /// blobs already read ahead (the pair prefetcher) — they are consumed
+  /// in chunk order instead of re-reading the spill device.
   Result<int64_t> LoadDeferredPartition(
       int p, ExecContext* ctx,
       std::vector<std::vector<uint8_t>>* preloaded = nullptr);
 
-  /// This pair's probe chunks (every prober's, concatenated). Valid
+  /// This pair's probe run (every prober's, concatenated). Valid
   /// between LoadDeferredPartition(p) and ReleaseDeferredPartition(p).
-  const std::vector<SpillFile>& probe_chunks(int p) const {
-    return probe_spilled_[p];
-  }
+  const SpillRun& probe_run(int p) const { return probe_spilled_[p]; }
 
-  /// Partition `p`'s build-side spill chunks (read-ahead peeks at the
-  /// next pair's files while the current pair probes). Safe without
-  /// spill_mu_ in the pair phase: the drain barrier has long passed and
-  /// the last finisher is the only thread left touching spill state.
-  const std::vector<SpillFile>& build_chunks(int p) const {
-    return spilled_[p];
-  }
+  /// Partition `p`'s build run (read-ahead peeks at the next pair's
+  /// chunks while the current pair probes; by then the last finisher is
+  /// the only thread left touching spill state).
+  const SpillRun& build_run(int p) const { return spilled_[p]; }
 
   /// Drops partition `p`'s resident build side, its reservation and its
-  /// build + probe spill chunks — the pair is done, its disk space and
-  /// memory return before the next pair loads.
+  /// build + probe runs — the pair is done, its disk space and memory
+  /// return before the next pair loads.
   void ReleaseDeferredPartition(int p);
 
  private:
@@ -217,24 +212,19 @@ class JoinBuildState {
   /// Set by merge tasks (concurrently, hence atomic), read by probes.
   std::atomic<bool> any_deferred_{false};
 
-  /// Out-of-core drain (Grace-style): when a drain worker's memory
-  /// reservation fails it writes its largest radix partition (one
-  /// HashTable blob: rows + hashes) to a SpillFile and continues with a
-  /// fresh buffer; the partition's merge task re-reads every spilled
-  /// chunk before indexing — or leaves them on disk when the partition
-  /// is deferred. `spill_mu_` guards the per-partition chunk lists
-  /// during the concurrent drain; `spilled_rows_` sizes the merge task's
-  /// up-front reservation.
-  std::mutex spill_mu_;
-  std::vector<std::vector<SpillFile>> spilled_;  // [partition][chunk]
-  std::vector<int64_t> spilled_rows_;            // rows per partition on disk
-  std::vector<int64_t> spilled_bytes_;           // blob bytes per partition
+  /// Out-of-core build: one run per partition of rows on disk (HashTable
+  /// chunks: rows + hashes). Drain workers spill into runs of their own,
+  /// spliced here in worker order after the drain barrier; the merge task
+  /// reloads the run before indexing (its rows and bytes size the up-front
+  /// reservation), or appends its resident partials to it when the
+  /// partition is deferred.
+  std::vector<SpillRun> spilled_;
 
-  /// Grace probe hand-off (guarded by probe_mu_): probe-side chunks per
+  /// Grace probe hand-off (guarded by probe_mu_): one probe-side run per
   /// partition, deposited by finishing probers; the counters implement
   /// the last-finisher election.
   std::mutex probe_mu_;
-  std::vector<std::vector<SpillFile>> probe_spilled_;  // [partition][chunk]
+  std::vector<SpillRun> probe_spilled_;
   std::atomic<int> probers_registered_{0};
   int probers_finished_ = 0;
 };
@@ -277,12 +267,16 @@ class JoinProber {
   void Materialize(int begin, int end);
 
   // Grace probe-side machinery (see the header comment).
-  /// Appends row i of the current probe batch (probe_cols_) to
-  /// `partition`'s deferred rows.
-  Status DeferRow(int i, size_t partition);
-  Status EnsureDeferReservation(ExecContext* ctx);
-  Result<int64_t> SpillDeferredPartition(ExecContext* ctx, int victim);
-  Status SpillAllDeferred(ExecContext* ctx);
+  /// Routes the current probe batch's rows whose partition stayed on disk
+  /// to that partition's deferred rows, one append per touched partition,
+  /// and drops them from the probe selection (probe_sel_, probe_n_).
+  void DeferRows();
+  /// Covers the deferred rows with defer_mem_, spilling partitions to
+  /// their runs by GrowOrSpill's victim rule — or, at the end of the
+  /// probe input (`flush`), every partition, releasing the charge.
+  Status SpillDeferred(ExecContext* ctx, bool flush);
+  /// Records this prober's "JoinProbeSpill" entry from its runs.
+  void RecordProbeSpill(ExecContext* ctx) const;
   /// The probe feed: the child's stream, then — for the last finisher —
   /// synthetic batches materialized from each deferred pair's probe
   /// chunks.
@@ -316,6 +310,10 @@ class JoinProber {
   Batch* probe_batch_ = nullptr;
   std::vector<const Vector*> probe_cols_;  // probe_batch_'s columns
   std::vector<const Vector*> probe_key_vecs_;  // its key columns
+  // The rows of probe_batch_ to probe: its selection, minus deferred rows.
+  int probe_n_ = 0;
+  const sel_t* probe_sel_ = nullptr;
+  std::vector<sel_t> live_sel_;
   // Per output row: probe position, build table and row (Emit).
   std::vector<sel_t> out_probe_;
   std::vector<const HashTable*> out_table_;
@@ -327,13 +325,12 @@ class JoinProber {
   bool eos_ = false;
 
   // Grace probe-side state: per-partition buffers of rows routed away
-  // from deferred partitions, spilled as chunks under defer_mem_.
+  // from deferred partitions, spilled to per-partition runs under
+  // defer_mem_.
   std::vector<std::unique_ptr<RowBuffer>> defer_rows_;
-  std::vector<std::vector<SpillFile>> defer_chunks_;
+  std::vector<SpillRun> defer_runs_;
+  RadixGroups<sel_t, uint64_t> defer_groups_;
   MemoryReservation defer_mem_;
-  int64_t probe_spill_bytes_ = 0;
-  int64_t probe_spill_chunks_ = 0;
-  int64_t probe_spill_rows_ = 0;
   bool finished_ = false;    // FinishProber already ran
 
   // Partition-pair streaming (last finisher only).
@@ -350,7 +347,7 @@ class JoinProber {
   int64_t pair_rows_ = 0;
   int64_t pair_t0_ = 0;
 
-  /// One in-flight read-ahead of a deferred pair's spill chunks. The
+  /// One in-flight read-ahead of a deferred pair's run chunks. The
   /// TaskGroup owns the background read; the blobs are adopted by the
   /// next StartPair (build) and its first NextPairChunk (probe).
   struct PairPrefetch {

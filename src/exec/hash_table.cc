@@ -32,6 +32,12 @@ void HashTable::AppendFrom(const HashTable& other, const int64_t* rows,
   AfterAppend();
 }
 
+void HashTable::AppendRows(const RowBuffer& rows, const uint64_t* hashes) {
+  rows_.AppendFrom(rows);
+  hashes_.insert(hashes_.end(), hashes, hashes + rows.rows());
+  AfterAppend();
+}
+
 void HashTable::BuildIndex() {
   next_.resize(hashes_.size());
   Rehash(BucketsFor(size()));
@@ -100,9 +106,7 @@ Status HashTable::AppendSerialized(const uint8_t* data, size_t size) {
   if (rb->rows() != n) {
     return Status::IoError("corrupt hash table spill blob: row count");
   }
-  rows_.AppendFrom(*rb);
-  hashes_.insert(hashes_.end(), hashes.begin(), hashes.end());
-  AfterAppend();
+  AppendRows(*rb, hashes.data());
   return Status::OK();
 }
 

@@ -52,6 +52,9 @@ class HashTable {
   /// hashes: the `n` rows listed in `rows`, or all of them.
   void AppendFrom(const HashTable& other, const int64_t* rows = nullptr,
                   int64_t n = 0);
+  /// Appends every row of `rows` (this table's schema), with
+  /// hashes[0..rows.rows()) as their key hashes.
+  void AppendRows(const RowBuffer& rows, const uint64_t* hashes);
 
   /// Indexes every row at once (the sizing rule above).
   void BuildIndex();

@@ -2,6 +2,8 @@
 
 #include <chrono>
 
+#include "storage/spill_file.h"
+
 namespace x100 {
 
 namespace {
@@ -30,6 +32,18 @@ Operator::ChainProfileScope::ChainProfileScope(Operator* sink)
 
 Operator::ChainProfileScope::~ChainProfileScope() {
   g_profiling_caller = saved_;
+}
+
+void ExecContext::RecordSpill(const char* op, const SpillRun* runs,
+                              size_t n) {
+  OperatorProfile prof;
+  prof.op = op;
+  for (size_t i = 0; i < n; i++) {
+    prof.rows += runs[i].rows();
+    prof.spill_bytes += runs[i].bytes();
+    prof.spills += static_cast<int64_t>(runs[i].chunks());
+  }
+  if (prof.spills > 0) RecordOperator(std::move(prof));
 }
 
 Status Operator::Open(ExecContext* ctx) {

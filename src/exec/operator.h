@@ -33,6 +33,7 @@ class TaskScheduler;   // common/task_scheduler.h
 class TaskQuota;       // common/task_scheduler.h
 class MemoryTracker;   // common/memory_tracker.h
 class SpillDevice;     // storage/spill_device.h
+class SpillRun;        // storage/spill_file.h
 class BufferManager;   // storage/buffer_manager.h
 
 /// Per-query execution context shared by all operators of a plan.
@@ -82,6 +83,10 @@ struct ExecContext {
     std::lock_guard<std::mutex> lock(profile_mu);
     profile.operators.push_back(std::move(p));
   }
+  /// Records a breaker's synthetic spill entry ("JoinBuildSpill",
+  /// "AggSpill", ...): the rows, bytes and chunks written to `runs[0..n)`,
+  /// or nothing when they hold no chunk.
+  void RecordSpill(const char* op, const SpillRun* runs, size_t n);
   /// Snapshot with the scan counters folded in.
   QueryProfile TakeProfile() {
     std::lock_guard<std::mutex> lock(profile_mu);

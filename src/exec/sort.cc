@@ -9,11 +9,6 @@ namespace x100 {
 
 namespace {
 
-/// Rows per spilled-run chunk: large enough to amortize the per-chunk
-/// disk blocks, small enough that the merge holds only a modest slice of
-/// each spilled run in memory.
-constexpr int64_t kSortSpillChunkRows = 4096;
-
 /// The key columns of `rows` (each key's cells, in key order).
 std::vector<Cells> KeyCells(const RowBuffer& rows,
                             const std::vector<SortKey>& keys) {
@@ -67,10 +62,10 @@ void SortIndexRun(const RowBuffer& rows, const std::vector<SortKey>& keys,
 
 /// Per-drain-worker run construction under a memory budget: batches
 /// append into `*buffer` and grow `*reserv`; a failed reservation sorts
-/// what the buffer holds and writes it out as a spilled run (rows
-/// serialized in sorted order, kSortSpillChunkRows per chunk), then the
-/// worker continues with an empty buffer. No spill device means the
-/// failure surfaces as kResourceExhausted and fails the pipeline task.
+/// what the buffer holds and writes it out as a spilled run (rows in
+/// sorted order), then the worker continues with an empty buffer. No
+/// spill device means the failure surfaces as kResourceExhausted and
+/// fails the pipeline task.
 struct RunBuildState {
   const Schema* schema = nullptr;
   const std::vector<SortKey>* keys = nullptr;
@@ -79,8 +74,7 @@ struct RunBuildState {
   std::unique_ptr<RowBuffer>* buffer = nullptr;  // owned by the operator
   MemoryReservation* reserv = nullptr;
 
-  std::vector<SortRun> spilled_runs;
-  int64_t spill_bytes = 0, spill_chunks = 0, spill_rows = 0;
+  std::vector<SpillRun> spilled;
 
   /// Opens, drains and closes `chain`, appending every batch.
   Status Drain(Operator* chain, const TaskGroup& group) {
@@ -100,50 +94,31 @@ struct RunBuildState {
     return s;
   }
 
+  /// The whole resident buffer is the one spill partition.
   Status Append(const Batch& b) {
     (*buffer)->Append(b.columns(), b.sel(), 0, b.ActiveRows());
-    const auto footprint = [this]() {
-      return static_cast<int64_t>((*buffer)->MemoryBytes());
-    };
-    // The whole resident buffer is the spill unit; buffers under the
-    // kMinSpillBytes floor (the pressure comes from other operators)
-    // free nothing, so GrowOrSpill force-admits them instead of
-    // micro-spilling a few rows per run.
-    const auto spill_some = [this]() -> Result<int64_t> {
-      const int64_t bytes = static_cast<int64_t>((*buffer)->MemoryBytes());
-      if ((*buffer)->rows() == 0 || bytes < kMinSpillBytes) return int64_t{0};
-      X100_RETURN_IF_ERROR(SpillResident());
-      return bytes;
-    };
-    return GrowOrSpill(reserv, ctx->spill_device != nullptr, footprint,
-                       spill_some);
-  }
-
-  /// Sorts the resident rows and writes them as one spilled run. A
-  /// failed chunk write (the device filling up) surfaces the IO error;
-  /// the chunks already written are owned by the run and freed with it.
-  Status SpillResident() {
-    RowBuffer& rows = **buffer;
-    std::vector<int64_t> order(rows.rows());
-    for (int64_t i = 0; i < rows.rows(); i++) order[i] = i;
-    SortIndexRun(rows, *keys, limit, &order);
-    SortRun run;
-    const int64_t n = static_cast<int64_t>(order.size());
-    for (int64_t begin = 0; begin < n; begin += kSortSpillChunkRows) {
-      const int64_t end = std::min(n, begin + kSortSpillChunkRows);
-      std::vector<uint8_t> blob;
-      rows.Serialize(order.data(), begin, end, &blob);
-      SpillFile file;
-      X100_ASSIGN_OR_RETURN(file, SpillFile::Write(ctx->spill_device, blob));
-      spill_bytes += file.bytes();
-      spill_chunks++;
-      run.chunks.push_back(std::move(file));
-    }
-    spill_rows += n;
-    spilled_runs.push_back(std::move(run));
-    *buffer = std::make_unique<RowBuffer>(*schema);
-    reserv->ShrinkTo(static_cast<int64_t>((*buffer)->MemoryBytes()));
-    return Status::OK();
+    return GrowOrSpill(
+        reserv, ctx->spill_device != nullptr, 1,
+        [this](size_t) {
+          return SpillPart{static_cast<int64_t>((*buffer)->MemoryBytes()),
+                           (*buffer)->rows() > 0};
+        },
+        [this](size_t) -> Status {
+          const RowBuffer& rows = **buffer;
+          std::vector<int64_t> order(rows.rows());
+          for (int64_t i = 0; i < rows.rows(); i++) order[i] = i;
+          SortIndexRun(rows, *keys, limit, &order);
+          SpillRun run;
+          X100_RETURN_IF_ERROR(run.Append(
+              ctx->spill_device, static_cast<int64_t>(order.size()),
+              [&rows, &order](int64_t begin, int64_t end,
+                              std::vector<uint8_t>* out) {
+                rows.Serialize(order.data(), begin, end, out);
+              }));
+          spilled.push_back(std::move(run));
+          *buffer = std::make_unique<RowBuffer>(*schema);
+          return Status::OK();
+        });
   }
 
   /// Sorts the remaining resident rows into a run referencing `*buffer`;
@@ -158,13 +133,7 @@ struct RunBuildState {
   }
 
   void RecordProfile() const {
-    if (spill_chunks == 0) return;
-    OperatorProfile prof;
-    prof.op = "SortSpill";
-    prof.rows = spill_rows;
-    prof.spill_bytes = spill_bytes;
-    prof.spills = spill_chunks;
-    ctx->RecordOperator(std::move(prof));
+    ctx->RecordSpill("SortSpill", spilled.data(), spilled.size());
   }
 };
 
@@ -202,11 +171,11 @@ Status SortRunMerger::AdvanceChunk(Cursor* c) {
   c->chunk_rows.reset();
   c->mem.Init(ctx_ != nullptr ? ctx_->memory : nullptr);
   c->mem.ShrinkTo(0);
-  while (c->chunk < c->run->chunks.size()) {
+  while (c->chunk < c->run->spill.chunks()) {
     std::vector<uint8_t> blob;
     X100_ASSIGN_OR_RETURN(
-        blob, c->run->chunks[c->chunk].ReadAll(
-                  ctx_ != nullptr ? ctx_->cancel : nullptr));
+        blob, c->run->spill.Read(c->chunk,
+                                 ctx_ != nullptr ? ctx_->cancel : nullptr));
     c->chunk++;
     std::unique_ptr<RowBuffer> rows;
     X100_ASSIGN_OR_RETURN(
@@ -354,7 +323,10 @@ Status SortOp::Materialize() {
         st.reserv = &buffer_mem_[w];
         X100_RETURN_IF_ERROR(st.Drain(chains_[w].get(), group));
         st.RecordProfile();
-        worker_runs[w] = std::move(st.spilled_runs);
+        for (SpillRun& spilled : st.spilled) {
+          worker_runs[w].emplace_back();
+          worker_runs[w].back().spill = std::move(spilled);
+        }
         SortRun resident;
         if ((W > 1 || !worker_runs[w].empty()) &&
             st.FinishResident(&resident)) {

@@ -15,13 +15,14 @@
 //
 // Out-of-core (docs/EXECUTION.md §"Memory accounting & spill"): when a
 // drain worker's memory reservation fails it sorts what it holds and
-// writes it as a SPILLED RUN — rows serialized in sorted order, chunked so
-// the merge can stream them — then continues with an empty buffer. The
-// k-way merge treats resident and spilled runs uniformly: resident runs
-// iterate their sorted index, spilled runs hold one reloaded chunk at a
-// time, so emit-phase memory is bounded by (resident rows + one chunk per
-// spilled run). With spilling disabled a failed reservation surfaces
-// kResourceExhausted through the pipeline's cancellation machinery.
+// writes it as a SPILLED RUN — a SpillRun of rows in sorted order, so the
+// merge can stream it a chunk at a time — then continues with an empty
+// buffer. The k-way merge treats resident and spilled runs uniformly:
+// resident runs iterate their sorted index, spilled runs hold one
+// reloaded chunk at a time, so emit-phase memory is bounded by (resident
+// rows + one chunk per spilled run). With spilling disabled a failed
+// reservation surfaces kResourceExhausted through the pipeline's
+// cancellation machinery.
 #ifndef X100_EXEC_SORT_H_
 #define X100_EXEC_SORT_H_
 
@@ -44,13 +45,13 @@ struct SortKey {
 /// One sorted run. Exactly one representation is populated:
 ///  * resident — `order` indexes into `rows` (range-split runs of a
 ///    single materialized input share one buffer);
-///  * spilled  — `chunks` hold the rows serialized in sorted order.
+///  * spilled  — `spill` holds the rows in sorted order.
 struct SortRun {
   const RowBuffer* rows = nullptr;
   std::vector<int64_t> order;
-  std::vector<SpillFile> chunks;
+  SpillRun spill;
 
-  bool spilled() const { return !chunks.empty(); }
+  bool spilled() const { return !spill.empty(); }
 };
 
 /// Streaming k-way merge over SortOp's sorted runs. Ties pick the lowest

@@ -1,19 +1,27 @@
-// SpillFile: a spilled byte blob on a SpillDevice.
+// SpillFile and SpillRun: spilled state on a SpillDevice.
 //
-// The spill unit of the out-of-core executor is one serialized radix
-// partition (join build rows + hashes, an aggregation GroupTable, a Grace
-// probe-side partition chunk) or one sorted-run chunk. A SpillFile owns
-// the device blocks of one such blob: Write splits the serialization into
-// kDiskBlockBytes-sized blocks (the device's block-size contract), ReadAll
-// reassembles it from the shared bytes the device returns — charging the
-// device's IO cost, interruptible by the query's cancellation token like
-// every other read in the engine. Writes can FAIL on a real device
-// (ENOSPC); a failed Write frees whatever blocks it had already placed.
+// A SpillFile owns the device blocks of one byte blob: Write splits it
+// into kDiskBlockBytes-sized blocks (the device's block-size contract),
+// ReadAll reassembles it from the shared bytes the device returns —
+// charging the device's IO cost, interruptible by the query's
+// cancellation token like every other read in the engine. Writes can
+// FAIL on a real device (ENOSPC); a failed Write frees whatever blocks it
+// had already placed.
+//
+// A SpillRun is the spill unit of every pipeline breaker: one spilled
+// radix partition (join build rows + hashes, aggregation groups, Grace
+// probe rows) or one sorted run. It is a list of chunks, one SpillFile
+// each, holding at most kSpillChunkRows rows (groups, for an
+// aggregation): a write at the moment the memory budget ran out
+// serializes one bounded chunk at a time, and a reload holds one bounded
+// chunk resident. The run counts the rows, bytes and chunks written to
+// it — what a breaker's spill profile entry reports.
 #ifndef X100_STORAGE_SPILL_FILE_H_
 #define X100_STORAGE_SPILL_FILE_H_
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -123,6 +131,81 @@ class SpillFile {
  private:
   SpillDevice* device_ = nullptr;
   std::vector<BlockId> blocks_;
+  int64_t bytes_ = 0;
+};
+
+/// Rows per spill chunk: large enough to amortize the per-chunk blocks,
+/// small enough that a write's transient serialization and a reload's
+/// resident chunk stay a small slice of the memory budget.
+inline constexpr int64_t kSpillChunkRows = 4096;
+
+class SpillRun {
+ public:
+  /// Appends the serialization of rows [begin, end) of the state being
+  /// spilled to `out`.
+  using Serializer =
+      std::function<void(int64_t begin, int64_t end, std::vector<uint8_t>* out)>;
+
+  /// Writes rows [0, n) through `serialize` as chunks of at most
+  /// kSpillChunkRows rows. A failed chunk write frees the whole run and
+  /// surfaces the device's error: the query unwinds, and none of its
+  /// spilled bytes outlive the failure.
+  Status Append(SpillDevice* device, int64_t n, const Serializer& serialize) {
+    std::vector<uint8_t> blob;
+    for (int64_t begin = 0; begin < n; begin += kSpillChunkRows) {
+      const int64_t end = std::min(n, begin + kSpillChunkRows);
+      blob.clear();
+      serialize(begin, end, &blob);
+      Result<SpillFile> file = SpillFile::Write(device, blob);
+      if (!file.ok()) {
+        Free();
+        return file.status();
+      }
+      bytes_ += file->bytes();
+      chunks_.push_back(std::move(file).value());
+    }
+    rows_ += n;
+    return Status::OK();
+  }
+
+  /// Moves `other`'s chunks (and counts) to the end of this run.
+  void Splice(SpillRun&& other) {
+    for (SpillFile& f : other.chunks_) chunks_.push_back(std::move(f));
+    rows_ += other.rows_;
+    bytes_ += other.bytes_;
+    other.chunks_.clear();
+    other.rows_ = other.bytes_ = 0;
+  }
+
+  /// Reads chunk `i` back; aborts promptly when `cancel` fires.
+  Result<std::vector<uint8_t>> Read(size_t i,
+                                    CancellationToken* cancel) const {
+    return chunks_[i].ReadAll(cancel);
+  }
+  /// Reads chunk `i` and frees its blocks: a reader that consumes the
+  /// run front to back returns the device space as it goes.
+  Result<std::vector<uint8_t>> Take(size_t i, CancellationToken* cancel) {
+    Result<std::vector<uint8_t>> blob = chunks_[i].ReadAll(cancel);
+    chunks_[i].Free();
+    return blob;
+  }
+
+  size_t chunks() const { return chunks_.size(); }
+  bool empty() const { return chunks_.empty(); }
+  int64_t chunk_bytes(size_t i) const { return chunks_[i].bytes(); }
+  /// Rows and serialized bytes written (Take does not lower them).
+  int64_t rows() const { return rows_; }
+  int64_t bytes() const { return bytes_; }
+
+  /// Frees every chunk and forgets the counts (the destructor frees too).
+  void Free() {
+    chunks_.clear();
+    rows_ = bytes_ = 0;
+  }
+
+ private:
+  std::vector<SpillFile> chunks_;
+  int64_t rows_ = 0;
   int64_t bytes_ = 0;
 };
 

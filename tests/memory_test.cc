@@ -138,6 +138,124 @@ TEST(GroupTableSerdeTest, CorruptBlobsFailCleanly) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// GrowOrSpill: the one victim rule
+// ---------------------------------------------------------------------------
+
+/// Runs GrowOrSpill over partitions of `kb` KiB each against a tracker
+/// whose limit the first reservation exceeds; returns the partitions
+/// spilled, in spill order. `force_admitted` reports a charge past the
+/// limit.
+std::vector<size_t> SpillVictims(std::vector<int64_t> kb, int64_t limit_kb,
+                                 bool* force_admitted) {
+  MemoryTracker tracker(limit_kb * 1024);
+  MemoryReservation reserv(&tracker);
+  std::vector<size_t> spilled;
+  const Status s = GrowOrSpill(
+      &reserv, /*can_spill=*/true, kb.size(),
+      [&kb](size_t i) { return SpillPart{kb[i] * 1024, kb[i] > 0}; },
+      [&kb, &spilled](size_t i) {
+        spilled.push_back(i);
+        kb[i] = 0;
+        return Status::OK();
+      });
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  int64_t left = 0;
+  for (int64_t k : kb) left += k * 1024;
+  EXPECT_EQ(reserv.charged(), left);
+  *force_admitted = tracker.overcommitted() > 0;
+  return spilled;
+}
+
+TEST(GrowOrSpillTest, LargestFirstUntilTheFloorIsFreed) {
+  ASSERT_EQ(kMinSpillBytes, 16 * 1024);
+  bool forced = false;
+  // One victim frees the floor: the other partitions stay resident.
+  EXPECT_EQ(SpillVictims({40, 10, 9}, 30, &forced), std::vector<size_t>{0});
+  EXPECT_FALSE(forced);
+  // No single partition reaches the floor: largest first until it is
+  // freed.
+  EXPECT_EQ(SpillVictims({12, 10, 9}, 20, &forced),
+            (std::vector<size_t>{0, 1}));
+  EXPECT_FALSE(forced);
+  // Everything spillable is under the floor: nothing spills, and the
+  // footprint is force-admitted past the limit.
+  EXPECT_TRUE(SpillVictims({6, 5, 4}, 8, &forced).empty());
+  EXPECT_TRUE(forced);
+}
+
+TEST(GrowOrSpillTest, SpillDisabledSurfacesResourceExhausted) {
+  MemoryTracker tracker(1024);
+  MemoryReservation reserv(&tracker);
+  const Status s = GrowOrSpill(
+      &reserv, /*can_spill=*/false, 1,
+      [](size_t) { return SpillPart{64 * 1024, true}; },
+      [](size_t) { return Status::Internal("must not spill"); });
+  EXPECT_EQ(s.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(tracker.used(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// SpillRun: chunked writes and reads
+// ---------------------------------------------------------------------------
+
+TEST(SpillRunTest, ChunkedRoundTripsInRowAndPermutedOrder) {
+  const Schema schema({Field("i", TypeId::kI64), Field("s", TypeId::kStr)});
+  for (const int64_t n : {0, 1, 4095, 4096, 4097, 10000}) {
+    RowBuffer rows(schema);
+    for (int64_t i = 0; i < n; i++) {
+      rows.AppendValues({Value::I64(i), Value::Str("r" + std::to_string(i))});
+    }
+    // Row order, and a permutation (odd rows descending, then even rows).
+    std::vector<int64_t> permuted;
+    for (int64_t i = n - 1; i >= 0; i--) {
+      if (i % 2 == 1) permuted.push_back(i);
+    }
+    for (int64_t i = 0; i < n; i += 2) permuted.push_back(i);
+    ASSERT_EQ(static_cast<int64_t>(permuted.size()), n);
+    for (const int64_t* order : {static_cast<const int64_t*>(nullptr),
+                                 static_cast<const int64_t*>(permuted.data())}) {
+      const std::string what = "n=" + std::to_string(n) +
+                               (order == nullptr ? " row order" : " permuted");
+      SimulatedDisk disk;
+      SpillDevice device(&disk);
+      SpillRun run;
+      ASSERT_TRUE(run.Append(&device, n,
+                             [&](int64_t begin, int64_t end,
+                                 std::vector<uint8_t>* out) {
+                               rows.Serialize(order, begin, end, out);
+                             })
+                      .ok())
+          << what;
+      EXPECT_EQ(run.chunks(),
+                static_cast<size_t>((n + kSpillChunkRows - 1) /
+                                    kSpillChunkRows))
+          << what;
+      EXPECT_EQ(run.rows(), n) << what;
+      EXPECT_EQ(run.bytes(), device.spill_bytes_in_use()) << what;
+      int64_t next = 0;
+      for (size_t c = 0; c < run.chunks(); c++) {
+        auto blob = run.Take(c, nullptr);
+        ASSERT_TRUE(blob.ok()) << what;
+        auto back = RowBuffer::Deserialize(schema, blob->data(), blob->size());
+        ASSERT_TRUE(back.ok()) << what;
+        EXPECT_LE((*back)->rows(), kSpillChunkRows) << what;
+        for (int64_t r = 0; r < (*back)->rows(); r++, next++) {
+          const int64_t want = order == nullptr ? next : order[next];
+          ASSERT_EQ((*back)->GetValue(0, r).AsI64(), want) << what;
+          ASSERT_EQ((*back)->GetValue(1, r).AsStr(),
+                    "r" + std::to_string(want))
+              << what;
+        }
+      }
+      EXPECT_EQ(next, n) << what;
+      // Take returned every chunk's blocks; the counts stay as written.
+      EXPECT_EQ(device.spill_bytes_in_use(), 0) << what;
+      EXPECT_EQ(run.rows(), n) << what;
+    }
+  }
+}
+
 TEST(RowBufferSerdeTest, RoundTripWithNullsAndStrings) {
   Schema schema({Field("i", TypeId::kI64, true),
                  Field("s", TypeId::kStr, true),
@@ -427,6 +545,49 @@ TEST_F(MemoryLimitTest, TightLimitSpillsEveryBreaker) {
   EXPECT_GE((*dev)->spill_bytes_written(),
             build_spill + agg_spill + sort_spill);
   EXPECT_EQ((*dev)->spill_bytes_in_use(), 0);
+  SetWorkers(0);
+  db_->config().radix_bits = -1;
+  db_->config().memory_limit = 0;
+}
+
+TEST_F(MemoryLimitTest, EverySpillWriteHoldsAtMostOneChunk) {
+  // Every breaker writes its spilled state in chunks of at most
+  // kSpillChunkRows rows (groups, for the aggregation), so no write
+  // serializes a whole partition at the moment the budget ran out. One
+  // radix partition at half the peak holds far more than a chunk: the
+  // drain, the aggregation and the sort each spill partitions of 5-20k
+  // rows here.
+  SetWorkers(1);
+  db_->config().radix_bits = 0;
+  db_->config().memory_limit = 0;
+  db_->memory()->ResetPeak();
+  auto reference = session_->Execute(GroupByJoinSortPlan());
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  const int64_t peak = db_->memory()->peak();
+  int64_t largest = 0;  // rows of the largest spill entry seen
+  for (const int64_t divisor : {2, 24}) {
+    for (const int workers : {1, 4}) {
+      const std::string what = "memory_limit=peak/" +
+                               std::to_string(divisor) +
+                               " workers=" + std::to_string(workers);
+      SetWorkers(workers);
+      db_->config().memory_limit = peak / divisor;
+      auto res = session_->Execute(GroupByJoinSortPlan());
+      ASSERT_TRUE(res.ok()) << what << ": " << res.status().ToString();
+      ExpectSameRows(*reference, *res, what);
+      for (const OperatorProfile& p : res->profile.operators) {
+        const bool spill_entry =
+            p.op == "JoinBuildDefer" ||
+            (p.op.size() > 5 && p.op.compare(p.op.size() - 5, 5, "Spill") == 0);
+        if (!spill_entry) continue;
+        EXPECT_LE(p.rows, p.spills * kSpillChunkRows)
+            << what << ": " << p.op << "\n" << res->profile.ToString();
+        largest = std::max(largest, p.rows);
+      }
+      ExpectTrackerDrained(what);
+    }
+  }
+  EXPECT_GT(largest, kSpillChunkRows);
   SetWorkers(0);
   db_->config().radix_bits = -1;
   db_->config().memory_limit = 0;

@@ -22,6 +22,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 
 #include "common/config.h"
@@ -174,6 +175,73 @@ TEST_F(SpillDirFixture, ShortAndCorruptReadsAreDetected) {
   auto good = f->ReadAll();
   ASSERT_TRUE(good.ok());
   EXPECT_EQ(*good, blob);
+}
+
+/// A run of `n` i64 rows (value = row id) on `spill`: one block per chunk.
+Status WriteI64Run(SpillDevice* spill, int64_t n, SpillRun* run) {
+  RowBuffer rows(Schema({Field("i", TypeId::kI64)}));
+  for (int64_t i = 0; i < n; i++) rows.AppendValues({Value::I64(i)});
+  return run->Append(spill, n,
+                     [&rows](int64_t begin, int64_t end,
+                             std::vector<uint8_t>* out) {
+                       rows.Serialize(nullptr, begin, end, out);
+                     });
+}
+
+TEST_F(SpillDirFixture, SpillRunWriteFailingMidRunLeavesNothingLive) {
+  auto dev = FileBlockDevice::CreateTemp(dir_);
+  ASSERT_TRUE(dev.ok());
+  SpillDevice spill(dev->get());
+  // 10,000 rows are three chunks; the third chunk's write fails.
+  int writes = 0;
+  (*dev)->set_fault_hook(
+      [&writes](FileBlockDevice::Op op, BlockId, std::vector<uint8_t>*) {
+        if (op == FileBlockDevice::Op::kWrite && ++writes == 3) {
+          return Status::IoError("injected ENOSPC");
+        }
+        return Status::OK();
+      });
+  SpillRun run;
+  const Status s = WriteI64Run(&spill, 10000, &run);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kIoError);
+  EXPECT_EQ(writes, 3);
+  // The two chunks already written were freed with the failed run.
+  EXPECT_EQ(run.chunks(), 0u);
+  EXPECT_EQ((*dev)->live_slots(), 0);
+  EXPECT_EQ(spill.spill_bytes_in_use(), 0);
+  (*dev)->set_fault_hook(nullptr);
+}
+
+TEST_F(SpillDirFixture, SpillRunTruncatedOrCorruptChunkReadsAsIoError) {
+  auto dev = FileBlockDevice::CreateTemp(dir_);
+  ASSERT_TRUE(dev.ok());
+  SpillDevice spill(dev->get());
+  SpillRun run;
+  ASSERT_TRUE(WriteI64Run(&spill, 10000, &run).ok());
+  ASSERT_EQ(run.chunks(), 3u);
+  const std::function<void(std::vector<uint8_t>*)> faults[] = {
+      [](std::vector<uint8_t>* data) { data->resize(data->size() / 2); },
+      [](std::vector<uint8_t>* data) { (*data)[data->size() / 3] ^= 0x40; },
+  };
+  for (const auto& fault : faults) {
+    (*dev)->set_fault_hook(
+        [&fault](FileBlockDevice::Op op, BlockId, std::vector<uint8_t>* data) {
+          if (op == FileBlockDevice::Op::kRead) fault(data);
+          return Status::OK();
+        });
+    auto blob = run.Read(1, nullptr);
+    ASSERT_FALSE(blob.ok());
+    EXPECT_EQ(blob.status().code(), StatusCode::kIoError);
+  }
+  (*dev)->set_fault_hook(nullptr);
+  // A chunk cut short after a clean read fails its reload the same way.
+  auto blob = run.Read(1, nullptr);
+  ASSERT_TRUE(blob.ok()) << blob.status().ToString();
+  auto rows = RowBuffer::Deserialize(Schema({Field("i", TypeId::kI64)}),
+                                     blob->data(), blob->size() / 2);
+  ASSERT_FALSE(rows.ok());
+  EXPECT_EQ(rows.status().code(), StatusCode::kIoError);
 }
 
 TEST_F(SpillDirFixture, UnlinkBehindOpenIsDetected) {
