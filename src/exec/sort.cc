@@ -164,6 +164,19 @@ Status SortRunMerger::Init(const Schema* schema,
       c.key_cells = KeyCells(*c.run->rows, *keys_);
     }
   }
+  // Play the tree bottom up: winner[j] is the winner of node j's subtree.
+  const size_t k = cursors_.size();
+  tree_.assign(k, 0);
+  if (k == 0) return Status::OK();
+  std::vector<int> winner(2 * k);
+  for (size_t i = 0; i < k; i++) winner[k + i] = static_cast<int>(i);
+  for (size_t j = k - 1; j >= 1; j--) {
+    const int a = winner[2 * j], b = winner[2 * j + 1];
+    const bool a_first = Before(a, b);
+    winner[j] = a_first ? a : b;
+    tree_[j] = a_first ? b : a;
+  }
+  tree_[0] = winner[1];
   return Status::OK();
 }
 
@@ -206,6 +219,28 @@ bool SortRunMerger::CurrentRow(const Cursor& c, const RowBuffer** rows,
   return true;
 }
 
+bool SortRunMerger::Before(int a, int b) const {
+  const RowBuffer* rows;
+  int64_t ra = 0, rb = 0;
+  const bool live_a = CurrentRow(cursors_[a], &rows, &ra);
+  const bool live_b = CurrentRow(cursors_[b], &rows, &rb);
+  if (live_a != live_b) return live_a;
+  if (live_a) {
+    const int c = CompareRows(cursors_[a].key_cells, ra, cursors_[b].key_cells,
+                              rb, *keys_);
+    if (c != 0) return c < 0;
+  }
+  return a < b;
+}
+
+void SortRunMerger::Replay(int w) {
+  int winner = w;
+  for (size_t j = (cursors_.size() + w) / 2; j >= 1; j /= 2) {
+    if (Before(tree_[j], winner)) std::swap(tree_[j], winner);
+  }
+  tree_[0] = winner;
+}
+
 Status SortRunMerger::NextBatch(Batch* out, int* n) {
   *n = 0;
   if (ctx_ != nullptr) X100_RETURN_IF_ERROR(ctx_->CheckCancel());
@@ -222,23 +257,11 @@ Status SortRunMerger::NextBatch(Batch* out, int* n) {
     }
     seg = nullptr;
   };
-  while (*n < cap && (limit_ < 0 || emitted_ < limit_)) {
-    int best = -1;
-    const RowBuffer* best_rows = nullptr;
-    int64_t best_row = 0;
-    for (size_t i = 0; i < cursors_.size(); i++) {
-      const RowBuffer* rows;
-      int64_t row;
-      if (!CurrentRow(cursors_[i], &rows, &row)) continue;
-      if (best < 0 || CompareRows(cursors_[i].key_cells, row,
-                                  cursors_[best].key_cells, best_row,
-                                  *keys_) < 0) {
-        best = static_cast<int>(i);
-        best_rows = rows;
-        best_row = row;
-      }
-    }
-    if (best < 0) break;  // every run exhausted
+  while (!tree_.empty() && *n < cap && (limit_ < 0 || emitted_ < limit_)) {
+    const int best = tree_[0];
+    const RowBuffer* best_rows;
+    int64_t best_row;
+    if (!CurrentRow(cursors_[best], &best_rows, &best_row)) break;  // done
     if (best_rows != seg) {
       gather();
       seg = best_rows;
@@ -258,6 +281,7 @@ Status SortRunMerger::NextBatch(Batch* out, int* n) {
       bc.pos++;
       if (bc.pos >= bc.run->order.size()) bc.done = true;
     }
+    Replay(best);
   }
   gather();
   return Status::OK();

@@ -54,12 +54,14 @@ struct SortRun {
   bool spilled() const { return !spill.empty(); }
 };
 
-/// Streaming k-way merge over SortOp's sorted runs. Ties pick the lowest
-/// run index; runs are few, so
-/// linear selection beats a heap in simplicity and is cache-friendly for
-/// small k. Spilled runs stream chunk-by-chunk from disk; the resident
-/// chunk is force-charged against the query tracker and released when the
-/// cursor advances past it.
+/// Streaming k-way merge over SortOp's sorted runs. Spilling makes k
+/// large (a worker squeezed by other breakers spills a run per few
+/// batches), so the next row is chosen by a tree of losers (Knuth, TAOCP
+/// vol. 3, §5.4.1): ceil(log2 k) compares per row. Ties pick the lowest
+/// run index, so the output is a stable merge of the runs in run order.
+/// Spilled runs stream chunk-by-chunk from disk; the resident chunk is
+/// force-charged against the query tracker and released when the cursor
+/// advances past it.
 class SortRunMerger {
  public:
   /// `limit` < 0: merge everything; otherwise stop after `limit` rows.
@@ -88,6 +90,11 @@ class SortRunMerger {
   /// Current row of a cursor; false when the cursor is exhausted.
   bool CurrentRow(const Cursor& c, const RowBuffer** rows,
                   int64_t* row) const;
+  /// Whether cursor a's current row merges before cursor b's: by key,
+  /// then by run index; an exhausted cursor after every live one.
+  bool Before(int a, int b) const;
+  /// Replays the matches on cursor w's path after its row changed.
+  void Replay(int w);
 
   const Schema* schema_ = nullptr;
   const std::vector<SortKey>* keys_ = nullptr;
@@ -95,6 +102,10 @@ class SortRunMerger {
   int64_t emitted_ = 0;
   ExecContext* ctx_ = nullptr;
   std::vector<Cursor> cursors_;
+  /// The tree of losers over k cursors: cursor i is leaf k + i, internal
+  /// node j in [1, k) holds the loser of the match played there (children
+  /// 2j and 2j + 1), and tree_[0] the winner — the next row to emit.
+  std::vector<int> tree_;
   std::vector<int64_t> picks_;  // NextBatch: row picked per output position
 };
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <mutex>
 #include <thread>
 
@@ -22,6 +23,7 @@
 #include "pdt/view.h"
 #include "storage/morsel.h"
 #include "storage/simulated_disk.h"
+#include "storage/spill_device.h"
 
 namespace x100 {
 namespace {
@@ -636,6 +638,90 @@ TEST(SortOpTest, TopNLimitsOutput) {
   EXPECT_EQ(res->rows[0][0].AsI64(), 996);
   for (size_t i = 1; i < 5; i++) {
     EXPECT_LE(res->rows[i][0].AsI64(), res->rows[i - 1][0].AsI64());
+  }
+}
+
+TEST(SortRunMergerTest, LoserTreeIsAStableMergeOfTheRuns) {
+  // Keys tied across runs (NULL, NaN, -0.0 against 0.0, repeats) leave
+  // the merge in run order: its output equals a stable sort of the runs
+  // concatenated in run order. Odd runs are spilled, and run 1 spans
+  // several chunks.
+  const Schema schema({Field("k", TypeId::kF64, /*nullable=*/true),
+                       Field("run", TypeId::kI64), Field("pos", TypeId::kI64)});
+  const std::vector<SortKey> keys = {{0, true}};
+  const Value pool[] = {Value::Null(TypeId::kF64), Value::F64(std::nan("")),
+                        Value::F64(-0.0), Value::F64(0.0), Value::F64(1.5),
+                        Value::F64(-2.0)};
+  SimulatedDisk disk;
+  SpillDevice device(&disk);
+  Rng rng(7);
+  for (const int k : {1, 2, 3, 5, 145}) {
+    std::vector<std::unique_ptr<RowBuffer>> bufs;
+    std::vector<SortRun> runs(k);
+    for (int r = 0; r < k; r++) {
+      auto buf = std::make_unique<RowBuffer>(schema);
+      const int n = r == 1 ? 2 * kSpillChunkRows + 100 : 1 + (r * 7 + 3) % 40;
+      for (int i = 0; i < n; i++) {
+        buf->AppendValues({pool[rng.Uniform(0, 5)], Value::I64(r),
+                           Value::I64(i)});
+      }
+      const Cells key = buf->cells(0);
+      std::vector<int64_t> order(n);
+      for (int i = 0; i < n; i++) order[i] = i;
+      std::stable_sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
+        return CompareCells(key, a, key, b) < 0;
+      });
+      if (r % 2 == 1) {
+        ASSERT_TRUE(runs[r]
+                        .spill
+                        .Append(&device, n,
+                                [&](int64_t begin, int64_t end,
+                                    std::vector<uint8_t>* out) {
+                                  buf->Serialize(order.data(), begin, end,
+                                                 out);
+                                })
+                        .ok());
+      } else {
+        runs[r].rows = buf.get();
+        runs[r].order = order;
+      }
+      bufs.push_back(std::move(buf));
+    }
+    // The expected output: every run's sorted rows in run order, stably
+    // sorted by key.
+    std::vector<std::pair<int, int64_t>> want;  // (run, row)
+    for (int r = 0; r < k; r++) {
+      std::vector<int64_t> order(bufs[r]->rows());
+      for (int64_t i = 0; i < bufs[r]->rows(); i++) order[i] = i;
+      const Cells key = bufs[r]->cells(0);
+      std::stable_sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
+        return CompareCells(key, a, key, b) < 0;
+      });
+      for (int64_t i : order) want.emplace_back(r, i);
+    }
+    std::stable_sort(want.begin(), want.end(), [&](const auto& a,
+                                                   const auto& b) {
+      return CompareCells(bufs[a.first]->cells(0), a.second,
+                          bufs[b.first]->cells(0), b.second) < 0;
+    });
+    SortRunMerger merger;
+    ASSERT_TRUE(merger.Init(&schema, &keys, -1, nullptr, &runs).ok());
+    Batch out(schema, kDefaultVectorSize);
+    size_t next = 0;
+    while (true) {
+      out.Reset();
+      int n = 0;
+      ASSERT_TRUE(merger.NextBatch(&out, &n).ok());
+      if (n == 0) break;
+      for (int j = 0; j < n; j++, next++) {
+        ASSERT_LT(next, want.size()) << "k=" << k;
+        ASSERT_EQ(out.column(1)->Data<int64_t>()[j], want[next].first)
+            << "k=" << k << " row " << next;
+        ASSERT_EQ(out.column(2)->Data<int64_t>()[j], want[next].second)
+            << "k=" << k << " row " << next;
+      }
+    }
+    EXPECT_EQ(next, want.size()) << "k=" << k;
   }
 }
 
