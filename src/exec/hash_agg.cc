@@ -598,7 +598,7 @@ Status HashAggOp::Consume() {
               ws.MergeSpilled(p, final_[p].get(), ctx_->cancel));
         }
         // The merged partition must be resident to emit; the drain phase
-        // is what spilling bounds. Released when the operator dies.
+        // is what spilling bounds. Released once the partition is emitted.
         final_mem_[p].Init(ctx_->memory);
         final_mem_[p].ForceGrowTo(
             static_cast<int64_t>(final_[p]->MemoryBytes()));
@@ -621,7 +621,10 @@ Result<Batch*> HashAggOp::NextImpl() {
     consumed_ = true;
   }
   X100_RETURN_IF_ERROR(ctx_->CheckCancel());
-  // Stream partitions in order.
+  // Stream partitions in order. A partition's table and charge go once
+  // its last batch has been returned (the batches hold copies), so an
+  // operator above drains under a budget the emitted groups no longer
+  // hold.
   while (emit_part_ < static_cast<int>(final_.size())) {
     Batch* b;
     X100_ASSIGN_OR_RETURN(
@@ -629,6 +632,8 @@ Result<Batch*> HashAggOp::NextImpl() {
                           binding_.key_schema.num_fields(),
                           ctx_->vector_size, &emit_pos_, out_.get()));
     if (b != nullptr) return b;
+    final_[emit_part_].reset();
+    final_mem_[emit_part_].ReleaseAll();
     emit_part_++;
     emit_pos_ = 0;
   }

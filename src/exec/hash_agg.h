@@ -242,7 +242,7 @@ class HashAggOp : public Operator {
   std::vector<std::unique_ptr<GroupTable>> final_;  // one per partition
   /// Charges for the merged final tables (adopted from worker 0, then
   /// force-grown: they must be resident to emit; the drain phase is what
-  /// spilling bounds).
+  /// spilling bounds). Each is freed with its table once emitted.
   std::vector<MemoryReservation> final_mem_;
   bool consumed_ = false;
   std::unique_ptr<Batch> out_;

@@ -17,6 +17,7 @@
 #include "exec/select_project.h"
 #include "exec/sort.h"
 #include "exec/values.h"
+#include "common/memory_tracker.h"
 #include "common/rng.h"
 #include "common/task_scheduler.h"
 #include "pdt/transaction.h"
@@ -554,6 +555,43 @@ TEST(HashAggTest, ManyGroupsTriggerRehash) {
   auto res = CollectRows(&agg, &ctx);
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res->rows.size(), 2000u);
+}
+
+TEST(HashAggTest, EmittedPartitionsReleaseTheirCharge) {
+  // A radix-partitioned aggregation frees each merged partition once it
+  // is emitted, so an operator above it drains under a budget the
+  // emitted groups no longer hold.
+  MemoryTracker tracker;
+  ExecContext ctx;
+  ctx.memory = &tracker;
+  Schema s({Field("g", TypeId::kI64)});
+  constexpr int kGroups = 20000;
+  std::vector<std::vector<Value>> rows;
+  for (int i = 0; i < kGroups; i++) rows.push_back({Value::I64(i)});
+  std::vector<ProjectItem> keys;
+  keys.push_back({"g", Col("g")});
+  std::vector<AggItem> aggs;
+  aggs.push_back({AggKind::kCount, nullptr, "c"});
+  HashAggOp agg(OneChain(std::make_unique<ValuesOp>(s, std::move(rows))),
+                std::move(keys), std::move(aggs), /*radix_bits=*/2);
+  ASSERT_TRUE(agg.Open(&ctx).ok());
+  auto first = agg.Next();
+  ASSERT_TRUE(first.ok() && *first != nullptr);
+  const int64_t charged = tracker.used();
+  ASSERT_GT(charged, 0);
+  int64_t emitted = (*first)->ActiveRows();
+  bool fell = false;
+  while (true) {
+    auto b = agg.Next();
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    if (*b == nullptr) break;
+    emitted += (*b)->ActiveRows();
+    fell |= tracker.used() < charged;
+  }
+  EXPECT_EQ(emitted, kGroups);
+  EXPECT_TRUE(fell);
+  EXPECT_EQ(tracker.used(), 0);  // at end of stream, before Close
+  agg.Close();
 }
 
 TEST(GroupTableTest, MergeWrapsI64SumsLikeTheKernel) {
