@@ -16,13 +16,18 @@
 // profile), and the tracker must drain to zero after every query. A final
 // 1-worker run at peak/24 covers the one-chain (serial) case of every
 // breaker out of core: it must match the reference, every breaker must
-// spill and the tracker must drain.
+// spill and the tracker must drain. At both peak/24 points the bench
+// prints each breaker's spilled rows and writes and the sort's run count,
+// and fails when a breaker wrote more than kSpillChunkRows rows per write.
 #include <cinttypes>
 #include <cmath>
+#include <cstdlib>
+#include <utility>
 
 #include "bench_util.h"
 #include "common/hash.h"
 #include "engine/session.h"
+#include "storage/spill_file.h"
 #include "tpch/tpch.h"
 
 using namespace x100;
@@ -89,24 +94,63 @@ int64_t SpilledBytes(const QueryProfile& p) {
   return b;
 }
 
-/// Spilled bytes per pipeline breaker, from the breakers' profile entries.
+/// One breaker's spill entries, summed.
+struct Spilled {
+  int64_t bytes = 0, rows = 0, writes = 0;
+  void Add(const OperatorProfile& p) {
+    bytes += p.spill_bytes;
+    rows += p.rows;
+    writes += p.spills;
+  }
+  /// No write held more than one chunk's rows.
+  bool chunked() const { return rows <= writes * kSpillChunkRows; }
+};
+
+/// Spill per pipeline breaker, from the breakers' profile entries.
 struct BreakerSpill {
-  int64_t build = 0, probe = 0, agg = 0, sort = 0, pairs = 0;
-  bool every_breaker() const { return build > 0 && agg > 0 && sort > 0; }
+  Spilled build, probe, agg, sort;
+  int64_t pairs = 0;
+  int64_t sort_runs = 0;  // the merge width, from the "Sort(N)" entry
+  bool every_breaker() const {
+    return build.bytes > 0 && agg.bytes > 0 && sort.bytes > 0;
+  }
+  bool chunked() const {
+    return build.chunked() && probe.chunked() && agg.chunked() &&
+           sort.chunked();
+  }
 };
 
 BreakerSpill SumBreakerSpill(const QueryProfile& prof) {
   BreakerSpill s;
   for (const OperatorProfile& p : prof.operators) {
-    if (p.op == "JoinBuildSpill" || p.op == "JoinBuildDefer") {
-      s.build += p.spill_bytes;
-    }
-    if (p.op == "JoinProbeSpill") s.probe += p.spill_bytes;
+    if (p.op == "JoinBuildSpill" || p.op == "JoinBuildDefer") s.build.Add(p);
+    if (p.op == "JoinProbeSpill") s.probe.Add(p);
     if (p.op == "JoinProbePair") s.pairs++;
-    if (p.op == "AggSpill") s.agg += p.spill_bytes;
-    if (p.op == "SortSpill") s.sort += p.spill_bytes;
+    if (p.op == "AggSpill") s.agg.Add(p);
+    if (p.op == "SortSpill") s.sort.Add(p);
+    if (p.op.rfind("Sort(", 0) == 0) {
+      s.sort_runs = std::strtoll(p.op.c_str() + 5, nullptr, 10);
+    }
   }
   return s;
+}
+
+/// Prints each breaker's spill; false (with a note) when a breaker wrote
+/// more than kSpillChunkRows rows per write.
+bool PrintBreakers(const char* label, const BreakerSpill& s) {
+  std::printf("\n%s: grace pairs %lld, sort runs %lld\n", label,
+              static_cast<long long>(s.pairs),
+              static_cast<long long>(s.sort_runs));
+  const std::pair<const char*, const Spilled*> rows[] = {
+      {"build", &s.build}, {"probe", &s.probe}, {"agg", &s.agg},
+      {"sort", &s.sort}};
+  for (const auto& [name, sp] : rows) {
+    std::printf("  %-6s %8.2f MB %9lld rows %6lld writes%s\n", name,
+                sp->bytes / 1e6, static_cast<long long>(sp->rows),
+                static_cast<long long>(sp->writes),
+                sp->chunked() ? "" : "  <- more than one chunk per write");
+  }
+  return s.chunked();
 }
 
 }  // namespace
@@ -199,10 +243,7 @@ int main() {
   db.config().memory_limit = 0;
   if (!profiled.ok()) return 1;
   const BreakerSpill spill = SumBreakerSpill(profiled->profile);
-  std::printf("\nper-breaker spill at peak/24: build=%.2fMB probe=%.2fMB "
-              "agg=%.2fMB sort=%.2fMB (grace pairs: %lld)\n",
-              spill.build / 1e6, spill.probe / 1e6, spill.agg / 1e6,
-              spill.sort / 1e6, static_cast<long long>(spill.pairs));
+  bool chunks_ok = PrintBreakers("per-breaker spill at peak/24", spill);
   std::printf("\nvery-tight profile:\n%s",
               profiled->profile.ToString().c_str());
   const bool breakers_ok = spill.every_breaker();
@@ -224,13 +265,16 @@ int main() {
   const int64_t serial_leak = db.memory()->used();
   const bool serial_ok =
       serial_same && serial_leak == 0 && s_spill.every_breaker();
-  std::printf("\n1-worker at peak/24: build=%.2fMB agg=%.2fMB sort=%.2fMB "
-              "leak=%lldB determinism=%s -> %s\n",
-              s_spill.build / 1e6, s_spill.agg / 1e6, s_spill.sort / 1e6,
+  chunks_ok &= PrintBreakers("1-worker at peak/24", s_spill);
+  std::printf("1-worker at peak/24: leak=%lldB determinism=%s -> %s\n",
               static_cast<long long>(serial_leak),
               serial_same ? "ok" : "MISMATCH",
               serial_ok ? "ok"
                         : "FAILED (every breaker must spill, no leak)");
+  if (!chunks_ok) {
+    std::printf("^ a breaker wrote more than %lld rows per spill write\n",
+                static_cast<long long>(kSpillChunkRows));
+  }
 
   // The CI gate diffs this line between the SimulatedDisk run and the
   // X100_SPILL_PATH file-backed run. Hash the TIGHTEST run — the one
@@ -241,5 +285,5 @@ int main() {
               ResultChecksum(*profiled));
   std::printf("determinism in-memory vs out-of-core: %s\n",
               ok ? "ok" : "MISMATCH");
-  return ok && breakers_ok && serial_ok ? 0 : 1;
+  return ok && breakers_ok && serial_ok && chunks_ok ? 0 : 1;
 }

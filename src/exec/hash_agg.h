@@ -92,7 +92,7 @@ class GroupTable {
   size_t MemoryBytes() const;
 
   /// Appends the spill serialization of groups [begin, end) to `out`:
-  /// the key table's rows + hashes, then each accumulator's slice.
+  /// their key hashes, each accumulator's slice, then their key rows.
   /// kinds/in_types are NOT serialized — the reloader constructs the
   /// table and merges it back via MergeFrom.
   void Serialize(int64_t begin, int64_t end, std::vector<uint8_t>* out) const;

@@ -29,13 +29,14 @@
 // resident. Probe rows hashing into a deferred partition are not probed;
 // each prober routes them — same RadixPartitionOf bits, so build and
 // probe agree bit-for-bit — into one probe-side SpillRun per partition
-// under its own memory reservation. When the LAST registered prober exhausts its probe
-// child it takes over the partition-pair phase: one deferred partition at
-// a time, it reloads the build side (chunks + index, force-charged as the
-// pair's minimum working set), streams every prober's probe chunks back
-// through the ordinary probe loop, and emits the joined rows up its own
-// chain — sinks union/merge worker output anyway, so which chain carries
-// the deferred rows is as immaterial as which worker steals a morsel.
+// under its own memory reservation. When the LAST registered prober
+// exhausts its probe child it takes over the partition-pair phase: one
+// deferred partition at a time, it reloads the build side (chunks +
+// index, force-charged as the pair's minimum working set), streams every
+// prober's probe chunks back through the ordinary probe loop, and emits
+// the joined rows up its own chain — sinks union/merge worker output
+// anyway, so which chain carries the deferred rows is as immaterial as
+// which worker steals a morsel.
 // Peak memory is thereby bounded by ONE partition pair instead of the
 // whole build table.
 #ifndef X100_EXEC_HASH_JOIN_H_

@@ -220,7 +220,7 @@ bool SortRunMerger::CurrentRow(const Cursor& c, const RowBuffer** rows,
 }
 
 bool SortRunMerger::Before(int a, int b) const {
-  const RowBuffer* rows;
+  const RowBuffer* rows = nullptr;
   int64_t ra = 0, rb = 0;
   const bool live_a = CurrentRow(cursors_[a], &rows, &ra);
   const bool live_b = CurrentRow(cursors_[b], &rows, &rb);
@@ -259,8 +259,8 @@ Status SortRunMerger::NextBatch(Batch* out, int* n) {
   };
   while (!tree_.empty() && *n < cap && (limit_ < 0 || emitted_ < limit_)) {
     const int best = tree_[0];
-    const RowBuffer* best_rows;
-    int64_t best_row;
+    const RowBuffer* best_rows = nullptr;
+    int64_t best_row = 0;
     if (!CurrentRow(cursors_[best], &best_rows, &best_row)) break;  // done
     if (best_rows != seg) {
       gather();

@@ -143,8 +143,8 @@ class SpillRun {
  public:
   /// Appends the serialization of rows [begin, end) of the state being
   /// spilled to `out`.
-  using Serializer =
-      std::function<void(int64_t begin, int64_t end, std::vector<uint8_t>* out)>;
+  using Serializer = std::function<void(int64_t begin, int64_t end,
+                                        std::vector<uint8_t>* out)>;
 
   /// Writes rows [0, n) through `serialize` as chunks of at most
   /// kSpillChunkRows rows. A failed chunk write frees the whole run and

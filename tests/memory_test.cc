@@ -213,8 +213,8 @@ TEST(SpillRunTest, ChunkedRoundTripsInRowAndPermutedOrder) {
     }
     for (int64_t i = 0; i < n; i += 2) permuted.push_back(i);
     ASSERT_EQ(static_cast<int64_t>(permuted.size()), n);
-    for (const int64_t* order : {static_cast<const int64_t*>(nullptr),
-                                 static_cast<const int64_t*>(permuted.data())}) {
+    const int64_t* const orders[] = {nullptr, permuted.data()};
+    for (const int64_t* order : orders) {
       const std::string what = "n=" + std::to_string(n) +
                                (order == nullptr ? " row order" : " permuted");
       SimulatedDisk disk;
