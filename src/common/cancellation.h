@@ -5,7 +5,7 @@
 // to aspects such as parallelism, asynchronous IO and memory management."
 //
 // The mechanism: a shared CancellationToken is plumbed from the session
-// into every operator, exchange worker and simulated-disk wait. Operators
+// into every operator, pipeline task and simulated-disk wait. Operators
 // poll it once per *vector* (cheap: one atomic load per ~1000 tuples), IO
 // waits use interruptible condition-variable sleeps, and Status::Cancelled
 // unwinds the operator tree whose destructors (RAII) release memory,
@@ -30,7 +30,7 @@ class CancellationToken {
 
   /// Requests cancellation and wakes all interruptible waits. Registered
   /// callbacks run once, outside the token lock (they may take their own
-  /// locks, e.g. to notify an exchange queue's condition variables).
+  /// locks, e.g. to notify a condition variable of their own).
   void Cancel() {
     cancelled_.store(true, std::memory_order_release);
     std::map<int, std::function<void()>> run;
@@ -53,9 +53,8 @@ class CancellationToken {
 
   /// Registers `fn` to run when Cancel() fires; if the token is already
   /// cancelled, runs it immediately. Returns an id for RemoveCallback.
-  /// Blocking waits (exchange queues) use this instead of timed polling,
-  /// so a cancelled producer never sits on a pool worker waiting for a
-  /// poll interval to elapse.
+  /// Blocking waits (the buffer manager's) use this instead of timed
+  /// polling, so a cancelled waiter never sits out a poll interval.
   int AddCallback(std::function<void()> fn) {
     {
       std::lock_guard<std::mutex> lock(mu_);

@@ -58,8 +58,7 @@ void TaskScheduler::Submit(std::function<void()> fn, const void* tag) {
 bool TaskScheduler::PopTaskLocked(int home, std::function<void()>* out,
                                   bool* stolen) {
   *stolen = false;
-  if (home >= 0 && home < static_cast<int>(queues_.size()) &&
-      !queues_[home].empty()) {
+  if (!queues_[home].empty()) {
     *out = std::move(queues_[home].front().fn);
     queues_[home].pop_front();
     queued_.fetch_sub(1, std::memory_order_relaxed);
@@ -79,7 +78,7 @@ bool TaskScheduler::PopTaskLocked(int home, std::function<void()>* out,
   *out = std::move(queues_[victim].front().fn);
   queues_[victim].pop_front();
   queued_.fetch_sub(1, std::memory_order_relaxed);
-  *stolen = home >= 0;  // external helpers don't count as steals
+  *stolen = true;
   return true;
 }
 
@@ -100,53 +99,13 @@ bool TaskScheduler::PopTaggedTaskLocked(const void* tag,
 
 bool TaskScheduler::RunOneTask(const void* tag) {
   std::function<void()> fn;
-  bool stolen;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const bool found = tag == nullptr ? PopTaskLocked(-1, &fn, &stolen)
-                                      : PopTaggedTaskLocked(tag, &fn);
-    if (!found) return false;
+    if (!PopTaggedTaskLocked(tag, &fn)) return false;
   }
   fn();
   tasks_run_.fetch_add(1, std::memory_order_relaxed);
   return true;
-}
-
-void TaskScheduler::HelpUntil(const std::function<bool()>& done) {
-  while (true) {
-    // Snapshot the epoch BEFORE evaluating the predicate: a flip+wake
-    // that races with the check is then seen either by done() (flip
-    // happened before) or by the epoch comparison (flip happened after).
-    const uint64_t epoch = wake_epoch_.load(std::memory_order_acquire);
-    if (done()) return;
-    if (RunOneTask()) continue;
-    std::unique_lock<std::mutex> lock(mu_);
-    if (stopping_) {
-      // Teardown: don't park on a signal that may never fire again, and
-      // don't spin; the owner is expected to flip done() promptly.
-      lock.unlock();
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      continue;
-    }
-    work_cv_.wait(lock, [&] {
-      if (stopping_) return true;
-      if (wake_epoch_.load(std::memory_order_acquire) != epoch) return true;
-      for (const auto& q : queues_) {
-        if (!q.empty()) return true;
-      }
-      return false;
-    });
-  }
-}
-
-void TaskScheduler::WakeHelpers() {
-  {
-    // The lock pairs the epoch bump with HelpUntil's predicate check so
-    // the wake cannot fall between a helper's check and its sleep.
-    std::lock_guard<std::mutex> lock(mu_);
-    wake_epoch_.fetch_add(1, std::memory_order_acq_rel);
-  }
-  work_cv_.notify_all();
 }
 
 void TaskScheduler::WorkerLoop(int id) {
@@ -230,6 +189,15 @@ Status RunPipelineTasks(TaskScheduler* scheduler, TaskQuota* quota,
                         CancellationToken* cancel, int n,
                         const std::function<Status(int, TaskGroup&)>& body,
                         const void* help_tag) {
+  if (n == 1) {
+    // A one-item pipeline runs on the calling thread: no task, no quota
+    // slot. TaskGroup::Wait would run the lone queued task inline anyway
+    // whenever no worker took it first.
+    TaskGroup group(scheduler, cancel, help_tag);
+    Status status = group.CheckCancel();
+    if (status.ok()) status = body(0, group);
+    return status.ok() ? group.CheckCancel() : status;
+  }
   const int grant = quota != nullptr ? quota->Acquire(n) : n;
   Status status;
   {

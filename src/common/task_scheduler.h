@@ -2,7 +2,7 @@
 // for structured fork/join with error and cancellation propagation.
 //
 // Motivation (paper §"Multi-core", §"When more cores hurts"): the seed's
-// Volcano XchgOp spawned one dedicated std::thread per producer, so every
+// Volcano Xchg operators spawned one std::thread per producer, so every
 // concurrent parallel query multiplied the thread count and oversubscribed
 // the machine. All parallel work now runs on ONE shared pool sized to the
 // hardware (morsel-driven scheduling a la Leis et al.): queries enqueue
@@ -70,27 +70,13 @@ class TaskScheduler {
 
   /// Fire-and-forget; prefer TaskGroup for joinable work. `tag` (owned by
   /// the submitter, usually a TaskGroup) lets RunOneTask filter for a
-  /// group's own tasks; nullptr = untagged.
+  /// group's own tasks.
   void Submit(std::function<void()> fn, const void* tag = nullptr);
 
-  /// Runs one queued task on the calling thread if any is ready. With a
-  /// non-null `tag`, only a task submitted under that tag qualifies —
-  /// TaskGroup::Wait uses this so a barrier never inline-executes
-  /// unrelated work that may depend on the waiting frame. Untagged
-  /// helpers (exchange backpressure) pass nullptr and run anything.
-  bool RunOneTask(const void* tag = nullptr);
-
-  /// Scheduler-aware blocking: runs queued tasks on the calling thread
-  /// until `done()` returns true, parking on the scheduler's work signal
-  /// while idle — so a blocked caller (an exchange producer facing a full
-  /// queue) lends its thread to whatever work exists and wakes the moment
-  /// new tasks are submitted, with no timed polling. Any state change
-  /// that can flip `done()` must be followed by WakeHelpers(). `done` is
-  /// never invoked under the scheduler lock, so it may take its own.
-  void HelpUntil(const std::function<bool()>& done);
-
-  /// Wakes every HelpUntil caller to re-evaluate its predicate.
-  void WakeHelpers();
+  /// Runs one queued task submitted under `tag` on the calling thread, if
+  /// any is ready. TaskGroup::Wait uses this so a barrier never
+  /// inline-executes unrelated work that may depend on the waiting frame.
+  bool RunOneTask(const void* tag);
 
   // Monitoring counters.
   int64_t tasks_run() const { return tasks_run_.load(); }
@@ -121,9 +107,6 @@ class TaskScheduler {
   std::vector<std::deque<Task>> queues_;  // one per worker
   std::vector<std::thread> workers_;
   bool stopping_ = false;
-  /// Bumped by WakeHelpers under mu_; HelpUntil snapshots it before
-  /// checking its predicate so a concurrent flip is never missed.
-  std::atomic<uint64_t> wake_epoch_{0};
   std::atomic<uint64_t> next_queue_{0};  // round-robin submission cursor
   std::atomic<int64_t> tasks_run_{0};
   std::atomic<int64_t> tasks_stolen_{0};
@@ -271,7 +254,9 @@ class TaskGroup {
 /// task claim work-item indexes [0, n) from a shared cursor and run
 /// `body(index, group)` — so a reduced grant still covers every item,
 /// just with less concurrency. Waits at the barrier, releases the quota,
-/// and returns the group's status (first error wins). `help_tag`
+/// and returns the group's status (first error wins). A one-item
+/// pipeline (`n` == 1) runs `body` on the calling thread instead, with
+/// no task and no quota slot. `help_tag`
 /// forwards to the TaskGroup (see its constructor): pipelines whose
 /// completion OTHER threads block on (the partitioned join build) tag
 /// their phases so those waiters can help instead of idling.

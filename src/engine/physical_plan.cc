@@ -1,7 +1,6 @@
 #include "engine/physical_plan.h"
 
 #include "engine/database.h"
-#include "exec/exchange.h"
 #include "exec/sort.h"
 
 namespace x100 {
@@ -312,8 +311,8 @@ namespace {
 
 /// True if the streaming spine (Select/Project links, the probe side of
 /// joins) contains a join — the case where a root-level pipeline is
-/// worth cloning. A bare scan spine is deliberately excluded: unioning
-/// scan clones would only shuffle row order for zero parallel work.
+/// worth cloning. A bare scan spine is deliberately excluded: cloning it
+/// would only shuffle row order for zero parallel work.
 bool StreamingSpineHasJoin(const AlgebraPtr& node) {
   switch (node->kind) {
     case AlgebraNode::Kind::kJoin:
@@ -328,25 +327,26 @@ bool StreamingSpineHasJoin(const AlgebraPtr& node) {
 
 }  // namespace
 
-Result<OperatorPtr> BuildRootOperator(const AlgebraPtr& root,
-                                      PlannerContext* pc,
-                                      const PhysicalPlanner* planner) {
+Result<RootChains> BuildRootChains(const AlgebraPtr& root,
+                                   PlannerContext* pc,
+                                   const PhysicalPlanner* planner) {
+  RootChains out;
+  const AlgebraPtr& node = root;
   // A join at the plan root (possibly under Select/Project links) has no
-  // pipeline-breaker sink whose worker chains would embed probe clones,
-  // so without special handling it gets a parallel build but a serial
-  // probe. Clone the whole streaming chain (probe spine included) and
-  // union the clones through an exchange sink — the root-level analogue
-  // of embedding probes in an Aggr/Order sink. Row order across clones
-  // is nondeterministic, which SQL permits for a sink-less plan (no
-  // ORDER BY).
-  if (pc->parallelism > 1 && !pc->cloning && IsClonablePipeline(root) &&
-      StreamingSpineHasJoin(root)) {
-    std::vector<OperatorPtr> chains;
+  // breaker sink whose chains would embed probe clones, so the whole
+  // streaming chain (probe spine included) is cloned for the root drain.
+  // Row order across clones is nondeterministic, which SQL permits for a
+  // plan without ORDER BY.
+  if (pc->parallelism > 1 && !pc->cloning && IsClonablePipeline(node) &&
+      StreamingSpineHasJoin(node)) {
     X100_ASSIGN_OR_RETURN(
-        chains, BuildPipelineChains(root, pc->parallelism, pc, planner));
-    return OperatorPtr(std::make_unique<XchgOp>(std::move(chains)));
+        out.chains, BuildPipelineChains(node, pc->parallelism, pc, planner));
+  } else {
+    OperatorPtr chain;
+    X100_ASSIGN_OR_RETURN(chain, planner->Build(node, pc));
+    out.chains.push_back(std::move(chain));
   }
-  return planner->Build(root, pc);
+  return out;
 }
 
 const PhysicalPlanner& PhysicalPlanner::Default() {

@@ -16,9 +16,10 @@
 // share a MorselSource (dynamic block-group handout) and clones of one
 // logical join share a JoinBuildState (table built once, probed by all),
 // both keyed by algebra-node identity in PlannerContext. The resulting
-// sinks — HashAggOp, SortOp, JoinProbeOp over a shared build — run their
-// chains as scheduler tasks with per-worker state merged at TaskGroup
-// barriers; one chain is the serial case of the same operator.
+// sinks — HashAggOp, SortOp, the join build, the plan root — drain their
+// chains through one loop (DrainChains in exec/operator.h), one scheduler
+// task per chain, with per-worker state merged at TaskGroup barriers; one
+// chain is the serial case, drained on the calling thread.
 //
 // PlannerContext carries the per-build shared state: the database (table
 // lookup), the ExecContext (threaded into scans so they report into
@@ -119,15 +120,23 @@ Result<std::vector<OperatorPtr>> BuildPipelineChains(
     const AlgebraPtr& node, int n, PlannerContext* pc,
     const PhysicalPlanner* planner);
 
-/// Entry point for a whole plan: like planner->Build, but when the plan
-/// ROOT is a clonable streaming chain containing a join (a bare join, or
-/// Select/Project links over one — i.e. no Aggr/Order sink above it to
-/// parallelize into), the chain runs as `parallelism` clones unioned by
-/// an exchange sink — without this, a root-level join gets a parallel
-/// build but a serial probe. Used by QueryExecutor.
-Result<OperatorPtr> BuildRootOperator(const AlgebraPtr& root,
-                                      PlannerContext* pc,
-                                      const PhysicalPlanner* planner);
+/// The plan root's chains: the root is a sink like HashAggOp and SortOp,
+/// drained by QueryExecutor into the result (CollectChains).
+struct RootChains {
+  std::vector<OperatorPtr> chains;
+  /// The drain stops once this many rows have arrived. -1 = no limit.
+  int64_t limit = -1;
+};
+
+/// Entry point for a whole plan. When the root is a clonable streaming
+/// chain containing a join (a bare join, or Select/Project links over one — no Aggr/Order
+/// sink above it to parallelize into), it runs as `parallelism` clones;
+/// without this a root-level join gets a parallel build but a serial
+/// probe. Otherwise the root is one chain, built by planner->Build. Used
+/// by QueryExecutor.
+Result<RootChains> BuildRootChains(const AlgebraPtr& root,
+                                   PlannerContext* pc,
+                                   const PhysicalPlanner* planner);
 
 }  // namespace x100
 

@@ -5,8 +5,8 @@
 
 namespace x100 {
 
-Result<OperatorPtr> QueryExecutor::Build(const AlgebraPtr& plan,
-                                         ExecContext* ctx) {
+Result<RootChains> QueryExecutor::Build(const AlgebraPtr& plan,
+                                        ExecContext* ctx) {
   PlannerContext pc;
   pc.db = db_;
   pc.exec = ctx;
@@ -17,9 +17,9 @@ Result<OperatorPtr> QueryExecutor::Build(const AlgebraPtr& plan,
   pc.radix_bits =
       EffectiveRadixBits(db_->config().radix_bits, pc.parallelism);
   pc.configured_radix_bits = db_->config().radix_bits;
-  // Root dispatch handles the one shape the factories cannot: a join at
-  // the plan root gets its probe clones unioned by an exchange sink.
-  return BuildRootOperator(plan, &pc, planner_);
+  // Root dispatch handles what the factories cannot: a bare LIMIT and the
+  // probe clones of a join at the plan root.
+  return BuildRootChains(plan, &pc, planner_);
 }
 
 Result<QueryResult> QueryExecutor::Execute(AlgebraPtr plan,
@@ -86,7 +86,7 @@ Result<QueryResult> QueryExecutor::RunRewritten(const AlgebraPtr& plan,
   db_->events()->Info("query " + std::to_string(qid) + " started");
 
   const auto t0 = std::chrono::steady_clock::now();
-  OperatorPtr root;
+  RootChains root;
   {
     auto built = Build(plan, &ctx);
     if (!built.ok()) {
@@ -95,11 +95,11 @@ Result<QueryResult> QueryExecutor::RunRewritten(const AlgebraPtr& plan,
     }
     root = std::move(built).value();
   }
-  auto result = CollectRows(root.get(), &ctx);
+  auto result = CollectChains(Borrow(root.chains), &ctx, root.limit);
   const Status status = result.ok() ? Status::OK() : result.status();
 
-  // CollectRows closed the whole tree, so every operator has flushed its
-  // metrics; snapshot them for the result and the query listing.
+  // The drain closed every chain it ran, so their operators have flushed
+  // their metrics; snapshot them for the result and the query listing.
   QueryProfile profile = ctx.TakeProfile();
   profile.simd = SimdLevelName(ctx.simd);
   profile.wall_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(

@@ -21,9 +21,9 @@ class QueryExecutor {
   explicit QueryExecutor(Database* db)
       : db_(db), planner_(&PhysicalPlanner::Default()) {}
 
-  /// Builds an operator tree for a (rewritten) plan. `ctx` must outlive the
+  /// Builds the root chains for a (rewritten) plan. `ctx` must outlive the
   /// returned operators.
-  Result<OperatorPtr> Build(const AlgebraPtr& plan, ExecContext* ctx);
+  Result<RootChains> Build(const AlgebraPtr& plan, ExecContext* ctx);
 
   /// Full path: rewrite (honoring config parallelism) -> build -> execute
   /// -> collect, registered in the query listing. `text` is the monitoring

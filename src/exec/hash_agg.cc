@@ -256,6 +256,7 @@ Status AggWorkerState::Prepare(const std::vector<ExprPtr>& bound_keys,
     tables_.push_back(
         std::make_unique<GroupTable>(key_schema, kinds_, in_types));
   }
+  if (key_progs_.empty()) tables_[0]->EnsureGlobalGroup();
   spilled_.clear();
   spilled_.resize(num_partitions());
   reserv_.ReleaseAll();
@@ -318,103 +319,95 @@ std::unique_ptr<GroupTable> AggWorkerState::TakeTable(
   return std::move(tables_[partition]);
 }
 
-Status AggWorkerState::ConsumeAll(Operator* child, ExecContext* ctx,
-                                  const std::vector<AggItem>& aggs) {
-  if (key_progs_.empty()) tables_[0]->EnsureGlobalGroup();
-  while (true) {
-    X100_RETURN_IF_ERROR(ctx->CheckCancel());
-    Batch* in;
-    X100_ASSIGN_OR_RETURN(in, child->Next());
-    if (in == nullptr) break;
-    const int n = in->ActiveRows();
-    const sel_t* sel = in->sel();
+Status AggWorkerState::Consume(Batch& in, ExecContext* ctx,
+                               const std::vector<AggItem>& aggs) {
+  const int n = in.ActiveRows();
+  const sel_t* sel = in.sel();
 
-    // 1) Evaluate key expressions, hash them, resolve group ids.
-    std::vector<const Vector*> key_vecs;
-    for (auto& prog : key_progs_) {
-      const Vector* v;
-      X100_ASSIGN_OR_RETURN(v, prog->Eval(*in));
-      key_vecs.push_back(v);
-    }
-    if (!key_vecs.empty()) {
-      bool first = true;
-      for (const Vector* v : key_vecs) {
-        hashk::HashColumn(*v, n, sel, hashes_.data(), !first, simd_);
-        first = false;
-      }
-      // Group lookup with a software-prefetch window: all n hashes are
-      // already known, so while resolving row j the bucket head of row
-      // j + kPrefetchDistance is hinted into cache — the dependent loads
-      // of the chain walk overlap instead of serializing on DRAM misses.
-      const bool prefetch = simd_ != SimdLevel::kScalar;
-      if (prefetch) {
-        const int w = n < kPrefetchDistance ? n : kPrefetchDistance;
-        for (int j = 0; j < w; j++) {
-          tables_[RadixPartitionOf(hashes_[j], radix_bits_)]->PrefetchBucket(
-              hashes_[j]);
-        }
-      }
-      groups_.Clear();
-      for (int j = 0; j < n; j++) {
-        if (prefetch && j + kPrefetchDistance < n) {
-          const uint64_t ph = hashes_[j + kPrefetchDistance];
-          tables_[RadixPartitionOf(ph, radix_bits_)]->PrefetchBucket(ph);
-        }
-        const int i = sel ? sel[j] : j;
-        // Route to the radix partition named by the top hash bits: group
-        // ids are partition-local, so each partition merges without ever
-        // seeing another partition's keys.
-        const size_t p = RadixPartitionOf(hashes_[j], radix_bits_);
-        uint32_t gid;
-        X100_ASSIGN_OR_RETURN(
-            gid, tables_[p]->FindOrAdd(key_vecs, i, hashes_[j]));
-        if (radix_bits_ == 0) {
-          gids_[j] = gid;
-        } else {
-          groups_.Add(p, i, gid);
-        }
-      }
-    }
-
-    // 2) Fold each aggregate's input vector into the accumulators with the
-    // aggr_* update kernels (primitives/agg_kernels.h): keyless vectors
-    // take the SIMD fast paths, grouped ones the shared scalar loop. With
-    // radix partitioning, each touched partition's rows fold into its own
-    // table through that partition's selection and group ids; a group
-    // lives in one partition, so its rows fold in input order.
-    for (size_t a = 0; a < aggs.size(); a++) {
-      const Vector* v = nullptr;
-      if (aggs[a].input != nullptr) {
-        X100_ASSIGN_OR_RETURN(v, agg_progs_[a]->Eval(*in));
-      }
-      const auto fold = [&](GroupTable::Accum& acc, int m, const sel_t* s,
-                            const uint32_t* gid) {
-        if (v == nullptr) {  // COUNT(*)
-          agg::UpdateCountStar(m, gid, acc.count.data());
-          return;
-        }
-        agg::UpdateAccum(aggs[a].kind, acc.in_type, m, s, gid,
-                         v->has_nulls() ? v->nulls() : nullptr, v->RawData(),
-                         acc.i64.data(), acc.f64.data(), acc.count.data(),
-                         simd_);
-      };
-      if (radix_bits_ == 0) {
-        fold(tables_[0]->accum(a), n, sel,
-             key_progs_.empty() ? nullptr : gids_.data());
-        continue;
-      }
-      for (size_t p : groups_.touched()) {
-        const auto& g = groups_.group(p);
-        fold(tables_[p]->accum(a), static_cast<int>(g.pos.size()),
-             g.pos.data(), g.tag.data());
-      }
-    }
-
-    // Memory governance, checked once per batch (group ids stay valid
-    // within the batch; a spill swaps tables only between batches).
-    X100_RETURN_IF_ERROR(EnsureReservation(ctx));
+  // 1) Evaluate key expressions, hash them, resolve group ids.
+  std::vector<const Vector*> key_vecs;
+  for (auto& prog : key_progs_) {
+    const Vector* v;
+    X100_ASSIGN_OR_RETURN(v, prog->Eval(in));
+    key_vecs.push_back(v);
   }
-  return Status::OK();
+  if (!key_vecs.empty()) {
+    bool first = true;
+    for (const Vector* v : key_vecs) {
+      hashk::HashColumn(*v, n, sel, hashes_.data(), !first, simd_);
+      first = false;
+    }
+    // Group lookup with a software-prefetch window: all n hashes are
+    // already known, so while resolving row j the bucket head of row
+    // j + kPrefetchDistance is hinted into cache — the dependent loads
+    // of the chain walk overlap instead of serializing on DRAM misses.
+    const bool prefetch = simd_ != SimdLevel::kScalar;
+    if (prefetch) {
+      const int w = n < kPrefetchDistance ? n : kPrefetchDistance;
+      for (int j = 0; j < w; j++) {
+        tables_[RadixPartitionOf(hashes_[j], radix_bits_)]->PrefetchBucket(
+            hashes_[j]);
+      }
+    }
+    groups_.Clear();
+    for (int j = 0; j < n; j++) {
+      if (prefetch && j + kPrefetchDistance < n) {
+        const uint64_t ph = hashes_[j + kPrefetchDistance];
+        tables_[RadixPartitionOf(ph, radix_bits_)]->PrefetchBucket(ph);
+      }
+      const int i = sel ? sel[j] : j;
+      // Route to the radix partition named by the top hash bits: group
+      // ids are partition-local, so each partition merges without ever
+      // seeing another partition's keys.
+      const size_t p = RadixPartitionOf(hashes_[j], radix_bits_);
+      uint32_t gid;
+      X100_ASSIGN_OR_RETURN(
+          gid, tables_[p]->FindOrAdd(key_vecs, i, hashes_[j]));
+      if (radix_bits_ == 0) {
+        gids_[j] = gid;
+      } else {
+        groups_.Add(p, i, gid);
+      }
+    }
+  }
+
+  // 2) Fold each aggregate's input vector into the accumulators with the
+  // aggr_* update kernels (primitives/agg_kernels.h): keyless vectors
+  // take the SIMD fast paths, grouped ones the shared scalar loop. With
+  // radix partitioning, each touched partition's rows fold into its own
+  // table through that partition's selection and group ids; a group
+  // lives in one partition, so its rows fold in input order.
+  for (size_t a = 0; a < aggs.size(); a++) {
+    const Vector* v = nullptr;
+    if (aggs[a].input != nullptr) {
+      X100_ASSIGN_OR_RETURN(v, agg_progs_[a]->Eval(in));
+    }
+    const auto fold = [&](GroupTable::Accum& acc, int m, const sel_t* s,
+                          const uint32_t* gid) {
+      if (v == nullptr) {  // COUNT(*)
+        agg::UpdateCountStar(m, gid, acc.count.data());
+        return;
+      }
+      agg::UpdateAccum(aggs[a].kind, acc.in_type, m, s, gid,
+                       v->has_nulls() ? v->nulls() : nullptr, v->RawData(),
+                       acc.i64.data(), acc.f64.data(), acc.count.data(),
+                       simd_);
+    };
+    if (radix_bits_ == 0) {
+      fold(tables_[0]->accum(a), n, sel,
+           key_progs_.empty() ? nullptr : gids_.data());
+      continue;
+    }
+    for (size_t p : groups_.touched()) {
+      const auto& g = groups_.group(p);
+      fold(tables_[p]->accum(a), static_cast<int>(g.pos.size()),
+           g.pos.data(), g.tag.data());
+    }
+  }
+
+  // Memory governance, checked once per batch (group ids stay valid
+  // within the batch; a spill swaps tables only between batches).
+  return EnsureReservation(ctx);
 }
 
 // ---------------------------------------------------------------------------
@@ -549,19 +542,15 @@ Status HashAggOp::Consume() {
     workers_.push_back(std::move(ws));
   }
 
-  X100_RETURN_IF_ERROR(RunPipelineTasks(
-      sched, ctx_->quota, ctx_->cancel, W,
-      [this, W](int w, TaskGroup& group) -> Status {
-        X100_RETURN_IF_ERROR(group.CheckCancel());
-        ChainProfileScope prof_scope(W == 1 ? this : nullptr);
-        Operator* chain = chains_[w].get();
-        Status s = chain->Open(ctx_);
-        if (s.ok()) {
-          s = workers_[w]->ConsumeAll(chain, ctx_, agg_items_);
-        }
-        chain->Close();
+  X100_RETURN_IF_ERROR(DrainChains(
+      ctx_, Borrow(chains_),
+      [this](int w, Batch& b) -> Result<bool> {
+        X100_RETURN_IF_ERROR(workers_[w]->Consume(b, ctx_, agg_items_));
+        return true;
+      },
+      [this](int w) -> Status {
         workers_[w]->RecordSpillProfile(ctx_);
-        return s;
+        return Status::OK();
       }));
 
   // Merge fan-out: one scheduler task per radix partition folds that

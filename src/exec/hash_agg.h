@@ -6,8 +6,8 @@
 //                      barrier operation of parallel aggregation.
 //  * AggWorkerState  — one worker chain's thread-local state: compiled
 //                      key/aggregate programs + private GroupTables.
-//  * HashAggOp       — N source chains (N >= 1) drained by scheduler
-//                      tasks into per-worker GroupTables, merged at the
+//  * HashAggOp       — N source chains (N >= 1) drained (DrainChains)
+//                      into per-worker GroupTables, merged at the
 //                      pipeline barrier (Leis-style morsel parallelism:
 //                      no partial/final plan rewrite, no exchange). One
 //                      chain is the serial case: the barrier merge then
@@ -116,8 +116,9 @@ class GroupTable {
 
 /// One aggregation worker: the thread-local state that drains one source
 /// chain (compiled programs, scratch, private GroupTables — one per radix
-/// partition). HashAggOp runs one per chain, each driven by a scheduler
-/// task; the 2^radix_bits partitions merge independently at the barrier.
+/// partition). HashAggOp runs one per chain and folds the chain's batches
+/// into it; the 2^radix_bits partitions merge independently at the
+/// barrier.
 class AggWorkerState {
  public:
   /// Compiles programs and allocates the private tables. `radix_bits` is
@@ -131,11 +132,10 @@ class AggWorkerState {
                  int radix_bits = 0,
                  SimdLevel simd = SimdLevel::kScalar);
 
-  /// Drains `child` (already open) to exhaustion into the private
-  /// tables, routing each row to the partition named by the top
-  /// radix_bits of its key hash.
-  Status ConsumeAll(Operator* child, ExecContext* ctx,
-                    const std::vector<AggItem>& aggs);
+  /// Folds one batch of the chain into the private tables, routing each
+  /// row to the partition named by the top radix_bits of its key hash.
+  Status Consume(Batch& in, ExecContext* ctx,
+                 const std::vector<AggItem>& aggs);
 
   GroupTable* table(int partition = 0) const {
     return partition < static_cast<int>(tables_.size())
@@ -201,8 +201,8 @@ struct AggBinding {
 
 /// The sink of a scan→[probe→]aggregate pipeline. Each of the N source
 /// chains (clones sharing morsel sources and join build states underneath,
-/// or one chain over a non-clonable input) is drained by a scheduler task
-/// into per-worker GroupTables (one per radix partition); at the TaskGroup
+/// or one chain over a non-clonable input) is drained (DrainChains) into
+/// per-worker GroupTables (one per radix partition); at the TaskGroup
 /// barrier each partition is merged by an independent scheduler task
 /// (radix_bits = 0: one table, one merge task), then groups stream out
 /// partition by partition.

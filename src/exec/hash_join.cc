@@ -92,92 +92,85 @@ Status JoinBuildState::Build(ExecContext* ctx) {
     std::vector<SpillRun> spilled;                   // one per partition
     bool saw_null_key = false;
     MemoryReservation reserv;  // tracks this worker's partial footprint
+    std::vector<uint64_t> hashes;       // one vector's key hashes
+    RadixGroups<sel_t, uint64_t> groups;  // one vector's rows by partition
   };
   std::vector<WorkerPartial> partials(W);
+  for (WorkerPartial& part : partials) {
+    part.tables.resize(P);
+    part.spilled.resize(P);
+    part.reserv.Init(ctx->memory);
+    part.hashes.resize(ctx->vector_size);
+    part.groups = RadixGroups<sel_t, uint64_t>(P);
+  }
 
-  // Phase 1 — drain pipeline: tasks drain the cloned chains (sharing one
-  // morsel source underneath), hashing keys vectorized and scattering
-  // rows into partition buffers. Rows with a NULL key can never match
-  // any probe; they only matter through the has_null_key poison flag, so
-  // they are dropped here instead of being stored unreachable.
-  // Tagged with `this` so losers of the EnsureBuilt race can help.
+  // Phase 1 — drain pipeline: the cloned chains (sharing one morsel
+  // source underneath) are drained with their keys hashed vectorized and
+  // their rows scattered into partition buffers. Rows with a NULL key can
+  // never match any probe; they only matter through the has_null_key
+  // poison flag, so they are dropped here instead of being stored
+  // unreachable. Tagged with `this` so losers of the EnsureBuilt race can
+  // help.
   //
   // Memory governance: after every batch the worker grows its
   // reservation to its actual footprint. On failure GrowOrSpill spills
   // radix partitions to the worker's runs by the one victim rule and
   // retries; with spilling disabled the kResourceExhausted status fails
-  // this task, which cancels the group and unwinds the build.
-  X100_RETURN_IF_ERROR(RunPipelineTasks(
-      sched, ctx->quota, ctx->cancel, W,
-      [this, &partials, ctx, P](int w, TaskGroup& group) -> Status {
-        X100_RETURN_IF_ERROR(group.CheckCancel());
+  // the chain, which cancels the others and unwinds the build.
+  X100_RETURN_IF_ERROR(DrainChains(
+      ctx, Borrow(chains_),
+      [this, &partials, ctx, P](int w, Batch& batch) -> Result<bool> {
         WorkerPartial& part = partials[w];
-        part.tables.resize(P);
-        part.spilled.resize(P);
-        part.reserv.Init(ctx->memory);
-        const auto describe = [&part](size_t p) {
-          const HashTable* t = part.tables[p].get();
-          return t == nullptr
-                     ? SpillPart{}
-                     : SpillPart{static_cast<int64_t>(t->MemoryBytes()),
-                                 t->size() > 0};
-        };
-        const auto spill = [&part, ctx](size_t p) -> Status {
-          X100_RETURN_IF_ERROR(
-              SpillTable(*part.tables[p], ctx->spill_device, &part.spilled[p]));
-          part.tables[p].reset();
-          return Status::OK();
-        };
-        std::vector<uint64_t> hash_scratch(ctx->vector_size);
-        RadixGroups<sel_t, uint64_t> groups(P);
-        Operator* chain = chains_[w].get();
-        Status s = chain->Open(ctx);
-        while (s.ok()) {
-          s = group.CheckCancel();
-          if (!s.ok()) break;
-          auto b = chain->Next();
-          if (!b.ok()) {
-            s = b.status();
-            break;
-          }
-          if (*b == nullptr) break;
-          const Batch& batch = **b;
-          const int n = batch.ActiveRows();
-          const sel_t* sel = batch.sel();
-          bool first = true;
-          for (int c : build_keys_) {
-            hashk::HashColumn(*batch.column(c), n, sel,
-                              hash_scratch.data(), !first, ctx->simd);
-            first = false;
-          }
-          groups.Clear();
-          for (int j = 0; j < n; j++) {
-            const int i = sel ? sel[j] : j;
-            bool null_key = false;
-            for (int c : build_keys_) {
-              null_key |= batch.column(c)->IsNull(i);
-            }
-            if (null_key) {
-              part.saw_null_key = true;  // poison for NOT IN semantics
-              continue;
-            }
-            groups.Add(PartitionOf(hash_scratch[j]), i, hash_scratch[j]);
-          }
-          const std::vector<const Vector*> cols = batch.columns();
-          for (size_t p : groups.touched()) {
-            const auto& g = groups.group(p);
-            if (part.tables[p] == nullptr) part.tables[p] = NewTable();
-            part.tables[p]->Append(cols, g.pos.data(), 0,
-                                   static_cast<int>(g.pos.size()),
-                                   g.tag.data());
-          }
-          s = GrowOrSpill(&part.reserv, ctx->spill_device != nullptr, P,
-                          describe, spill);
+        const int n = batch.ActiveRows();
+        const sel_t* sel = batch.sel();
+        bool first = true;
+        for (int c : build_keys_) {
+          hashk::HashColumn(*batch.column(c), n, sel, part.hashes.data(),
+                            !first, ctx->simd);
+          first = false;
         }
-        chain->Close();
-        ctx->RecordSpill("JoinBuildSpill", part.spilled.data(),
-                         part.spilled.size());
-        return s;
+        part.groups.Clear();
+        for (int j = 0; j < n; j++) {
+          const int i = sel ? sel[j] : j;
+          bool null_key = false;
+          for (int c : build_keys_) {
+            null_key |= batch.column(c)->IsNull(i);
+          }
+          if (null_key) {
+            part.saw_null_key = true;  // poison for NOT IN semantics
+            continue;
+          }
+          part.groups.Add(PartitionOf(part.hashes[j]), i, part.hashes[j]);
+        }
+        const std::vector<const Vector*> cols = batch.columns();
+        for (size_t p : part.groups.touched()) {
+          const auto& g = part.groups.group(p);
+          if (part.tables[p] == nullptr) part.tables[p] = NewTable();
+          part.tables[p]->Append(cols, g.pos.data(), 0,
+                                 static_cast<int>(g.pos.size()),
+                                 g.tag.data());
+        }
+        X100_RETURN_IF_ERROR(GrowOrSpill(
+            &part.reserv, ctx->spill_device != nullptr, P,
+            [&part](size_t p) {
+              const HashTable* t = part.tables[p].get();
+              return t == nullptr
+                         ? SpillPart{}
+                         : SpillPart{static_cast<int64_t>(t->MemoryBytes()),
+                                     t->size() > 0};
+            },
+            [&part, ctx](size_t p) -> Status {
+              X100_RETURN_IF_ERROR(SpillTable(
+                  *part.tables[p], ctx->spill_device, &part.spilled[p]));
+              part.tables[p].reset();
+              return Status::OK();
+            }));
+        return true;
+      },
+      [&partials, ctx](int w) -> Status {
+        ctx->RecordSpill("JoinBuildSpill", partials[w].spilled.data(),
+                         partials[w].spilled.size());
+        return Status::OK();
       },
       /*help_tag=*/this));
 

@@ -375,7 +375,7 @@ Schema JoinOutputSchema(const Schema& probe, const Schema& build,
 /// One probe pipeline worker: probes the shared build table with its own
 /// cloned source chain. The planner creates N of these per parallel join,
 /// embedded in the worker chains of the pipeline's sink (aggregation,
-/// sort, or an exchange union at the plan root).
+/// sort, or the root drain).
 class JoinProbeOp : public Operator {
  public:
   JoinProbeOp(OperatorPtr probe, JoinBuildStatePtr state,

@@ -1,7 +1,10 @@
 #include "exec/operator.h"
 
+#include <algorithm>
 #include <chrono>
+#include <iterator>
 
+#include "common/task_scheduler.h"
 #include "storage/spill_file.h"
 
 namespace x100 {
@@ -16,22 +19,98 @@ inline int64_t NowNs() {
 // The operator currently inside a public Open/Next on this thread. A
 // child's public entry points charge their elapsed time to the caller's
 // child_ns, which is how exclusive (self) time is derived without the
-// base class knowing the tree shape. Pipeline worker chains each run on
-// one pool thread, so nesting stays thread-local; an operator whose
-// children run on *other* threads (exchange consumer, a breaker over
-// several chains) accrues no child_ns and its exclusive time includes
-// the cross-thread wait. A breaker's lone chain is charged to the
-// breaker through ChainProfileScope.
+// base class knowing the tree shape. Each chain a sink drains runs on one
+// thread, so nesting stays thread-local: a lone chain runs on the sink's
+// own thread and is its child by construction, while a sink over several
+// chains accrues child_ns only for the chains its waiting thread runs
+// inline; its exclusive time includes the cross-thread wait.
 thread_local Operator* g_profiling_caller = nullptr;
 }  // namespace
 
-Operator::ChainProfileScope::ChainProfileScope(Operator* sink)
-    : saved_(g_profiling_caller) {
-  if (sink != nullptr) g_profiling_caller = sink;
+std::vector<Operator*> Borrow(const std::vector<OperatorPtr>& ops) {
+  std::vector<Operator*> out;
+  for (const OperatorPtr& op : ops) out.push_back(op.get());
+  return out;
 }
 
-Operator::ChainProfileScope::~ChainProfileScope() {
-  g_profiling_caller = saved_;
+Status DrainChains(ExecContext* ctx, const std::vector<Operator*>& chains,
+                   const std::function<Result<bool>(int, Batch&)>& consume,
+                   const std::function<Status(int)>& finish,
+                   const void* help_tag) {
+  TaskScheduler* sched =
+      ctx->scheduler != nullptr ? ctx->scheduler : TaskScheduler::Global();
+  return RunPipelineTasks(
+      sched, ctx->quota, ctx->cancel, static_cast<int>(chains.size()),
+      [&](int w, TaskGroup& group) -> Status {
+        Operator* chain = chains[w];
+        Status s = group.CheckCancel();
+        if (s.ok()) s = chain->Open(ctx);
+        while (s.ok()) {
+          auto batch = chain->Next();
+          if (!batch.ok()) {
+            s = batch.status();
+            break;
+          }
+          if (*batch == nullptr) break;
+          auto more = consume(w, **batch);
+          if (!more.ok()) {
+            s = more.status();
+            break;
+          }
+          if (!*more) break;
+          s = group.CheckCancel();
+        }
+        chain->Close();
+        if (s.ok() && finish) s = finish(w);
+        return s;
+      },
+      help_tag);
+}
+
+Result<QueryResult> CollectChains(const std::vector<Operator*>& chains,
+                                  ExecContext* ctx, int64_t limit) {
+  if (chains.empty()) {
+    return Status::InvalidArgument("no chain to collect");
+  }
+  // Each chain converts its own rows; with a limit, rows are claimed from
+  // one shared count, so the chains together convert at most `limit`.
+  std::vector<QueryResult> parts(chains.size());
+  std::atomic<int64_t> claimed{0};
+  X100_RETURN_IF_ERROR(DrainChains(
+      ctx, chains, [&](int w, Batch& b) -> Result<bool> {
+        QueryResult& part = parts[w];
+        int64_t n = b.ActiveRows();
+        bool more = true;
+        if (limit >= 0) {
+          const int64_t before = claimed.fetch_add(n);
+          n = std::max<int64_t>(0, std::min(n, limit - before));
+          more = before + b.ActiveRows() < limit;
+        }
+        const sel_t* sel = b.sel();
+        part.batches++;
+        for (int64_t j = 0; j < n; j++) {
+          const int i = sel ? sel[j] : static_cast<int>(j);
+          std::vector<Value> row;
+          row.reserve(b.num_columns());
+          for (int c = 0; c < b.num_columns(); c++) {
+            row.push_back(b.column(c)->GetValue(i));
+          }
+          part.rows.push_back(std::move(row));
+        }
+        return more;
+      }));
+  QueryResult result = std::move(parts[0]);
+  result.schema = chains[0]->output_schema();
+  for (size_t w = 1; w < parts.size(); w++) {
+    result.batches += parts[w].batches;
+    std::move(parts[w].rows.begin(), parts[w].rows.end(),
+              std::back_inserter(result.rows));
+  }
+  return result;
+}
+
+Result<QueryResult> CollectRows(Operator* op, ExecContext* ctx) {
+  return CollectChains({op}, ctx);
 }
 
 void ExecContext::RecordSpill(const char* op, const SpillRun* runs,

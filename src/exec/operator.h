@@ -14,6 +14,7 @@
 #define X100_EXEC_OPERATOR_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -46,8 +47,8 @@ struct ExecContext {
   SimdLevel simd = ResolveSimdLevel(SimdMode::kAuto);
   CancellationToken* cancel = nullptr;
   EventLog* events = nullptr;
-  /// Pool parallel operators (pipelines, XchgOp) schedule their tasks on;
-  /// nullptr means TaskScheduler::Global().
+  /// Pool the pipeline sinks' chain tasks run on; nullptr means
+  /// TaskScheduler::Global().
   TaskScheduler* scheduler = nullptr;
   /// Per-query admission control: pipelines acquire task slots here
   /// before spawning (nullptr = unlimited). Owned by the query executor.
@@ -77,7 +78,7 @@ struct ExecContext {
     return cancel ? cancel->Check() : Status::OK();
   }
 
-  /// Thread-safe sink for closed operators' metrics (exchange producers
+  /// Thread-safe sink for closed operators' metrics (a sink's chains
   /// close on pool threads).
   void RecordOperator(OperatorProfile p) {
     std::lock_guard<std::mutex> lock(profile_mu);
@@ -123,26 +124,6 @@ class Operator {
   virtual Result<Batch*> NextImpl() = 0;
   virtual void CloseImpl() = 0;
 
-  /// Names the operator that a pipeline task's chain charges its Open/Next
-  /// time to, for the task's lifetime on the running thread. A breaker
-  /// draining its lone input chain passes itself: the chain then counts
-  /// as child time exactly as if the breaker pulled it from its own Next,
-  /// whichever thread runs the task (one chain runs on one thread at a
-  /// time, and the task barrier orders its writes before the breaker's
-  /// profile is read). nullptr keeps the thread's current caller: a
-  /// breaker over several chains passes it, so only a chain its waiting
-  /// thread runs inline counts as its child time.
-  class ChainProfileScope {
-   public:
-    explicit ChainProfileScope(Operator* sink);
-    ~ChainProfileScope();
-    ChainProfileScope(const ChainProfileScope&) = delete;
-    ChainProfileScope& operator=(const ChainProfileScope&) = delete;
-
-   private:
-    Operator* saved_;
-  };
-
  private:
   ExecContext* profile_ctx_ = nullptr;
   OperatorProfile prof_;
@@ -151,8 +132,25 @@ class Operator {
 
 using OperatorPtr = std::unique_ptr<Operator>;
 
-/// Drains `op` into a materialized result (rows of Values). Used by tests,
-/// examples and the session layer.
+/// Borrowed pointers to `ops`, in order.
+std::vector<Operator*> Borrow(const std::vector<OperatorPtr>& ops);
+
+/// The one drain loop under every pipeline sink. Each of `chains` is
+/// drained on one thread by one RunPipelineTasks item (a lone chain on
+/// the calling thread): the chain is opened, pulled batch by batch with a
+/// cancellation check before each pull, and every batch is handed to
+/// `consume(w, batch)` for chain w; `consume` returns false to stop
+/// pulling early. The chain is then closed and, if it ended without
+/// error, `finish(w)` (when given) runs on the same thread. Returns the
+/// first error. `help_tag` forwards to RunPipelineTasks.
+Status DrainChains(
+    ExecContext* ctx, const std::vector<Operator*>& chains,
+    const std::function<Result<bool>(int, Batch&)>& consume,
+    const std::function<Status(int)>& finish = nullptr,
+    const void* help_tag = nullptr);
+
+/// A materialized result (rows of Values). Used by tests, examples and
+/// the session layer.
 struct QueryResult {
   Schema schema;
   std::vector<std::vector<Value>> rows;
@@ -161,6 +159,12 @@ struct QueryResult {
   /// empty for results not produced through it).
   QueryProfile profile;
 };
+/// Drains `chains` (the plan root's chains) into one result: each chain's
+/// rows, in chain order. With `limit` >= 0 the chains stop pulling once
+/// `limit` rows have arrived, and the result is cut to `limit` rows.
+Result<QueryResult> CollectChains(const std::vector<Operator*>& chains,
+                                  ExecContext* ctx, int64_t limit = -1);
+/// The one-chain case of CollectChains.
 Result<QueryResult> CollectRows(Operator* op, ExecContext* ctx);
 
 /// Groups rows by radix partition in one stable pass, the routing step of

@@ -120,33 +120,4 @@ Result<Batch*> ProjectOp::NextImpl() {
   return out_.get();
 }
 
-Result<QueryResult> CollectRows(Operator* op, ExecContext* ctx) {
-  X100_RETURN_IF_ERROR(op->Open(ctx));
-  QueryResult result;
-  result.schema = op->output_schema();
-  while (true) {
-    auto batch = op->Next();
-    if (!batch.ok()) {
-      op->Close();
-      return batch.status();
-    }
-    if (*batch == nullptr) break;
-    Batch* b = *batch;
-    const int n = b->ActiveRows();
-    const sel_t* sel = b->sel();
-    result.batches++;
-    for (int j = 0; j < n; j++) {
-      const int i = sel ? sel[j] : j;
-      std::vector<Value> row;
-      row.reserve(b->num_columns());
-      for (int c = 0; c < b->num_columns(); c++) {
-        row.push_back(b->column(c)->GetValue(i));
-      }
-      result.rows.push_back(std::move(row));
-    }
-  }
-  op->Close();
-  return result;
-}
-
 }  // namespace x100

@@ -76,24 +76,6 @@ struct RunBuildState {
 
   std::vector<SpillRun> spilled;
 
-  /// Opens, drains and closes `chain`, appending every batch.
-  Status Drain(Operator* chain, const TaskGroup& group) {
-    Status s = chain->Open(ctx);
-    while (s.ok()) {
-      s = group.CheckCancel();
-      if (!s.ok()) break;
-      auto b = chain->Next();
-      if (!b.ok()) {
-        s = b.status();
-        break;
-      }
-      if (*b == nullptr) break;
-      s = Append(**b);
-    }
-    chain->Close();
-    return s;
-  }
-
   /// The whole resident buffer is the one spill partition.
   Status Append(const Batch& b) {
     (*buffer)->Append(b.columns(), b.sel(), 0, b.ActiveRows());
@@ -325,27 +307,33 @@ Status SortOp::Materialize() {
   buffer_mem_.clear();
   buffer_mem_.resize(W);
 
-  // One run builder per input chain: each task drains its chain (the
-  // input pipeline and the sort overlap), spilling sorted runs when its
-  // reservation fails, then sorts what stayed resident into a final run
-  // — unless it is the lone chain and nothing spilled: those rows are
-  // range-split across sort tasks after the barrier instead.
+  // One run builder per input chain: each chain's drain (the input
+  // pipeline and the sort overlap) spills sorted runs when its
+  // reservation fails; when the chain ends, what stayed resident is
+  // sorted into a final run on the chain's thread — unless it is the
+  // lone chain and nothing spilled: those rows are range-split across
+  // sort tasks below instead.
+  std::vector<RunBuildState> states(W);
+  for (int w = 0; w < W; w++) {
+    buffers_[w] = std::make_unique<RowBuffer>(schema);
+    buffer_mem_[w].Init(ctx_->memory);
+    RunBuildState& st = states[w];
+    st.schema = &schema;
+    st.keys = &keys_;
+    st.limit = limit_;
+    st.ctx = ctx_;
+    st.buffer = &buffers_[w];
+    st.reserv = &buffer_mem_[w];
+  }
   std::vector<std::vector<SortRun>> worker_runs(W);
-  X100_RETURN_IF_ERROR(RunPipelineTasks(
-      sched, ctx_->quota, ctx_->cancel, W,
-      [this, W, &schema, &worker_runs](int w, TaskGroup& group) -> Status {
-        X100_RETURN_IF_ERROR(group.CheckCancel());
-        ChainProfileScope prof_scope(W == 1 ? this : nullptr);
-        buffers_[w] = std::make_unique<RowBuffer>(schema);
-        buffer_mem_[w].Init(ctx_->memory);
-        RunBuildState st;
-        st.schema = &schema;
-        st.keys = &keys_;
-        st.limit = limit_;
-        st.ctx = ctx_;
-        st.buffer = &buffers_[w];
-        st.reserv = &buffer_mem_[w];
-        X100_RETURN_IF_ERROR(st.Drain(chains_[w].get(), group));
+  X100_RETURN_IF_ERROR(DrainChains(
+      ctx_, Borrow(chains_),
+      [&states](int w, Batch& b) -> Result<bool> {
+        X100_RETURN_IF_ERROR(states[w].Append(b));
+        return true;
+      },
+      [W, &states, &worker_runs](int w) -> Status {
+        RunBuildState& st = states[w];
         st.RecordProfile();
         for (SpillRun& spilled : st.spilled) {
           worker_runs[w].emplace_back();

@@ -4,12 +4,13 @@
 // NaN orders after every number and before NULL ascending, mirrored
 // descending (NULL, then NaN, then the numbers); -0.0 ties 0.0.
 //
-// Per-worker sorted runs built by scheduler tasks, merged at the pipeline
-// barrier (docs/EXECUTION.md). Each of the N >= 1 input chains (clones of
-// a morsel-parallel input, or one chain over a non-clonable input such as
-// an aggregation) is drained by one task into its own run. A single chain
-// whose rows all stayed resident is range-split after the barrier and its
-// ranges sorted by parallel tasks. A LIMIT truncates each run to the limit
+// Per-worker sorted runs built by the input chains' drains (DrainChains
+// in exec/operator.h), merged at the pipeline barrier (docs/EXECUTION.md).
+// Each of the N >= 1 input chains (clones of a morsel-parallel input, or
+// one chain over a non-clonable input such as an aggregation) is drained
+// into its own run, sorted on the chain's thread when the chain ends. A
+// single chain whose rows all stayed resident is range-split after the
+// barrier and its ranges sorted by parallel tasks. A LIMIT truncates each run to the limit
 // before the merge, so top-N never materializes more than runs x limit
 // rows for the merge phase.
 //

@@ -47,9 +47,9 @@ struct OperatorProfile {
   /// limit + max pair + SpillForceAdmitSlack (common/config.h).
   int64_t mem_bytes = 0;
 
-  /// Exclusive time: open+next minus the children's share. For operators
-  /// whose children run on other pool threads (an exchange consumer), the
-  /// exclusive time includes the time spent waiting on those threads.
+  /// Exclusive time: open+next minus the children's share. For a sink
+  /// whose chains run on other pool threads, the exclusive time includes
+  /// the time spent waiting on those threads.
   int64_t exclusive_ns() const {
     const int64_t self = open_ns + next_ns - child_ns;
     return self > 0 ? self : 0;

@@ -1,8 +1,8 @@
 // Execution engine tests: expression programs, scans (with PDT merge and
 // MinMax skipping), filters, projections, all join flavors (including the
 // NULL-semantics anti joins of §"NULL intricacies"), aggregation, sort,
-// exchange parallelism, cancellation, and scans checked against a model
-// of random update histories.
+// the root drain over parallel chains, cancellation, and scans checked
+// against a model of random update histories.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,6 @@
 #include <mutex>
 #include <thread>
 
-#include "exec/exchange.h"
 #include "exec/hash_agg.h"
 #include "exec/hash_join.h"
 #include "exec/scan.h"
@@ -892,31 +891,95 @@ TEST_F(ScanTest, PipelineScanSelectProjectAgg) {
 }
 
 // ---------------------------------------------------------------------------
-// Exchange + cancellation
+// Root drain + cancellation
 // ---------------------------------------------------------------------------
 
-TEST_F(ScanTest, ExchangeUnionsPartitionedScans) {
+TEST_F(ScanTest, RootDrainUnionsPartitionedScans) {
   // Two scan clones split the table through one shared MorselSource; the
-  // union must see every row exactly once (one clone wins the tail).
+  // root drain must see every row exactly once (one clone wins the tail).
   ExecContext ctx;
   auto morsels = std::make_shared<MorselSource>(table_->base()->num_groups());
-  std::vector<OperatorPtr> producers;
+  std::vector<OperatorPtr> chains;
   for (int w = 0; w < 2; w++) {
     ScanOptions opts;
     opts.columns = {0};
     opts.morsels = morsels;
-    producers.push_back(std::make_unique<ScanOp>(
+    chains.push_back(std::make_unique<ScanOp>(
         table_->View(), table_->SnapshotPdt(), buffers_.get(),
         std::move(opts)));
   }
-  XchgOp xchg(std::move(producers));
-  auto res = CollectRows(&xchg, &ctx);
+  auto res = CollectChains(Borrow(chains), &ctx);
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res->rows.size(), 1000u);
   int64_t sum = 0;
   for (const auto& row : res->rows) sum += row[0].AsI64();
   EXPECT_EQ(sum, 999ll * 1000 / 2);
 }
+
+/// An endless source of i64 batches that counts its opens, closes and
+/// in-flight Next calls; `fail_at` > 0 makes its fail_at-th Next return
+/// an error, and `cancel_at` > 0 makes its cancel_at-th Next fire
+/// `cancel_token`.
+class ChainProbeOp : public Operator {
+ public:
+  struct Counters {
+    std::atomic<int> opened{0};
+    std::atomic<int> closed{0};
+    std::atomic<int> in_next{0};
+    std::atomic<int64_t> batches{0};
+  };
+  explicit ChainProbeOp(Counters* counters) : counters_(counters) {}
+  ~ChainProbeOp() override { Close(); }
+
+  int fail_at = 0;
+  int cancel_at = 0;
+  CancellationToken* cancel_token = nullptr;
+
+  const Schema& output_schema() const override { return schema_; }
+  std::string name() const override { return "ChainProbe"; }
+
+ protected:
+  Status OpenImpl(ExecContext* ctx) override {
+    ctx_ = ctx;
+    out_ = std::make_unique<Batch>(schema_, ctx->vector_size);
+    open_ = true;
+    counters_->opened++;
+    return Status::OK();
+  }
+  Result<Batch*> NextImpl() override {
+    counters_->in_next++;
+    auto r = Produce();
+    counters_->in_next--;
+    return r;
+  }
+  void CloseImpl() override {
+    if (open_) counters_->closed++;
+    open_ = false;
+  }
+
+ private:
+  Result<Batch*> Produce() {
+    X100_RETURN_IF_ERROR(ctx_->CheckCancel());
+    nexts_++;
+    if (nexts_ == cancel_at) cancel_token->Cancel();
+    if (nexts_ == fail_at) return Status::Internal("chain failed");
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+    out_->Reset();
+    for (int i = 0; i < ctx_->vector_size; i++) {
+      out_->column(0)->Data<int64_t>()[i] = i;
+    }
+    out_->set_rows(ctx_->vector_size);
+    counters_->batches++;
+    return out_.get();
+  }
+
+  Counters* counters_;
+  Schema schema_{{Field("x", TypeId::kI64)}};
+  ExecContext* ctx_ = nullptr;
+  std::unique_ptr<Batch> out_;
+  bool open_ = false;
+  int nexts_ = 0;
+};
 
 TEST(CancellationTest, OperatorTreeStopsPromptly) {
   ExecContext ctx;
@@ -951,32 +1014,59 @@ TEST(CancellationTest, OperatorTreeStopsPromptly) {
   EXPECT_TRUE(final_status.IsCancelled());
 }
 
-TEST(CancellationTest, ExchangeProducersJoinOnCancel) {
-  ExecContext ctx;
-  CancellationToken token;
-  ctx.cancel = &token;
-  Schema s({Field("x", TypeId::kI64)});
-  std::vector<OperatorPtr> producers;
-  for (int p = 0; p < 2; p++) {
-    std::vector<std::vector<Value>> rows(200000, {Value::I64(p)});
-    producers.push_back(std::make_unique<ValuesOp>(s, std::move(rows)));
-  }
-  XchgOp xchg(std::move(producers));
-  ASSERT_TRUE(xchg.Open(&ctx).ok());
-  auto first = xchg.Next();
-  ASSERT_TRUE(first.ok());
-  token.Cancel();
-  // Drain until the cancel surfaces.
-  while (true) {
-    auto b = xchg.Next();
-    if (!b.ok()) {
-      EXPECT_TRUE(b.status().IsCancelled());
-      break;
+TEST(CancellationTest, RootDrainJoinsChainsOnCancel) {
+  // A cancel before the drain runs no chain; one during it returns
+  // Cancelled only after every chain task has closed its chain. Four
+  // endless chains on two workers: the cancel is what ends the drain.
+  for (bool during : {false, true}) {
+    TaskScheduler pool(2);
+    CancellationToken token;
+    ExecContext ctx;
+    ctx.scheduler = &pool;
+    ctx.cancel = &token;
+    ChainProbeOp::Counters counters;
+    std::vector<OperatorPtr> chains;
+    for (int w = 0; w < 4; w++) {
+      auto op = std::make_unique<ChainProbeOp>(&counters);
+      op->cancel_token = &token;
+      if (w == 0 && during) op->cancel_at = 3;
+      chains.push_back(std::move(op));
     }
-    if (*b == nullptr) break;
+    if (!during) token.Cancel();
+    auto res = CollectChains(Borrow(chains), &ctx);
+    ASSERT_FALSE(res.ok());
+    EXPECT_TRUE(res.status().IsCancelled()) << res.status().ToString();
+    EXPECT_EQ(counters.in_next.load(), 0);
+    EXPECT_EQ(counters.opened.load(), counters.closed.load());
+    if (during) {
+      EXPECT_GE(counters.batches.load(), 2);
+    } else {
+      EXPECT_EQ(counters.opened.load(), 0);
+    }
   }
-  xchg.Close();  // must join producer threads without deadlock
-  SUCCEED();
+}
+
+TEST(CancellationTest, RootDrainReturnsTheFailingChainsError) {
+  // An error in one chain is what the drain returns, and it stops the
+  // other (endless) chains: without that the drain would never end.
+  for (int workers : {1, 2, 4}) {
+    TaskScheduler pool(workers);
+    ExecContext ctx;
+    ctx.scheduler = &pool;
+    ChainProbeOp::Counters counters;
+    std::vector<OperatorPtr> chains;
+    for (int w = 0; w < 4; w++) {
+      auto op = std::make_unique<ChainProbeOp>(&counters);
+      if (w == 0) op->fail_at = 20;
+      chains.push_back(std::move(op));
+    }
+    auto res = CollectChains(Borrow(chains), &ctx);
+    ASSERT_FALSE(res.ok());
+    EXPECT_EQ(res.status().code(), StatusCode::kInternal)
+        << res.status().ToString();
+    EXPECT_EQ(counters.in_next.load(), 0);
+    EXPECT_EQ(counters.opened.load(), counters.closed.load());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1011,34 +1101,42 @@ TEST(MorselSourceTest, HandsOutEachGroupExactlyOnce) {
   EXPECT_EQ(src.handed(), 64);
 }
 
-TEST_F(ScanTest, MorselExchangeDeterministicAcrossWorkerCounts) {
+TEST_F(ScanTest, RootDrainDeterministicAcrossChainAndWorkerCounts) {
+  // Every row comes back exactly once whatever the chain count and the
+  // pool size, more chains than workers (and than block groups) included.
   for (int workers : {1, 2, 8}) {
-    TaskScheduler pool(workers);
-    ExecContext ctx;
-    ctx.scheduler = &pool;
-    auto morsels =
-        std::make_shared<MorselSource>(table_->base()->num_groups());
-    std::vector<OperatorPtr> producers;
-    for (int w = 0; w < workers; w++) {
-      ScanOptions opts;
-      opts.columns = {0};
-      opts.morsels = morsels;
-      producers.push_back(std::make_unique<ScanOp>(
-          table_->View(), table_->SnapshotPdt(), buffers_.get(),
-          std::move(opts)));
+    for (int n : {1, 2, 8}) {
+      TaskScheduler pool(workers);
+      ExecContext ctx;
+      ctx.scheduler = &pool;
+      auto morsels =
+          std::make_shared<MorselSource>(table_->base()->num_groups());
+      std::vector<OperatorPtr> chains;
+      for (int w = 0; w < n; w++) {
+        ScanOptions opts;
+        opts.columns = {0};
+        opts.morsels = morsels;
+        chains.push_back(std::make_unique<ScanOp>(
+            table_->View(), table_->SnapshotPdt(), buffers_.get(),
+            std::move(opts)));
+      }
+      auto res = CollectChains(Borrow(chains), &ctx);
+      const std::string where =
+          "workers=" + std::to_string(workers) + " chains=" + std::to_string(n);
+      ASSERT_TRUE(res.ok()) << res.status().ToString() << " " << where;
+      std::vector<int64_t> ids;
+      for (const auto& row : res->rows) ids.push_back(row[0].AsI64());
+      std::sort(ids.begin(), ids.end());
+      ASSERT_EQ(ids.size(), 1000u) << where;
+      for (int64_t i = 0; i < 1000; i++) ASSERT_EQ(ids[i], i) << where;
+      EXPECT_EQ(morsels->handed(), table_->base()->num_groups()) << where;
     }
-    XchgOp xchg(std::move(producers));
-    auto res = CollectRows(&xchg, &ctx);
-    ASSERT_TRUE(res.ok()) << res.status().ToString();
-    EXPECT_EQ(res->rows.size(), 1000u) << "workers=" << workers;
-    int64_t sum = 0;
-    for (const auto& row : res->rows) sum += row[0].AsI64();
-    EXPECT_EQ(sum, 999ll * 1000 / 2) << "workers=" << workers;
-    EXPECT_EQ(morsels->handed(), table_->base()->num_groups());
   }
 }
 
-TEST_F(ScanTest, MorselExchangeCancellationJoinsInFlightTasks) {
+TEST_F(ScanTest, RootDrainCancellationJoinsInFlightTasks) {
+  // Scan clones cancelled while the drain's tasks may be in flight: the
+  // drain returns Cancelled, every opened clone closed.
   TaskScheduler pool(2);
   CancellationToken token;
   ExecContext ctx;
@@ -1046,71 +1144,27 @@ TEST_F(ScanTest, MorselExchangeCancellationJoinsInFlightTasks) {
   ctx.cancel = &token;
   auto morsels =
       std::make_shared<MorselSource>(table_->base()->num_groups());
-  std::vector<OperatorPtr> producers;
+  ChainProbeOp::Counters counters;
+  std::vector<OperatorPtr> chains;
+  auto trigger = std::make_unique<ChainProbeOp>(&counters);
+  trigger->cancel_token = &token;
+  trigger->cancel_at = 2;
+  chains.push_back(std::move(trigger));
   for (int w = 0; w < 2; w++) {
     ScanOptions opts;
-    opts.columns = {0, 1, 2};
+    opts.columns = {0};
     opts.morsels = morsels;
-    producers.push_back(std::make_unique<ScanOp>(
-        table_->View(), table_->SnapshotPdt(), buffers_.get(),
-        std::move(opts)));
+    auto scan = std::make_unique<ScanOp>(table_->View(), table_->SnapshotPdt(),
+                                         buffers_.get(), std::move(opts));
+    ProjectItem item{"x", Col("id")};
+    chains.push_back(std::make_unique<ProjectOp>(std::move(scan),
+                                                 std::vector<ProjectItem>{item}));
   }
-  XchgOp xchg(std::move(producers));
-  ASSERT_TRUE(xchg.Open(&ctx).ok());
-  token.Cancel();  // cancel with morsel tasks potentially in flight
-  while (true) {
-    auto b = xchg.Next();
-    if (!b.ok()) {
-      EXPECT_TRUE(b.status().IsCancelled());
-      break;
-    }
-    if (*b == nullptr) break;
-  }
-  xchg.Close();  // must join every producer task without deadlock
-  SUCCEED();
-}
-
-TEST_F(ScanTest, TwoExchangesOnOneWorkerDoNotDeadlock) {
-  // Regression: a producer blocked on a full exchange queue must not hold
-  // the pool's only worker hostage. Open two exchanges, then drain the
-  // SECOND one first — the first exchange's producers saturate their
-  // 1-slot queue and must yield the worker (by helping) so the second
-  // exchange's producers can run at all.
-  TaskScheduler pool(1);
-  ExecContext ctx;
-  ctx.scheduler = &pool;
-  auto make_xchg = [&] {
-    auto morsels =
-        std::make_shared<MorselSource>(table_->base()->num_groups());
-    std::vector<OperatorPtr> producers;
-    for (int w = 0; w < 2; w++) {
-      ScanOptions opts;
-      opts.columns = {0};
-      opts.morsels = morsels;
-      producers.push_back(std::make_unique<ScanOp>(
-          table_->View(), table_->SnapshotPdt(), buffers_.get(),
-          std::move(opts)));
-    }
-    return std::make_unique<XchgOp>(std::move(producers),
-                                    /*queue_capacity=*/1);
-  };
-  auto first = make_xchg();
-  auto second = make_xchg();
-  ASSERT_TRUE(first->Open(&ctx).ok());   // its producers queue first
-  ASSERT_TRUE(second->Open(&ctx).ok());
-  auto drain = [&](Operator* op) {
-    int64_t rows = 0;
-    while (true) {
-      auto b = op->Next();
-      if (!b.ok()) return int64_t{-1};
-      if (*b == nullptr) return rows;
-      rows += (*b)->ActiveRows();
-    }
-  };
-  EXPECT_EQ(drain(second.get()), 1000);  // starved side without the fix
-  EXPECT_EQ(drain(first.get()), 1000);
-  second->Close();
-  first->Close();
+  auto res = CollectChains(Borrow(chains), &ctx);
+  ASSERT_FALSE(res.ok());
+  EXPECT_TRUE(res.status().IsCancelled()) << res.status().ToString();
+  EXPECT_EQ(counters.in_next.load(), 0);
+  EXPECT_EQ(counters.opened.load(), counters.closed.load());
 }
 
 // ---------------------------------------------------------------------------
