@@ -331,7 +331,11 @@ Result<RootChains> BuildRootChains(const AlgebraPtr& root,
                                    PlannerContext* pc,
                                    const PhysicalPlanner* planner) {
   RootChains out;
-  const AlgebraPtr& node = root;
+  AlgebraPtr node = root;
+  if (node->kind == AlgebraNode::Kind::kOrder && node->order_keys.empty()) {
+    out.limit = node->limit;
+    node = node->children[0];
+  }
   // A join at the plan root (possibly under Select/Project links) has no
   // breaker sink whose chains would embed probe clones, so the whole
   // streaming chain (probe spine included) is cloned for the root drain.

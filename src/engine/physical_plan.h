@@ -124,12 +124,15 @@ Result<std::vector<OperatorPtr>> BuildPipelineChains(
 /// drained by QueryExecutor into the result (CollectChains).
 struct RootChains {
   std::vector<OperatorPtr> chains;
-  /// The drain stops once this many rows have arrived. -1 = no limit.
+  /// A bare LIMIT at the root: the drain stops once this many rows have
+  /// arrived. -1 = no limit.
   int64_t limit = -1;
 };
 
-/// Entry point for a whole plan. When the root is a clonable streaming
-/// chain containing a join (a bare join, or Select/Project links over one — no Aggr/Order
+/// Entry point for a whole plan. A keyless Order at the root (a LIMIT
+/// without ORDER BY) becomes the drain's row limit instead of a sort.
+/// When the rest of the root is a clonable streaming chain containing a
+/// join (a bare join, or Select/Project links over one — no Aggr/Order
 /// sink above it to parallelize into), it runs as `parallelism` clones;
 /// without this a root-level join gets a parallel build but a serial
 /// probe. Otherwise the root is one chain, built by planner->Build. Used

@@ -808,6 +808,74 @@ TEST_F(PipelineTest, OneItemPipelinesSpawnNoTask) {
   SetWorkers(0);
 }
 
+TEST_F(PipelineTest, BareLimitStopsTheScan) {
+  // A LIMIT without ORDER BY is the root drain's row limit: the scan
+  // stops after one vector, no row is buffered, and no TopN runs.
+  for (int workers : {1, 4}) {
+    SetWorkers(workers);
+    const std::string what = "workers=" + std::to_string(workers);
+    db_->memory()->ResetPeak();
+    auto res = session_->ExecuteSql("SELECT fk, val FROM fact LIMIT 10");
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    EXPECT_EQ(res->rows.size(), 10u) << what;
+    EXPECT_LE(res->profile.tuples_scanned, db_->config().vector_size) << what;
+    EXPECT_EQ(db_->memory()->peak(), 0) << what;
+    for (const OperatorProfile& p : res->profile.operators) {
+      EXPECT_NE(p.op.rfind("TopN", 0), 0u) << what;
+    }
+    auto none = session_->ExecuteSql("SELECT fk, val FROM fact LIMIT 0");
+    ASSERT_TRUE(none.ok()) << none.status().ToString();
+    EXPECT_EQ(none->rows.size(), 0u) << what;
+    EXPECT_EQ(none->schema.num_fields(), 2) << what;
+    auto all = session_->ExecuteSql("SELECT fk, val FROM fact LIMIT 99999");
+    ASSERT_TRUE(all.ok()) << all.status().ToString();
+    ASSERT_EQ(all->rows.size(), 5000u) << what;
+    for (int64_t i = 0; i < 5000; i++) {
+      ASSERT_EQ(all->rows[i][1].AsI64(), i) << what;  // scan order
+    }
+  }
+  SetWorkers(0);
+}
+
+TEST_F(PipelineTest, BareLimitOverSpillingRootJoin) {
+  // The root join's probe clones stop once 10 rows have arrived, with the
+  // build spilled under a memory limit and probe rows on their way to
+  // deferred partitions: every charge and every spilled byte still goes.
+  constexpr int kRows = 50000;
+  std::vector<Value> keys;
+  for (int i = 0; i < kRows; i++) keys.push_back(Value::I64(i));
+  RegisterKeyTable(db_.get(), "lim_build", TypeId::kI64, keys);
+  RegisterKeyTable(db_.get(), "lim_probe", TypeId::kI64, keys);
+  const auto join = [] {
+    AlgebraPtr build = ProjectNode(ScanNode("lim_build"), {{"kb", Col("k")}});
+    return JoinNode(std::move(build), ScanNode("lim_probe"), JoinType::kInner,
+                    {"kb"}, {"k"});
+  };
+  SetWorkers(4);
+  db_->config().memory_limit = 0;
+  db_->memory()->ResetPeak();
+  auto unlimited = session_->Execute(join());
+  ASSERT_TRUE(unlimited.ok()) << unlimited.status().ToString();
+  ASSERT_EQ(unlimited->rows.size(), static_cast<size_t>(kRows));
+  db_->config().memory_limit = db_->memory()->peak() / 24;
+  auto res = session_->Execute(OrderNode(join(), {}, 10));
+  db_->config().memory_limit = 0;
+  SetWorkers(0);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  EXPECT_EQ(res->rows.size(), 10u);
+  int64_t build_spill = 0;
+  for (const OperatorProfile& p : res->profile.operators) {
+    if (p.op == "JoinBuildSpill" || p.op == "JoinBuildDefer") {
+      build_spill += p.spill_bytes;
+    }
+  }
+  EXPECT_GT(build_spill, 0);
+  EXPECT_EQ(db_->memory()->used(), 0);
+  auto device = db_->spill_device();
+  ASSERT_TRUE(device.ok());
+  EXPECT_EQ((*device)->spill_bytes_in_use(), 0);
+}
+
 // ---------------------------------------------------------------------------
 // Parallel sort
 // ---------------------------------------------------------------------------
