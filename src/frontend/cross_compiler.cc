@@ -26,6 +26,30 @@ void CollectPlanColumns(const RelPtr& node, std::set<std::string>* out) {
   for (const RelPtr& c : node->children) CollectPlanColumns(c, out);
 }
 
+/// True if the relation's rows leave the plan whole (SELECT *: no
+/// projection or aggregation above the relation).
+bool OutputsRelationRows(const RelPtr& node) {
+  if (node->kind == RelNode::Kind::kProject ||
+      node->kind == RelNode::Kind::kAggregate) {
+    return false;
+  }
+  return node->children.empty() || OutputsRelationRows(node->children[0]);
+}
+
+/// The narrowest fixed-width column of `schema` (the first column when
+/// every column is a string).
+std::string NarrowestColumn(const Schema& schema) {
+  const Field* best = &schema.field(0);
+  for (const Field& f : schema.fields()) {
+    if (f.type != TypeId::kStr &&
+        (best->type == TypeId::kStr ||
+         TypeWidth(f.type) < TypeWidth(best->type))) {
+      best = &f;
+    }
+  }
+  return best->name;
+}
+
 }  // namespace
 
 Result<AlgebraPtr> CrossCompiler::CompileNode(const RelPtr& node) {
@@ -89,12 +113,18 @@ Result<AlgebraPtr> CrossCompiler::Compile(const RelPtr& plan) {
   while ((*scan)->kind != AlgebraNode::Kind::kScan) {
     scan = &(*scan)->children[0];
   }
-  if (!referenced.empty() && resolver_ != nullptr) {
+  // A plan that references no column and outputs no relation row (say
+  // COUNT(*)) needs only the row count: it scans one narrow column.
+  const bool count_only = referenced.empty() && !OutputsRelationRows(plan);
+  if ((!referenced.empty() || count_only) && resolver_ != nullptr) {
     Schema schema;
     X100_ASSIGN_OR_RETURN(schema, resolver_((*rel)->relation));
     std::vector<std::string> cols;
     for (const Field& f : schema.fields()) {
       if (referenced.count(f.name)) cols.push_back(f.name);
+    }
+    if (count_only && schema.num_fields() > 0) {
+      cols.push_back(NarrowestColumn(schema));
     }
     if (!cols.empty()) (*scan)->scan_columns = std::move(cols);
   }

@@ -145,20 +145,31 @@ TEST(SqlParserTest, RejectsMalformed) {
 }
 
 TEST(CrossCompilerTest, PrunesScanColumns) {
-  auto rel = ParseSql("SELECT a + b AS ab FROM t WHERE c > 0");
-  ASSERT_TRUE(rel.ok());
   Schema schema({Field("a", TypeId::kI64), Field("b", TypeId::kI64),
                  Field("c", TypeId::kI64), Field("unused", TypeId::kStr)});
   CrossCompiler cc([&](const std::string&) -> Result<Schema> {
     return schema;
   });
-  auto alg = cc.Compile(*rel);
-  ASSERT_TRUE(alg.ok());
-  const AlgebraNode* scan = alg->get();
-  while (scan->kind != AlgebraNode::Kind::kScan) {
-    scan = scan->children[0].get();
+  struct Case {
+    const char* sql;
+    std::vector<std::string> columns;
+  };
+  const Case cases[] = {
+      {"SELECT a + b AS ab FROM t WHERE c > 0", {"a", "b", "c"}},
+      // Only the row count: one narrow column, not "unused".
+      {"SELECT COUNT(*) FROM t", {"a"}},
+  };
+  for (const Case& c : cases) {
+    auto rel = ParseSql(c.sql);
+    ASSERT_TRUE(rel.ok()) << c.sql;
+    auto alg = cc.Compile(*rel);
+    ASSERT_TRUE(alg.ok()) << c.sql;
+    const AlgebraNode* scan = alg->get();
+    while (scan->kind != AlgebraNode::Kind::kScan) {
+      scan = scan->children[0].get();
+    }
+    EXPECT_EQ(scan->scan_columns, c.columns) << c.sql;
   }
-  EXPECT_EQ(scan->scan_columns.size(), 3u);  // a, b, c — not "unused"
 }
 
 // ---------------------------------------------------------------------------
@@ -193,6 +204,33 @@ class SessionTest : public ::testing::Test {
   std::unique_ptr<Database> db_;
   std::unique_ptr<Session> session_;
 };
+
+TEST_F(SessionTest, CountStarCountsPdtInsertsAndDeletes) {
+  // COUNT(*) scans one column; the PDT merge still decides the row count.
+  UpdatableTable* emp = *db_->GetTable("emp");
+  TransactionManager* tm = db_->txn_manager();
+  auto txn = tm->Begin(emp);
+  ASSERT_TRUE(txn->Delete(999).ok());
+  ASSERT_TRUE(txn->Delete(10).ok());
+  ASSERT_TRUE(txn->Delete(0).ok());
+  for (int i = 0; i < 5; i++) {
+    ASSERT_TRUE(txn->Append({Value::I64(2000 + i), Value::Str("new"),
+                             Value::F64(1.0), Value::Null(TypeId::kF64)})
+                    .ok());
+  }
+  ASSERT_TRUE(tm->Commit(txn.get()).ok());
+  for (int workers : {1, 4}) {
+    db_->config().max_parallelism = workers;
+    auto star = session_->ExecuteSql("SELECT COUNT(*) AS n FROM emp");
+    ASSERT_TRUE(star.ok()) << star.status().ToString();
+    EXPECT_EQ(star->rows[0][0].AsI64(), 1002) << "workers=" << workers;
+    auto star_sel =
+        session_->ExecuteSql("SELECT COUNT(*) AS n FROM emp WHERE id >= 2000");
+    ASSERT_TRUE(star_sel.ok()) << star_sel.status().ToString();
+    EXPECT_EQ(star_sel->rows[0][0].AsI64(), 5) << "workers=" << workers;
+  }
+  db_->config().max_parallelism = 0;
+}
 
 TEST_F(SessionTest, SimpleSelect) {
   auto res = session_->ExecuteSql(
