@@ -280,8 +280,10 @@ Status JoinBuildState::Build(ExecContext* ctx) {
           }
           // Old partition q's run splits through one reload per chunk:
           // each child slice is appended to its child's run and the
-          // parent chunk is freed (the device recycles its blocks).
+          // parent chunk is freed (the device recycles its blocks). The
+          // rewrites are spill writes of their own ("JoinBuildSpill").
           SpillRun& old_run = old_spilled[q];
+          std::vector<SpillRun> written(size_t{1} << d);
           for (size_t i = 0; i < old_run.chunks(); i++) {
             std::vector<uint8_t> blob;
             X100_ASSIGN_OR_RETURN(blob, old_run.Take(i, ctx->cancel));
@@ -289,14 +291,18 @@ Status JoinBuildState::Build(ExecContext* ctx) {
             HashTable reloaded(build_schema_, build_keys_);
             X100_RETURN_IF_ERROR(
                 reloaded.AppendSerialized(blob.data(), blob.size()));
-            std::vector<std::unique_ptr<HashTable>> children(size_t{1} << d);
+            std::vector<std::unique_ptr<HashTable>> children(written.size());
             split(reloaded, children.data());
             for (size_t c = 0; c < children.size(); c++) {
               if (children[c] == nullptr) continue;
-              X100_RETURN_IF_ERROR(SpillTable(*children[c], ctx->spill_device,
-                                              &spilled_[first_child + c]));
+              X100_RETURN_IF_ERROR(
+                  SpillTable(*children[c], ctx->spill_device, &written[c]));
               moved += children[c]->size();
             }
+          }
+          ctx->RecordSpill("JoinBuildSpill", written.data(), written.size());
+          for (size_t c = 0; c < written.size(); c++) {
+            spilled_[first_child + c].Splice(std::move(written[c]));
           }
           OperatorProfile prof;
           prof.op = "JoinBuildResize";

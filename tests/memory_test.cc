@@ -431,6 +431,28 @@ class MemoryLimitTest : public ::testing::Test {
     EXPECT_EQ(db_->memory()->used(), 0) << "leaked charges after " << what;
   }
 
+  /// Runs `plan` and checks that the spill device wrote exactly the bytes
+  /// the query's spill profile entries report.
+  Result<QueryResult> ExecuteCheckingSpillBytes(AlgebraPtr plan,
+                                                const std::string& what) {
+    auto dev = db_->spill_device();
+    X100_RETURN_IF_ERROR(dev.status());
+    const int64_t before = (*dev)->spill_bytes_written();
+    auto res = session_->Execute(std::move(plan));
+    if (!res.ok()) return res;
+    int64_t profiled = 0;
+    for (const OperatorProfile& p : res->profile.operators) {
+      if (p.op == "JoinBuildSpill" || p.op == "JoinBuildDefer" ||
+          p.op == "JoinProbeSpill" || p.op == "AggSpill" ||
+          p.op == "SortSpill") {
+        profiled += p.spill_bytes;
+      }
+    }
+    EXPECT_EQ((*dev)->spill_bytes_written() - before, profiled)
+        << what << "\n" << res->profile.ToString();
+    return res;
+  }
+
   std::unique_ptr<Database> db_;
   std::unique_ptr<Session> session_;
 };
@@ -522,7 +544,8 @@ TEST_F(MemoryLimitTest, TightLimitSpillsEveryBreaker) {
   SetWorkers(8);
   db_->config().radix_bits = 4;
   db_->config().memory_limit = peak / 24;
-  auto res = session_->Execute(GroupByJoinSortPlan());
+  auto res = ExecuteCheckingSpillBytes(GroupByJoinSortPlan(),
+                                       "tight spilling run");
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   ExpectSameRows(*reference, *res, "tight spilling run");
   int64_t build_spill = 0, agg_spill = 0, sort_spill = 0;
@@ -542,8 +565,6 @@ TEST_F(MemoryLimitTest, TightLimitSpillsEveryBreaker) {
   // whichever device (SimulatedDisk or X100_SPILL_PATH file) took it.
   auto dev = db_->spill_device();
   ASSERT_TRUE(dev.ok()) << dev.status().ToString();
-  EXPECT_GE((*dev)->spill_bytes_written(),
-            build_spill + agg_spill + sort_spill);
   EXPECT_EQ((*dev)->spill_bytes_in_use(), 0);
   SetWorkers(0);
   db_->config().radix_bits = -1;
@@ -964,7 +985,7 @@ TEST_F(MemoryLimitTest, DynamicRadixResizeRefinesNonZeroBits) {
   // with the probe routing (drain spills at 3 bits are split to 5).
   db_->memory()->ResetPeak();
   db_->config().memory_limit = 1 << 20;
-  auto tight = session_->Execute(plan());
+  auto tight = ExecuteCheckingSpillBytes(plan(), "refining resize 1 MiB");
   ASSERT_TRUE(tight.ok()) << tight.status().ToString();
   ExpectSameRows(*reference, *tight, "refining resize under pressure");
   ExpectTrackerDrained("refining resize under pressure");
