@@ -621,8 +621,8 @@ TEST_F(MemoryLimitTest, EverySpillWriteHoldsAtMostOneChunk) {
 /// Root-join shape: build AND probe both exceed a tight limit, no
 /// aggregation/sort sink — the only force-admits in flight are the
 /// documented join floors, so peak usage can be bounded exactly. Row
-/// order is nondeterministic (exchange union + deferred pairs emit
-/// last), so rows are canonicalized before comparison.
+/// order is nondeterministic (root chains + deferred pairs emit last),
+/// so rows are canonicalized before comparison.
 class GraceProbeTest : public MemoryLimitTest {
  protected:
   AlgebraPtr RootJoinPlan() {
