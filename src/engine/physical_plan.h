@@ -17,8 +17,8 @@
 // logical join share a JoinBuildState (table built once, probed by all),
 // both keyed by algebra-node identity in PlannerContext. The resulting
 // sinks — HashAggOp, SortOp, the join build, the plan root — drain their
-// chains through one loop (DrainChains in exec/operator.h), one scheduler
-// task per chain, with per-worker state merged at TaskGroup barriers; one
+// chains through one loop (DrainChains in exec/operator.h), each chain on
+// one thread, with per-worker state merged at TaskGroup barriers; one
 // chain is the serial case, drained on the calling thread.
 //
 // PlannerContext carries the per-build shared state: the database (table
