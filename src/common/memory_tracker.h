@@ -209,11 +209,13 @@ class MemoryReservation {
   }
 
   /// Moves up to `bytes` of `from`'s charge here without touching the
-  /// tracker: a component changed owners, its accounting follows.
+  /// tracker: a component changed owners, its accounting follows. When
+  /// `from` has no tracker or no charge there is nothing to move, and
+  /// this reservation keeps its tracker and charge.
   void Adopt(MemoryReservation* from, int64_t bytes) {
-    Init(from->tracker_);
     if (bytes > from->charged_) bytes = from->charged_;
-    if (bytes <= 0) return;
+    if (from->tracker_ == nullptr || bytes <= 0) return;
+    Init(from->tracker_);
     from->charged_ -= bytes;
     charged_ += bytes;
   }

@@ -94,6 +94,30 @@ TEST(MemoryTrackerTest, ReservationRaiiDrains) {
   none.ReleaseAll();
 }
 
+TEST(MemoryTrackerTest, AdoptMovesChargeAndNeverDetaches) {
+  MemoryTracker t(0);
+  MemoryReservation dst(&t);
+  MemoryReservation src(&t);
+  ASSERT_TRUE(dst.GrowTo(100).ok());
+  ASSERT_TRUE(src.GrowTo(300).ok());
+  dst.Adopt(&src, 1000);  // capped at what src holds
+  EXPECT_EQ(dst.charged(), 400);
+  EXPECT_EQ(src.charged(), 0);
+  EXPECT_EQ(t.used(), 400);  // moved, not charged again
+
+  // Adopting from a reservation that never got a tracker, or that holds
+  // nothing, leaves the destination attached with its charge.
+  MemoryReservation untracked;
+  dst.Adopt(&untracked, 50);
+  dst.Adopt(&src, 50);
+  EXPECT_EQ(dst.charged(), 400);
+  EXPECT_EQ(t.used(), 400);
+  ASSERT_TRUE(dst.GrowTo(500).ok());
+  EXPECT_EQ(t.used(), 500);  // still charging its tracker
+  dst.ReleaseAll();
+  EXPECT_EQ(t.used(), 0);
+}
+
 // ---------------------------------------------------------------------------
 // SpillFile + RowBuffer serialization
 // ---------------------------------------------------------------------------
