@@ -18,6 +18,15 @@ std::vector<int> AllColumns(const Schema& schema) {
   return cols;
 }
 
+/// Calls `fn` on each array `a` keeps (GroupTable::Accum), in spill
+/// order: i64, f64, count.
+template <typename A, typename Fn>
+void ForEachArray(A& a, Fn fn) {
+  if (a.has_i64) fn(a.i64);
+  if (a.has_f64) fn(a.f64);
+  fn(a.count);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -35,7 +44,13 @@ GroupTable::GroupTable(const Schema& key_schema, std::vector<AggKind> kinds,
   if (indexed) keys_.BuildIndex();
   accums_.resize(kinds_.size());
   for (size_t a = 0; a < accums_.size(); a++) {
-    accums_[a].in_type = in_types[a];
+    Accum& acc = accums_[a];
+    acc.in_type = in_types[a];
+    const bool f64_sum = (kinds_[a] == AggKind::kSum ||
+                          kinds_[a] == AggKind::kAvg) &&
+                         acc.in_type == TypeId::kF64;
+    acc.has_i64 = kinds_[a] != AggKind::kCount && !f64_sum;
+    acc.has_f64 = kinds_[a] != AggKind::kCount;
   }
 }
 
@@ -45,9 +60,7 @@ Result<uint32_t> GroupTable::FinishNewGroup() {
     return Status::ResourceExhausted("too many groups");
   }
   for (Accum& a : accums_) {
-    a.i64.push_back(0);
-    a.f64.push_back(0);
-    a.count.push_back(0);
+    ForEachArray(a, [](auto& v) { v.push_back(0); });
   }
   return static_cast<uint32_t>(gid);
 }
@@ -72,7 +85,8 @@ size_t GroupTable::MemoryBytes() const {
 
 void GroupTable::Serialize(int64_t begin, int64_t end,
                            std::vector<uint8_t>* out) const {
-  // [i64 groups][u64 hashes][per accum: i64/f64/count][key RowBuffer].
+  // [i64 groups][u64 hashes][per accum: the arrays it keeps][key
+  // RowBuffer].
   serde::AppendPod<int64_t>(out, end - begin);
   for (int64_t g = begin; g < end; g++) {
     serde::AppendPod<uint64_t>(out, keys_.hash(g));
@@ -81,11 +95,7 @@ void GroupTable::Serialize(int64_t begin, int64_t end,
     const auto* p = reinterpret_cast<const uint8_t*>(v.data() + begin);
     out->insert(out->end(), p, p + (end - begin) * sizeof(v[0]));
   };
-  for (const Accum& a : accums_) {
-    slice(a.i64);
-    slice(a.f64);
-    slice(a.count);
-  }
+  for (const Accum& a : accums_) ForEachArray(a, slice);
   keys_.rows().Serialize(nullptr, begin, end, out);
 }
 
@@ -103,12 +113,11 @@ Result<std::unique_ptr<GroupTable>> GroupTable::Deserialize(
   std::unique_ptr<GroupTable> t(new GroupTable(
       key_schema, std::move(kinds), std::move(in_types), /*indexed=*/false));
   const size_t n = hashes.size();
+  bool whole = true;
   for (Accum& a : t->accums_) {
-    if (!in.TakePodVec(n, &a.i64) || !in.TakePodVec(n, &a.f64) ||
-        !in.TakePodVec(n, &a.count)) {
-      return corrupt;
-    }
+    ForEachArray(a, [&](auto& v) { whole = whole && in.TakePodVec(n, &v); });
   }
+  if (!whole) return corrupt;
   std::unique_ptr<RowBuffer> keys;
   X100_ASSIGN_OR_RETURN(
       keys, RowBuffer::Deserialize(key_schema, data + in.pos, in.remaining()));
@@ -142,7 +151,7 @@ Status GroupTable::MergeFrom(const GroupTable& src) {
           break;
         case AggKind::kSum:
         case AggKind::kAvg:
-          d.i64[node] = agg::WrapAdd(d.i64[node], s.i64[g]);
+          if (d.has_i64) d.i64[node] = agg::WrapAdd(d.i64[node], s.i64[g]);
           d.f64[node] += s.f64[g];
           d.count[node] += s.count[g];
           break;
@@ -555,42 +564,58 @@ Status HashAggOp::Consume() {
 
   // Merge fan-out: one scheduler task per radix partition folds that
   // partition's per-worker tables into the final table — partitions hold
-  // disjoint key sets, so the tasks share nothing. The final table IS
-  // worker 0's (adopted with its charge, never copied), so one chain
-  // merges only its spilled chunks and the fold order — worker 0, its
-  // chunks, then workers 1..N-1 each followed by its chunks — matches a
-  // fold into an empty table group for group. Each task records an
-  // "AggMerge" profile entry (rows = merged groups) so merge cost and
-  // partition skew are visible.
+  // disjoint key sets, so the tasks share nothing. Every worker's tables
+  // are taken first, each with its charge (serially: a worker's
+  // reservation has one writer). The final table IS worker 0's (never
+  // copied), so one chain merges only its spilled chunks and the fold
+  // order — worker 0, its chunks, then workers 1..N-1 each followed by
+  // its chunks — matches a fold into an empty table group for group.
+  // Each task records an "AggMerge" profile entry (rows = merged groups)
+  // so merge cost and partition skew are visible.
+  struct Partial {
+    std::unique_ptr<GroupTable> table;
+    MemoryReservation mem;
+  };
+  std::vector<std::vector<Partial>> partials(P);  // [partition][worker]
   final_.clear();
   final_mem_.clear();
   final_mem_.resize(P);
   for (int p = 0; p < P; p++) {
-    final_.push_back(workers_[0]->TakeTable(p, &final_mem_[p]));
+    partials[p].resize(W);
+    for (int w = 0; w < W; w++) {
+      Partial& part = partials[p][w];
+      part.mem.Init(ctx_->memory);
+      part.table = workers_[w]->TakeTable(p, &part.mem);
+    }
+    final_.push_back(std::move(partials[p][0].table));
+    final_mem_[p] = std::move(partials[p][0].mem);
   }
   // A keyless aggregation still emits its single global row on empty
   // input.
   if (binding_.bound_keys.empty()) final_[0]->EnsureGlobalGroup();
   X100_RETURN_IF_ERROR(RunPipelineTasks(
       sched, ctx_->quota, ctx_->cancel, P,
-      [this](int p, TaskGroup& group) -> Status {
+      [this, &partials](int p, TaskGroup& group) -> Status {
         X100_RETURN_IF_ERROR(group.CheckCancel());
         const auto t0 = std::chrono::steady_clock::now();
         for (size_t w = 0; w < workers_.size(); w++) {
-          const AggWorkerState& ws = *workers_[w];
-          if (w > 0) {
-            X100_RETURN_IF_ERROR(final_[p]->MergeFrom(*ws.table(p)));
+          // A worker's table and its charge go as soon as it is folded.
+          Partial& part = partials[p][w];
+          if (part.table != nullptr) {
+            X100_RETURN_IF_ERROR(final_[p]->MergeFrom(*part.table));
+            part.table.reset();
+            part.mem.ReleaseAll();
           }
           // Merge-on-reload: chunks this worker spilled for partition p
           // rejoin the fold right after its live table.
           X100_RETURN_IF_ERROR(
-              ws.MergeSpilled(p, final_[p].get(), ctx_->cancel));
+              workers_[w]->MergeSpilled(p, final_[p].get(), ctx_->cancel));
+          // The merged partition must be resident to emit; the drain
+          // phase is what spilling bounds. Released once the partition
+          // is emitted.
+          final_mem_[p].ForceGrowTo(
+              static_cast<int64_t>(final_[p]->MemoryBytes()));
         }
-        // The merged partition must be resident to emit; the drain phase
-        // is what spilling bounds. Released once the partition is emitted.
-        final_mem_[p].Init(ctx_->memory);
-        final_mem_[p].ForceGrowTo(
-            static_cast<int64_t>(final_[p]->MemoryBytes()));
         OperatorProfile prof;
         prof.op = "AggMerge";
         prof.rows = final_[p]->num_groups();

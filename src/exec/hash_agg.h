@@ -51,13 +51,20 @@ struct AggItem {
 /// gives each worker its own table and merges them at the barrier.
 class GroupTable {
  public:
-  /// Accumulators for one aggregate: i64/f64 running values plus the
-  /// per-group count of non-NULL inputs folded so far.
+  /// Accumulators for one aggregate: the per-group count of non-NULL
+  /// inputs folded so far, and only the running values its fold writes.
+  /// COUNT keeps `count` alone; SUM and AVG over f64 keep `f64` too;
+  /// every other (kind, input type) keeps all three arrays, because its
+  /// kernel writes both values (an integer SUM or AVG adds into an f64
+  /// shadow, MIN and MAX store both). An array it does not keep stays
+  /// empty, in memory and in the spill format.
   struct Accum {
     std::vector<int64_t> i64;
     std::vector<double> f64;
     std::vector<int64_t> count;
     TypeId in_type = TypeId::kI64;
+    bool has_i64 = true;
+    bool has_f64 = true;
   };
 
   /// `kinds`/`in_types`: one entry per aggregate (merge semantics).
@@ -92,7 +99,8 @@ class GroupTable {
   size_t MemoryBytes() const;
 
   /// Appends the spill serialization of groups [begin, end) to `out`:
-  /// their key hashes, each accumulator's slice, then their key rows.
+  /// their key hashes, each accumulator's slice of the arrays it keeps,
+  /// then their key rows.
   /// kinds/in_types are NOT serialized — the reloader constructs the
   /// table and merges it back via MergeFrom.
   void Serialize(int64_t begin, int64_t end, std::vector<uint8_t>* out) const;
@@ -144,10 +152,11 @@ class AggWorkerState {
   }
   int num_partitions() const { return 1 << radix_bits_; }
 
-  /// Moves the `partition` table out — the barrier merge adopts worker
-  /// 0's tables as its base — and hands the table's share of this
-  /// worker's reservation to `charge`, so the tracker never counts the
-  /// table twice.
+  /// Moves the `partition` table out — the barrier merge takes every
+  /// worker's tables, worker 0's as its base — and hands the table's
+  /// share of this worker's reservation to `charge` (an Init'ed
+  /// reservation; a worker that never charged hands over nothing), so
+  /// the tracker never counts the table twice.
   std::unique_ptr<GroupTable> TakeTable(int partition,
                                         MemoryReservation* charge);
 
@@ -240,8 +249,8 @@ class HashAggOp : public Operator {
 
   std::vector<std::unique_ptr<AggWorkerState>> workers_;
   std::vector<std::unique_ptr<GroupTable>> final_;  // one per partition
-  /// Charges for the merged final tables (adopted from worker 0, then
-  /// force-grown: they must be resident to emit; the drain phase is what
+  /// Charges for the merged final tables (worker 0's, force-grown after
+  /// each fold: they must be resident to emit; the drain phase is what
   /// spilling bounds). Each is freed with its table once emitted.
   std::vector<MemoryReservation> final_mem_;
   bool consumed_ = false;

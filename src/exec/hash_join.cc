@@ -67,9 +67,10 @@ JoinBuildState::JoinBuildState(std::vector<OperatorPtr> chains,
   build_schema_ = chains_.front()->output_schema();
 }
 
-/// Shared by the two merge-time defer sites and the pair-phase release:
-/// no resident rows or charge, and an empty indexed table.
-void JoinBuildState::ResetToDeferred(Partition* part) const {
+/// Shared by the two merge-time defer sites, the last prober's release
+/// and the pair-phase release: no resident rows or charge, and an empty
+/// indexed table.
+void JoinBuildState::ResetPartition(Partition* part) const {
   part->table = NewTable();
   part->table->BuildIndex();
   part->mem.ReleaseAll();
@@ -324,25 +325,39 @@ Status JoinBuildState::Build(ExecContext* ctx) {
   // these carry only the merge + index cost — and per-partition entries
   // expose partition skew via the profile's max column).
   //
+  // Each partition's rows are charged once. Before the fan-out every
+  // worker's charge for its partition-p partial moves into partition p's
+  // reservation (serially: a reservation has one writer), and the merge
+  // consumes the partials, so the merged table inherits their charge.
+  //
   // Admission (the Grace probe decision point): the task first RESERVES
-  // its estimated resident footprint. A partition that does not fit is
-  // DEFERRED — its resident partials are shipped to disk next to its
-  // drain-spilled chunks and the partition is joined later, pairwise
-  // against the probe rows that hash to it — instead of force-charged,
-  // which is what used to make memory_limit a fiction for the probe
-  // phase. With spilling disabled the old guarantee stands: the table is
-  // force-admitted resident (minimum working set of an in-memory join).
+  // its estimated resident footprint, which asks only for what is not
+  // charged yet (the spilled chunks and the index). A partition that
+  // does not fit is DEFERRED — its resident partials are shipped to disk
+  // next to its drain-spilled chunks and the partition is joined later,
+  // pairwise against the probe rows that hash to it — instead of
+  // force-charged, which is what used to make memory_limit a fiction for
+  // the probe phase. With spilling disabled the old guarantee stands:
+  // the table is force-admitted resident (minimum working set of an
+  // in-memory join).
   partitions_.clear();
   partitions_.resize(PM);
   probe_spilled_.clear();
   probe_spilled_.resize(PM);
+  for (int p = 0; p < PM; p++) {
+    partitions_[p].mem.Init(ctx->memory);
+    for (WorkerPartial& wp : partials) {
+      if (wp.tables[p] == nullptr) continue;
+      partitions_[p].mem.Adopt(
+          &wp.reserv, static_cast<int64_t>(wp.tables[p]->MemoryBytes()));
+    }
+  }
   return RunPipelineTasks(
       sched, ctx->quota, ctx->cancel, PM,
       [this, &partials, ctx](int p, TaskGroup& group) -> Status {
         X100_RETURN_IF_ERROR(group.CheckCancel());
         const int64_t t0 = NowNs();
         Partition& part = partitions_[p];
-        part.mem.Init(ctx->memory);
         SpillRun& run = spilled_[p];
         int64_t est_rows = run.rows();
         int64_t est_bytes = run.bytes();
@@ -370,7 +385,7 @@ Status JoinBuildState::Build(ExecContext* ctx) {
           }
           ctx->RecordSpill("JoinBuildDefer", &written, 1);
           run.Splice(std::move(written));
-          ResetToDeferred(&part);
+          ResetPartition(&part);
           part.deferred = true;
           any_deferred_.store(true, std::memory_order_relaxed);
           return Status::OK();
@@ -386,22 +401,27 @@ Status JoinBuildState::Build(ExecContext* ctx) {
           ctx->RecordOperator(std::move(prof));
           return Status::OK();
         }
-        const int W = static_cast<int>(partials.size());
-        if (W == 1 && run.empty() && partials[0].tables[p] != nullptr) {
-          part.table = std::move(partials[0].tables[p]);
-        } else {
-          part.table = NewTable();
-          for (WorkerPartial& wp : partials) {
-            if (wp.tables[p] != nullptr) part.table->AppendFrom(*wp.tables[p]);
+        // The table starts as the first partial and takes the others in
+        // worker order, then the run's chunks; each partial is freed as
+        // soon as it is appended.
+        for (WorkerPartial& wp : partials) {
+          std::unique_ptr<HashTable>& partial = wp.tables[p];
+          if (partial == nullptr) continue;
+          if (part.table == nullptr) {
+            part.table = std::move(partial);
+          } else {
+            part.table->AppendFrom(*partial);
+            partial.reset();
           }
-          for (size_t i = 0; i < run.chunks(); i++) {
-            std::vector<uint8_t> blob;
-            X100_ASSIGN_OR_RETURN(blob, run.Take(i, ctx->cancel));
-            X100_RETURN_IF_ERROR(
-                part.table->AppendSerialized(blob.data(), blob.size()));
-          }
-          run.Free();
         }
+        if (part.table == nullptr) part.table = NewTable();
+        for (size_t i = 0; i < run.chunks(); i++) {
+          std::vector<uint8_t> blob;
+          X100_ASSIGN_OR_RETURN(blob, run.Take(i, ctx->cancel));
+          X100_RETURN_IF_ERROR(
+              part.table->AppendSerialized(blob.data(), blob.size()));
+        }
+        run.Free();
         const int64_t n = part.table->size();
         part.table->BuildIndex();
         // Settle the estimate against the materialized footprint. If the
@@ -496,8 +516,16 @@ bool JoinBuildState::FinishProber(std::vector<SpillRun> probe_runs) {
     probe_spilled_[p].Splice(std::move(probe_runs[p]));
   }
   probers_finished_++;
-  return probers_finished_ ==
-         probers_registered_.load(std::memory_order_acquire);
+  if (probers_finished_ !=
+      probers_registered_.load(std::memory_order_acquire)) {
+    return false;
+  }
+  // Every other prober has returned end-of-stream and holds copies of
+  // what it emitted; the pairs read only deferred partitions.
+  for (Partition& part : partitions_) {
+    if (!part.deferred) ResetPartition(&part);
+  }
+  return true;
 }
 
 std::vector<int> JoinBuildState::DeferredPairList() const {
@@ -539,7 +567,7 @@ Result<int64_t> JoinBuildState::LoadDeferredPartition(
 }
 
 void JoinBuildState::ReleaseDeferredPartition(int p) {
-  ResetToDeferred(&partitions_[p]);
+  ResetPartition(&partitions_[p]);
   spilled_[p].Free();
   probe_spilled_[p].Free();
 }
@@ -858,13 +886,13 @@ Result<Batch*> JoinProber::NextProbeBatch(Operator* child, ExecContext* ctx) {
       }
       return b;
     }
-    // Probe child exhausted. With deferred partitions, this prober's
-    // runs are handed to the shared state; the LAST prober to arrive
-    // owns the pair phase — every other prober has already returned
-    // end-of-stream to its sink, so the pairs have exactly one owner
-    // and stream through this prober's (arbitrary, sinks merge anyway)
-    // chain.
-    if (finished_ || !state_->any_deferred()) return nullptr;
+    // Probe child exhausted. This prober's runs (if any) are handed to
+    // the shared state; the LAST prober to arrive frees the resident
+    // table and owns the pair phase — every other prober has already
+    // returned end-of-stream to its sink, so the pairs have exactly one
+    // owner and stream through this prober's (arbitrary, sinks merge
+    // anyway) chain.
+    if (finished_) return nullptr;
     finished_ = true;
     X100_RETURN_IF_ERROR(SpillDeferred(ctx, /*flush=*/true));
     RecordProbeSpill(ctx);

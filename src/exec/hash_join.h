@@ -20,8 +20,9 @@
 // synchronization; radix_bits = 0 degenerates to the single-table path).
 // After the merge fan-out's barrier the table is immutable and any
 // number of JoinProbeOps — one per probe worker chain, cloned by the
-// physical planner — read it concurrently. A serial join is one build
-// chain and one JoinProbeOp.
+// physical planner — read it concurrently; the last of them to reach
+// end-of-stream frees it. A serial join is one build chain and one
+// JoinProbeOp.
 //
 // Partition-wise (Grace) probe, docs/EXECUTION.md §"Partition-wise
 // probe": a merge task whose partition does not FIT the memory budget
@@ -82,10 +83,13 @@ class JoinBuildState {
     /// The resident rows and their index. A deferred partition holds an
     /// empty indexed table, so a stray lookup misses instead of faulting.
     std::unique_ptr<HashTable> table;
-    /// Charge for the merged, probe-resident partition. RESERVED (not
-    /// forced) at the merge: a partition that does not fit is deferred
-    /// to the partition-pair phase instead of overcommitting. Released
-    /// when the build state is destroyed (or the pair completes).
+    /// Charge for the merged, probe-resident partition: the drained
+    /// partials' charges, adopted before the merge, plus what admission
+    /// RESERVED (not forced) for the index and the spilled chunks. A
+    /// partition that does not fit is deferred to the partition-pair
+    /// phase instead of overcommitting. Released with the table by the
+    /// last prober to finish (or when the pair completes, or when the
+    /// build state is destroyed).
     MemoryReservation mem;
     /// Grace probe: the build side of this partition stayed on disk; the
     /// probe phase routes matching rows to probe-side spill and a later
@@ -141,18 +145,22 @@ class JoinBuildState {
   // Every probing operator registers at CONSTRUCTION time (all probe
   // clones of a plan exist before any of them drains), finishes exactly
   // once when its probe child hits end-of-stream, and the LAST finisher
-  // runs the partition-pair phase single-threaded — by then every other
-  // prober has returned end-of-stream to its sink, so the deferred
-  // partitions have exactly one owner and pairs are processed one at a
-  // time (the documented memory floor).
+  // frees every resident partition, then runs the partition-pair phase
+  // single-threaded — by then every other prober has returned
+  // end-of-stream to its sink, so the deferred partitions have exactly
+  // one owner and pairs are processed one at a time (the documented
+  // memory floor). A prober that never reaches end-of-stream (a LIMIT
+  // above it, a cancel) leaves the table to the state's destruction.
 
   void RegisterProber() {
     probers_registered_.fetch_add(1, std::memory_order_acq_rel);
   }
 
-  /// Hands a finished prober's probe-side runs (one per partition) to the
-  /// shared state. Returns true iff this was the last registered prober —
-  /// the caller then owns the partition-pair phase.
+  /// Hands a finished prober's probe-side runs (one per partition, none
+  /// when nothing was deferred) to the shared state. Returns true iff
+  /// this was the last registered prober: the resident partitions and
+  /// their charges are then freed (no join reads the build side after
+  /// its probe ends), and the caller owns the partition-pair phase.
   bool FinishProber(std::vector<SpillRun> probe_runs);
 
   /// The deferred partitions that received probe rows, in partition
@@ -189,8 +197,9 @@ class JoinBuildState {
   std::unique_ptr<HashTable> NewTable() const {
     return std::make_unique<HashTable>(build_schema_, build_keys_);
   }
-  /// Empties a partition to the deferred shape and releases its charge.
-  void ResetToDeferred(Partition* part) const;
+  /// Empties a partition (no rows, an empty index) and releases its
+  /// charge.
+  void ResetPartition(Partition* part) const;
 
   std::vector<OperatorPtr> chains_;
   std::vector<int> build_keys_;
@@ -244,9 +253,10 @@ class JoinProber {
             const Schema* out_schema);
   Status Open(ExecContext* ctx);
   /// Pulls probe batches from `child` and emits joined output; nullptr at
-  /// end-of-stream. When the build deferred partitions, rows routed to
-  /// them surface later: the last prober to finish streams the deferred
-  /// partition pairs before reporting end-of-stream.
+  /// end-of-stream, which it reports to the build state (FinishProber).
+  /// When the build deferred partitions, rows routed to them surface
+  /// later: the last prober to finish streams the deferred partition
+  /// pairs before reporting end-of-stream.
   Result<Batch*> Next(Operator* child, ExecContext* ctx);
   /// Flushes Grace probe bookkeeping (a "JoinProbeSpill" profile entry)
   /// and releases any pair working set. Called from the owning
