@@ -23,7 +23,9 @@
 #include <vector>
 
 #include "common/config.h"
+#include "common/hash.h"
 #include "common/memory_tracker.h"
+#include "engine/query_executor.h"
 #include "engine/session.h"
 #include "exec/hash_agg.h"
 #include "storage/spill_file.h"
@@ -160,6 +162,108 @@ TEST(GroupTableSerdeTest, CorruptBlobsFailCleanly) {
                                      garbage.data(), cut);
     EXPECT_FALSE(r.ok());
   }
+}
+
+TEST(GroupTableSerdeTest, EveryAccumulatorLayoutRoundTrips) {
+  // Each (kind, input type) keeps only the arrays its fold writes. A
+  // spilled chunk of every layout reloads into the same groups: Serialize,
+  // Deserialize, then MergeFrom into an empty table reproduces the
+  // source's keys and accumulators.
+  const Schema key_schema({Field("k", TypeId::kI64)});
+  struct Case {
+    AggKind kind;
+    TypeId in_type;
+    bool star;  // COUNT(*): no input column
+    bool i64, f64;  // the arrays kept beside `count`
+  };
+  const Case cases[] = {
+      {AggKind::kCount, TypeId::kI64, true, false, false},
+      {AggKind::kCount, TypeId::kI64, false, false, false},
+      {AggKind::kCount, TypeId::kF64, false, false, false},
+      {AggKind::kSum, TypeId::kI64, false, true, true},
+      {AggKind::kSum, TypeId::kF64, false, false, true},
+      {AggKind::kAvg, TypeId::kI64, false, true, true},
+      {AggKind::kAvg, TypeId::kF64, false, false, true},
+      {AggKind::kMin, TypeId::kI64, false, true, true},
+      {AggKind::kMin, TypeId::kF64, false, true, true},
+      {AggKind::kMax, TypeId::kI64, false, true, true},
+      {AggKind::kMax, TypeId::kF64, false, true, true},
+  };
+  constexpr int kRows = 300;
+  Vector key(TypeId::kI64, kRows);
+  for (int i = 0; i < kRows; i++) key.Data<int64_t>()[i] = i % 37;
+  const std::vector<const Vector*> keys = {&key};
+  for (const Case& c : cases) {
+    const std::string what = std::string(AggKindName(c.kind)) +
+                             (c.star ? "(*)" : "") + " over " +
+                             TypeName(c.in_type);
+    Vector val(c.in_type, kRows);
+    for (int i = 0; i < kRows; i++) {
+      if (c.in_type == TypeId::kF64) {
+        val.Data<double>()[i] = i * 0.5 - 7.25;
+      } else {
+        val.Data<int64_t>()[i] = i * 3 - 100;
+      }
+      if (i % 5 == 0) val.SetNull(i);
+    }
+    GroupTable src(key_schema, {c.kind}, {c.in_type});
+    std::vector<uint32_t> gid(kRows);
+    for (int i = 0; i < kRows; i++) {
+      auto g = src.FindOrAdd(keys, i, HashMix(i % 37));
+      ASSERT_TRUE(g.ok());
+      gid[i] = *g;
+    }
+    GroupTable::Accum& acc = src.accum(0);
+    EXPECT_EQ(acc.has_i64, c.i64) << what;
+    EXPECT_EQ(acc.has_f64, c.f64) << what;
+    if (c.star) {
+      agg::UpdateCountStar(kRows, gid.data(), acc.count.data());
+    } else {
+      agg::UpdateAccum(c.kind, c.in_type, kRows, nullptr, gid.data(),
+                       val.nulls(), val.RawData(), acc.i64.data(),
+                       acc.f64.data(), acc.count.data());
+    }
+    std::vector<uint8_t> blob;
+    src.Serialize(0, src.num_groups(), &blob);
+    auto chunk = GroupTable::Deserialize(key_schema, {c.kind}, {c.in_type},
+                                         blob.data(), blob.size());
+    ASSERT_TRUE(chunk.ok()) << what << ": " << chunk.status().ToString();
+    GroupTable dst(key_schema, {c.kind}, {c.in_type});
+    ASSERT_TRUE(dst.MergeFrom(**chunk).ok()) << what;
+    ASSERT_EQ(dst.num_groups(), src.num_groups()) << what;
+    for (int64_t g = 0; g < src.num_groups(); g++) {
+      EXPECT_TRUE(dst.keys().GetValue(0, g).SqlEquals(
+          src.keys().GetValue(0, g)))
+          << what << " group " << g;
+    }
+    const GroupTable::Accum& out = dst.accum(0);
+    EXPECT_EQ(out.count, acc.count) << what;
+    EXPECT_EQ(out.i64, acc.i64) << what;
+    EXPECT_EQ(out.f64, acc.f64) << what;
+    EXPECT_EQ(out.i64.empty(), !c.i64) << what;
+    EXPECT_EQ(out.f64.empty(), !c.f64) << what;
+  }
+}
+
+TEST(GroupTableSerdeTest, JoinSortGroupSpillsFortyBytes) {
+  // join_sort's aggregation: an i64 key, SUM over f64 and COUNT(*). A
+  // spilled group is its 8-byte hash, its 8-byte key, SUM's f64 and
+  // count (16) and COUNT's count (8).
+  const Schema key_schema({Field("o_orderkey", TypeId::kI64)});
+  const std::vector<AggKind> kinds{AggKind::kSum, AggKind::kCount};
+  const std::vector<TypeId> in_types{TypeId::kF64, TypeId::kI64};
+  GroupTable t(key_schema, kinds, in_types);
+  constexpr int kGroups = 1000;
+  Vector key(TypeId::kI64, 2 * kGroups);
+  for (int i = 0; i < 2 * kGroups; i++) key.Data<int64_t>()[i] = i;
+  for (int i = 0; i < 2 * kGroups; i++) {
+    ASSERT_TRUE(t.FindOrAdd({&key}, i, HashMix(i)).ok());
+  }
+  std::vector<uint8_t> one, two;
+  t.Serialize(0, kGroups, &one);
+  t.Serialize(0, 2 * kGroups, &two);
+  EXPECT_EQ((two.size() - one.size()) / kGroups, 40u);
+  EXPECT_EQ((two.size() - one.size()) % kGroups, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -636,6 +740,71 @@ TEST_F(MemoryLimitTest, EverySpillWriteHoldsAtMostOneChunk) {
   SetWorkers(0);
   db_->config().radix_bits = -1;
   db_->config().memory_limit = 0;
+}
+
+// ---------------------------------------------------------------------------
+// Breaker state lifetimes: charged once, freed after its last reader
+// ---------------------------------------------------------------------------
+
+TEST_F(MemoryLimitTest, LastProberFreesTheJoinTable) {
+  // No join reads its build side once the probe has ended, and probe
+  // output holds copies. So once every probe clone has returned
+  // end-of-stream the tracker holds none of the build's bytes, before
+  // any operator of the plan is closed.
+  for (const int workers : {1, 4}) {
+    SetWorkers(workers);
+    MemoryTracker tracker;
+    ExecContext ctx;
+    ctx.memory = &tracker;
+    ctx.scheduler = db_->scheduler();
+    QueryExecutor executor(db_.get());
+    auto root = executor.Build(JoinNode(ScanNode("dim"), ScanNode("fact"),
+                                        JoinType::kInner, {"k"}, {"fk"}),
+                               &ctx);
+    ASSERT_TRUE(root.ok()) << root.status().ToString();
+    ASSERT_EQ(root->chains.size(), static_cast<size_t>(workers));
+    int64_t rows = 0;
+    int64_t probed_under = 0;  // tracker bytes while the probe ran
+    for (OperatorPtr& chain : root->chains) {
+      ASSERT_TRUE(chain->Open(&ctx).ok());
+      while (true) {
+        auto b = chain->Next();
+        ASSERT_TRUE(b.ok()) << b.status().ToString();
+        if (*b == nullptr) break;
+        rows += (*b)->ActiveRows();
+        probed_under = std::max(probed_under, tracker.used());
+      }
+    }
+    EXPECT_EQ(rows, kFactRows);
+    EXPECT_GT(probed_under, 0) << "workers=" << workers;
+    EXPECT_EQ(tracker.used(), 0) << "workers=" << workers;
+    for (OperatorPtr& chain : root->chains) chain->Close();
+  }
+  SetWorkers(0);
+}
+
+TEST_F(MemoryLimitTest, RootJoinPeaksAtItsMergedTable) {
+  // A join's drained partials move into the merged table and are charged
+  // once, so an unlimited root join (nothing else holds tracker memory)
+  // peaks near the table it probes: the JoinBuildMerge entries' mem(kb).
+  // Charging the partials beside the merged table read about 1.5x.
+  SetWorkers(4);
+  db_->config().memory_limit = 0;
+  db_->memory()->ResetPeak();
+  auto res = session_->Execute(JoinNode(ScanNode("dim"), ScanNode("fact"),
+                                        JoinType::kInner, {"k"}, {"fk"}));
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  const int64_t peak = db_->memory()->peak();
+  int64_t merged = 0;
+  for (const OperatorProfile& p : res->profile.operators) {
+    if (p.op == "JoinBuildMerge") merged += p.mem_bytes;
+  }
+  ASSERT_GT(merged, 0);
+  EXPECT_LE(static_cast<double>(peak), 1.25 * static_cast<double>(merged))
+      << "peak " << peak << " B, merged tables " << merged << " B\n"
+      << res->profile.ToString();
+  ExpectTrackerDrained("root join");
+  SetWorkers(0);
 }
 
 // ---------------------------------------------------------------------------
