@@ -101,6 +101,11 @@ Result<QueryResult> CollectChains(const std::vector<Operator*>& chains,
       }));
   QueryResult result = std::move(parts[0]);
   result.schema = chains[0]->output_schema();
+  // Sized once: growing it chain by chain would reallocate while every
+  // row is alive.
+  size_t total = result.rows.size();
+  for (size_t w = 1; w < parts.size(); w++) total += parts[w].rows.size();
+  result.rows.reserve(total);
   for (size_t w = 1; w < parts.size(); w++) {
     result.batches += parts[w].batches;
     std::move(parts[w].rows.begin(), parts[w].rows.end(),
