@@ -19,6 +19,8 @@
 // spill and the tracker must drain. At both peak/24 points the bench
 // prints each breaker's spilled rows and writes and the sort's run count,
 // and fails when a breaker wrote more than kSpillChunkRows rows per write.
+// The 4-worker peak/24 point also prints `agg_bytes_per_group=`, the
+// aggregation's spilled bytes per spilled group, which CI gates.
 #include <cinttypes>
 #include <cmath>
 #include <cstdlib>
@@ -244,6 +246,12 @@ int main() {
   if (!profiled.ok()) return 1;
   const BreakerSpill spill = SumBreakerSpill(profiled->profile);
   bool chunks_ok = PrintBreakers("per-breaker spill at peak/24", spill);
+  // The aggregation's spill width: a spilled group is its hash, its key
+  // and the accumulator arrays its aggregates keep. CI gates on it.
+  std::printf("agg_bytes_per_group=%.2f\n",
+              spill.agg.rows > 0 ? static_cast<double>(spill.agg.bytes) /
+                                       static_cast<double>(spill.agg.rows)
+                                 : 0.0);
   std::printf("\nvery-tight profile:\n%s",
               profiled->profile.ToString().c_str());
   const bool breakers_ok = spill.every_breaker();
