@@ -145,11 +145,6 @@ class AggWorkerState {
   Status Consume(Batch& in, ExecContext* ctx,
                  const std::vector<AggItem>& aggs);
 
-  GroupTable* table(int partition = 0) const {
-    return partition < static_cast<int>(tables_.size())
-               ? tables_[partition].get()
-               : nullptr;
-  }
   int num_partitions() const { return 1 << radix_bits_; }
 
   /// Moves the `partition` table out — the barrier merge takes every
