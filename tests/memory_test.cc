@@ -787,7 +787,7 @@ TEST_F(MemoryLimitTest, RootJoinPeaksAtItsMergedTable) {
   // A join's drained partials move into the merged table and are charged
   // once, so an unlimited root join (nothing else holds tracker memory)
   // peaks near the table it probes: the JoinBuildMerge entries' mem(kb).
-  // Charging the partials beside the merged table read about 1.5x.
+  // Partials charged beside the merged table would read about 1.5x.
   SetWorkers(4);
   db_->config().memory_limit = 0;
   db_->memory()->ResetPeak();
