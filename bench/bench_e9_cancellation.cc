@@ -2,8 +2,11 @@
 // IO-wait-heavy) at random points; report the latency from Cancel() to
 // query teardown. The paper's point: this must work under parallelism and
 // asynchronous IO without leaking resources. The storm cancels Q1 at
-// parallelism 1 and 2 and a root join (orders x lineitem, whose probe
-// clones are the root drain's chains) at parallelism 2.
+// parallelism 1 and 2, a root join (orders x lineitem, whose probe
+// clones are the root drain's chains) at parallelism 2, and Q3 at
+// parallelism 2 and 4, a join inside a build side: the lineitem probe's
+// Open runs the customer x orders build, whose chains' Opens run the
+// customer build.
 //
 // Exits non-zero when a cancelled query returns anything but Cancelled or
 // a query is left RUNNING after the storm.
@@ -67,8 +70,12 @@ int main() {
     std::function<AlgebraPtr()> plan;
   };
   const auto q1 = [] { return tpch::Q1Plan(); };
-  const Storm storms[] = {
-      {"Q1", 1, q1}, {"Q1", 2, q1}, {"root join", 2, RootJoinPlan}};
+  const auto q3 = [] { return tpch::Q3Plan(); };
+  const Storm storms[] = {{"Q1", 1, q1},
+                          {"Q1", 2, q1},
+                          {"root join", 2, RootJoinPlan},
+                          {"Q3", 2, q3},
+                          {"Q3", 4, q3}};
   int wrong_status = 0;
   for (const Storm& storm : storms) {
     std::vector<double> lat;

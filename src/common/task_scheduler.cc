@@ -142,7 +142,7 @@ void TaskGroup::Spawn(std::function<Status()> fn) {
         }
         Finish(fn());
       },
-      tag_);
+      this);
 }
 
 void TaskGroup::Finish(const Status& s) {
@@ -169,7 +169,7 @@ Status TaskGroup::Wait() {
     // worker) scheduler cannot deadlock the joining thread. Only own
     // tasks: an arbitrary stolen task may block on a barrier owned by a
     // frame suspended beneath this very Wait (see header).
-    if (!scheduler_->RunOneTask(tag_)) {
+    if (!scheduler_->RunOneTask(this)) {
       lock.lock();
       if (outstanding_ > 0) {
         done_cv_.wait_for(lock, std::chrono::milliseconds(2));
@@ -187,13 +187,12 @@ Status TaskGroup::Wait() {
 
 Status RunPipelineTasks(TaskScheduler* scheduler, TaskQuota* quota,
                         CancellationToken* cancel, int n,
-                        const std::function<Status(int, TaskGroup&)>& body,
-                        const void* help_tag) {
+                        const std::function<Status(int, TaskGroup&)>& body) {
   if (n == 1) {
     // A one-item pipeline runs on the calling thread: no task, no quota
     // slot. TaskGroup::Wait would run the lone queued task inline anyway
     // whenever no worker took it first.
-    TaskGroup group(scheduler, cancel, help_tag);
+    TaskGroup group(scheduler, cancel);
     Status status = group.CheckCancel();
     if (status.ok()) status = body(0, group);
     return status.ok() ? group.CheckCancel() : status;
@@ -201,7 +200,7 @@ Status RunPipelineTasks(TaskScheduler* scheduler, TaskQuota* quota,
   const int grant = quota != nullptr ? quota->Acquire(n) : n;
   Status status;
   {
-    TaskGroup group(scheduler, cancel, help_tag);
+    TaskGroup group(scheduler, cancel);
     std::atomic<int> next{0};
     for (int t = 0; t < grant && t < n; t++) {
       group.Spawn([&group, &next, &body, n]() -> Status {

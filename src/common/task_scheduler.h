@@ -21,16 +21,16 @@
 //  * Wait() *helps*: while blocked it executes queued tasks OF ITS OWN
 //    GROUP on the calling thread, so a 1-worker (or saturated) pool
 //    cannot deadlock a joiner. Helping is deliberately restricted to the
-//    group's tasks: stealing an arbitrary task can inline-execute work
-//    that blocks on a barrier owned by a suspended frame of the same
-//    thread (e.g. a probe-pipeline task waiting on the join build whose
-//    barrier is doing the stealing) — a self-deadlock no timeout can
-//    resolve. Structured concurrency: a group only ever runs down its
-//    own dependency subtree.
+//    group's tasks: an arbitrary task inlined here may block on something
+//    (a barrier, a lock) owned by a frame suspended beneath this Wait on
+//    the same thread — a self-deadlock no timeout can resolve.
+//    Structured concurrency: a group only ever runs down its own
+//    dependency subtree.
 //  * Pipeline dependencies are expressed as barriers: a pipeline spawns
 //    its morsel tasks into one TaskGroup and Wait()s before the dependent
-//    pipeline starts (e.g. a join build pipeline completes before any
-//    probe pipeline task runs). See docs/EXECUTION.md.
+//    pipeline starts. A pipeline's dependencies run when its chains are
+//    opened, on the sink's thread, before any of its tasks exists (a
+//    join probe's Open runs the build pipeline). See docs/EXECUTION.md.
 //  * TaskQuota provides per-query admission control: each query's
 //    pipelines acquire task slots from the query's quota before spawning,
 //    so one query cannot flood the shared pool and starve its neighbours
@@ -69,8 +69,8 @@ class TaskScheduler {
   int num_workers() const { return static_cast<int>(workers_.size()); }
 
   /// Fire-and-forget; prefer TaskGroup for joinable work. `tag` (owned by
-  /// the submitter, usually a TaskGroup) lets RunOneTask filter for a
-  /// group's own tasks.
+  /// the submitter: a TaskGroup tags its tasks with itself) lets
+  /// RunOneTask filter for a group's own tasks.
   void Submit(std::function<void()> fn, const void* tag = nullptr);
 
   /// Runs one queued task submitted under `tag` on the calling thread, if
@@ -180,23 +180,9 @@ class TaskGroup {
  public:
   /// `cancel` (optional) chains external query cancellation into the
   /// group: once the token fires, pending tasks are skipped.
-  ///
-  /// `help_tag` (optional) overrides the tag the group's tasks carry.
-  /// By default tasks are tagged with the group itself, so only the
-  /// group's own Wait() can inline-run them. A shared state object that
-  /// runs SEVERAL groups in sequence (e.g. a partitioned join build: a
-  /// drain group, then a per-partition merge group) tags them all with
-  /// one external tag, so threads blocked on that state — not members of
-  /// either group — can help run its tasks via RunOneTask(tag). The
-  /// caller must guarantee that (a) groups sharing a tag never have
-  /// queued tasks concurrently and (b) no task under the tag can block
-  /// on the helper's own frame.
   explicit TaskGroup(TaskScheduler* scheduler,
-                     CancellationToken* cancel = nullptr,
-                     const void* help_tag = nullptr)
-      : scheduler_(scheduler),
-        external_cancel_(cancel),
-        tag_(help_tag != nullptr ? help_tag : this) {}
+                     CancellationToken* cancel = nullptr)
+      : scheduler_(scheduler), external_cancel_(cancel) {}
   ~TaskGroup() {
     Cancel();
     Wait();
@@ -228,16 +214,11 @@ class TaskGroup {
                          : Status::OK();
   }
 
-  /// The tag this group's tasks carry (the group itself unless an
-  /// explicit help_tag was given at construction).
-  const void* tag() const { return tag_; }
-
  private:
   void Finish(const Status& s);
 
   TaskScheduler* scheduler_;
   CancellationToken* external_cancel_;
-  const void* tag_;
   std::atomic<bool> cancelled_{false};
 
   std::mutex mu_;
@@ -256,14 +237,10 @@ class TaskGroup {
 /// just with less concurrency. Waits at the barrier, releases the quota,
 /// and returns the group's status (first error wins). A one-item
 /// pipeline (`n` == 1) runs `body` on the calling thread instead, with
-/// no task and no quota slot. `help_tag`
-/// forwards to the TaskGroup (see its constructor): pipelines whose
-/// completion OTHER threads block on (the partitioned join build) tag
-/// their phases so those waiters can help instead of idling.
+/// no task and no quota slot.
 Status RunPipelineTasks(TaskScheduler* scheduler, TaskQuota* quota,
                         CancellationToken* cancel, int n,
-                        const std::function<Status(int, TaskGroup&)>& body,
-                        const void* help_tag = nullptr);
+                        const std::function<Status(int, TaskGroup&)>& body);
 
 }  // namespace x100
 

@@ -110,8 +110,7 @@ Status JoinBuildState::Build(ExecContext* ctx) {
   // their rows scattered into partition buffers. Rows with a NULL key can
   // never match any probe; they only matter through the has_null_key
   // poison flag, so they are dropped here instead of being stored
-  // unreachable. Tagged with `this` so losers of the EnsureBuilt race can
-  // help.
+  // unreachable.
   //
   // Memory governance: after every batch the worker grows its
   // reservation to its actual footprint. On failure GrowOrSpill spills
@@ -172,8 +171,7 @@ Status JoinBuildState::Build(ExecContext* ctx) {
         ctx->RecordSpill("JoinBuildSpill", partials[w].spilled.data(),
                          partials[w].spilled.size());
         return Status::OK();
-      },
-      /*help_tag=*/this));
+      }));
 
   spilled_.clear();
   spilled_.resize(P);
@@ -312,8 +310,7 @@ Status JoinBuildState::Build(ExecContext* ctx) {
           prof.open_ns = NowNs() - t0;
           ctx->RecordOperator(std::move(prof));
           return Status::OK();
-        },
-        /*help_tag=*/this));
+        }));
   }
   const int PM = num_partitions();
 
@@ -444,67 +441,15 @@ Status JoinBuildState::Build(ExecContext* ctx) {
         prof.mem_bytes = part.mem.charged();
         ctx->RecordOperator(std::move(prof));
         return Status::OK();
-      },
-      /*help_tag=*/this);
+      });
 }
 
 Status JoinBuildState::EnsureBuilt(ExecContext* ctx) {
-  // Probes call this once per batch: after a successful build, skip the
-  // mutex so concurrent probe clones never serialize on it.
-  if (built_ok_.load(std::memory_order_acquire)) return Status::OK();
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (state_ == State::kBuilt) return build_status_;
-    if (chains_closed_) {
-      return Status::Cancelled("join build side already closed");
-    }
-    if (state_ == State::kBuilding) {
-      // Another pipeline worker is building. Stealing an ARBITRARY task
-      // from this frame could inline-execute work that depends on a
-      // barrier suspended beneath us — an unrecoverable self-deadlock —
-      // but tasks tagged with THIS build (its drain chains and its
-      // per-partition merge tasks) never wait on this build's own
-      // completion, so running them here is safe and turns the waiters
-      // into extra build workers: without this, sibling pipeline tasks
-      // parked in EnsureBuilt would occupy the whole pool and serialize
-      // the merge fan-out onto the builder's thread.
-      TaskScheduler* sched = ctx->scheduler != nullptr
-                                 ? ctx->scheduler
-                                 : TaskScheduler::Global();
-      while (state_ != State::kBuilt) {
-        lock.unlock();
-        if (!sched->RunOneTask(/*tag=*/this)) {
-          lock.lock();
-          if (state_ != State::kBuilt) {
-            built_cv_.wait_for(lock, std::chrono::milliseconds(1));
-          }
-        } else {
-          lock.lock();
-        }
-      }
-      return build_status_;
-    }
-    state_ = State::kBuilding;
+  if (!built_) {
+    built_ = true;
+    build_status_ = Build(ctx);
   }
-  const Status s = Build(ctx);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    build_status_ = s;
-    state_ = State::kBuilt;
-  }
-  if (s.ok()) built_ok_.store(true, std::memory_order_release);
-  built_cv_.notify_all();
-  return s;
-}
-
-void JoinBuildState::CloseChains() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (chains_closed_) return;
-  if (state_ == State::kBuilding) return;  // build tasks own them right now
-  chains_closed_ = true;
-  for (OperatorPtr& c : chains_) {
-    if (c) c->Close();
-  }
+  return build_status_;
 }
 
 bool JoinBuildState::FinishProber(std::vector<SpillRun> probe_runs) {
@@ -1099,18 +1044,17 @@ JoinProbeOp::JoinProbeOp(OperatorPtr probe, JoinBuildStatePtr state,
 
 Status JoinProbeOp::OpenImpl(ExecContext* ctx) {
   ctx_ = ctx;
+  X100_RETURN_IF_ERROR(state_->EnsureBuilt(ctx));
   X100_RETURN_IF_ERROR(probe_child_->Open(ctx));
   return prober_.Open(ctx);
 }
 
 void JoinProbeOp::CloseImpl() {
   if (probe_child_) probe_child_->Close();
-  if (state_) state_->CloseChains();
   prober_.Close(ctx_);
 }
 
 Result<Batch*> JoinProbeOp::NextImpl() {
-  X100_RETURN_IF_ERROR(state_->EnsureBuilt(ctx_));
   return prober_.Next(probe_child_.get(), ctx_);
 }
 

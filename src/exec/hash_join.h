@@ -12,12 +12,15 @@
 //                      NULL probe key -> row dropped.
 //
 // Pipeline decomposition (docs/EXECUTION.md): the build side is its own
-// pipeline. JoinBuildState owns N cloned build chains, drains them with
-// scheduler tasks into per-worker, per-partition HashTables — rows are
-// radix-partitioned by the TOP `radix_bits` bits of the key hash as they
-// arrive — then merges + hash-indexes each of the 2^radix_bits
-// partitions with an independent scheduler task (no cross-partition
-// synchronization; radix_bits = 0 degenerates to the single-table path).
+// pipeline, run by the first probe clone's Open. A sink opens its chains
+// on one thread, in chain order, before it pulls any, so the build
+// completes before any task of the probe pipeline exists. JoinBuildState
+// owns N cloned build chains, drains them with scheduler tasks into
+// per-worker, per-partition HashTables — rows are radix-partitioned by
+// the TOP `radix_bits` bits of the key hash as they arrive — then
+// merges + hash-indexes each of the 2^radix_bits partitions with an
+// independent scheduler task (no cross-partition synchronization;
+// radix_bits = 0 degenerates to the single-table path).
 // After the merge fan-out's barrier the table is immutable and any
 // number of JoinProbeOps — one per probe worker chain, cloned by the
 // physical planner — read it concurrently; the last of them to reach
@@ -44,7 +47,6 @@
 #define X100_EXEC_HASH_JOIN_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -69,10 +71,9 @@ const char* JoinTypeName(JoinType t);
 
 /// The shared, immutable-after-build side of a hash join, radix-
 /// partitioned by the top `radix_bits` bits of the key hash. Built
-/// exactly once per query by whichever caller reaches EnsureBuilt first;
-/// concurrent callers help run the build's own scheduler tasks (drain +
-/// per-partition merge, all tagged with this state) while they wait.
-/// Records one "JoinBuildMerge" entry per partition merge task in the
+/// exactly once per query, from the first probe clone's Open, with the
+/// query's whole task grant: no task of the probe pipeline holds a slot
+/// yet. Records one "JoinBuildMerge" entry per partition merge task in the
 /// query profile so merge parallelism — and partition skew — is visible
 /// per-operator (replacing the old serial "JoinBuild(N)" entry).
 class JoinBuildState {
@@ -110,17 +111,13 @@ class JoinBuildState {
                  int radix_bits = 0, int64_t estimated_rows = -1,
                  bool allow_radix_resize = false);
 
-  /// Runs the build pipeline if it has not run yet: N scheduler tasks
-  /// drain the chains into per-worker, per-partition buffers, then
-  /// 2^radix_bits merge tasks concatenate and hash-index one partition
-  /// each. Safe to call from any thread; every caller observes the
-  /// build's status, and callers that lose the build race help run the
-  /// build's tagged tasks instead of blocking.
+  /// Runs the build pipeline on the first call and returns its status on
+  /// every call: N scheduler tasks drain the chains into per-worker,
+  /// per-partition buffers, then 2^radix_bits merge tasks concatenate and
+  /// hash-index one partition each. Every JoinProbeOp calls it from Open.
+  /// The probe clones of one join are chains of one sink, which opens
+  /// them on one thread (DrainChains), so the calls never race.
   Status EnsureBuilt(ExecContext* ctx);
-
-  /// Closes any chain the build tasks did not get to (cancellation /
-  /// sibling error paths). Idempotent, thread-safe.
-  void CloseChains();
 
   const Schema& schema() const { return build_schema_; }
 
@@ -208,14 +205,8 @@ class JoinBuildState {
   const int64_t estimated_rows_;
   const bool allow_radix_resize_;
 
-  std::mutex mu_;
-  std::condition_variable built_cv_;
-  enum class State { kIdle, kBuilding, kBuilt } state_ = State::kIdle;
-  /// Lock-free fast path for the probe hot loop: set (release) once the
-  /// build completed successfully; probes then skip mu_ entirely.
-  std::atomic<bool> built_ok_{false};
+  bool built_ = false;  // EnsureBuilt ran Build, whose status is below
   Status build_status_;
-  bool chains_closed_ = false;
 
   std::vector<Partition> partitions_;  // 2^radix_bits, built in parallel
   bool has_null_key_ = false;  // poison for NOT IN semantics

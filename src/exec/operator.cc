@@ -19,11 +19,14 @@ inline int64_t NowNs() {
 // The operator currently inside a public Open/Next on this thread. A
 // child's public entry points charge their elapsed time to the caller's
 // child_ns, which is how exclusive (self) time is derived without the
-// base class knowing the tree shape. Each chain a sink drains runs on one
-// thread, so nesting stays thread-local: a lone chain runs on the sink's
-// own thread and is its child by construction, while a sink over several
-// chains accrues child_ns only for the chains its waiting thread runs
-// inline; its exclusive time includes the cross-thread wait.
+// base class knowing the tree shape. A sink opens its chains on its own
+// thread and each chain is then pulled and closed by one task, so nesting
+// stays thread-local: every chain's Open (a join probe's includes its
+// build) is the sink's child, and so is a lone chain's pull, which runs on
+// the sink's own thread; a sink over several chains accrues child_ns only
+// for the chains its waiting thread pulls inline, so its exclusive time
+// includes the cross-thread wait. Likewise the probe clone whose Open runs
+// a build books the build's barrier wait as its own time.
 thread_local Operator* g_profiling_caller = nullptr;
 }  // namespace
 
@@ -35,36 +38,46 @@ std::vector<Operator*> Borrow(const std::vector<OperatorPtr>& ops) {
 
 Status DrainChains(ExecContext* ctx, const std::vector<Operator*>& chains,
                    const std::function<Result<bool>(int, Batch&)>& consume,
-                   const std::function<Status(int)>& finish,
-                   const void* help_tag) {
-  TaskScheduler* sched =
-      ctx->scheduler != nullptr ? ctx->scheduler : TaskScheduler::Global();
-  return RunPipelineTasks(
-      sched, ctx->quota, ctx->cancel, static_cast<int>(chains.size()),
-      [&](int w, TaskGroup& group) -> Status {
-        Operator* chain = chains[w];
-        Status s = group.CheckCancel();
-        if (s.ok()) s = chain->Open(ctx);
-        while (s.ok()) {
-          auto batch = chain->Next();
-          if (!batch.ok()) {
-            s = batch.status();
-            break;
+                   const std::function<Status(int)>& finish) {
+  Status s;
+  for (size_t w = 0; s.ok() && w < chains.size(); w++) {
+    s = ctx->CheckCancel();
+    if (s.ok()) s = chains[w]->Open(ctx);
+  }
+  if (s.ok()) {
+    TaskScheduler* sched =
+        ctx->scheduler != nullptr ? ctx->scheduler : TaskScheduler::Global();
+    s = RunPipelineTasks(
+        sched, ctx->quota, ctx->cancel, static_cast<int>(chains.size()),
+        [&](int w, TaskGroup& group) -> Status {
+          Operator* chain = chains[w];
+          Status st = group.CheckCancel();
+          while (st.ok()) {
+            auto batch = chain->Next();
+            if (!batch.ok()) {
+              st = batch.status();
+              break;
+            }
+            if (*batch == nullptr) break;
+            auto more = consume(w, **batch);
+            if (!more.ok()) {
+              st = more.status();
+              break;
+            }
+            if (!*more) break;
+            st = group.CheckCancel();
           }
-          if (*batch == nullptr) break;
-          auto more = consume(w, **batch);
-          if (!more.ok()) {
-            s = more.status();
-            break;
-          }
-          if (!*more) break;
-          s = group.CheckCancel();
-        }
-        chain->Close();
-        if (s.ok() && finish) s = finish(w);
-        return s;
-      },
-      help_tag);
+          chain->Close();
+          if (st.ok() && finish) st = finish(w);
+          return st;
+        });
+  }
+  // On success every item closed its chain. A failure can leave chains
+  // that no item closed: unopened ones, or ones whose item never ran.
+  if (!s.ok()) {
+    for (Operator* chain : chains) chain->Close();
+  }
+  return s;
 }
 
 Result<QueryResult> CollectChains(const std::vector<Operator*>& chains,

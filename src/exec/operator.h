@@ -135,19 +135,22 @@ using OperatorPtr = std::unique_ptr<Operator>;
 /// Borrowed pointers to `ops`, in order.
 std::vector<Operator*> Borrow(const std::vector<OperatorPtr>& ops);
 
-/// The one drain loop under every pipeline sink. Each of `chains` is
-/// drained on one thread by one RunPipelineTasks item (a lone chain on
-/// the calling thread): the chain is opened, pulled batch by batch with a
-/// cancellation check before each pull, and every batch is handed to
-/// `consume(w, batch)` for chain w; `consume` returns false to stop
-/// pulling early. The chain is then closed and, if it ended without
-/// error, `finish(w)` (when given) runs on the same thread. Returns the
-/// first error. `help_tag` forwards to RunPipelineTasks.
+/// The one drain loop under every pipeline sink. It first opens every
+/// chain on the calling (the sink's) thread, in chain order, with a
+/// cancellation check before each: a chain's Open runs its pipeline's
+/// dependencies (a join probe builds its table), so they complete before
+/// any task of this pipeline exists. Each chain is then pulled by one
+/// RunPipelineTasks item (a lone chain on the calling thread) batch by
+/// batch, with a cancellation check before each pull, and every batch is
+/// handed to `consume(w, batch)` for chain w; `consume` returns false to
+/// stop pulling early. The item closes the chain and, if it ended without
+/// error, runs `finish(w)` (when given) on the same thread. Every chain is
+/// closed on every path, an unopened one included. Returns the first
+/// error.
 Status DrainChains(
     ExecContext* ctx, const std::vector<Operator*>& chains,
     const std::function<Result<bool>(int, Batch&)>& consume,
-    const std::function<Status(int)>& finish = nullptr,
-    const void* help_tag = nullptr);
+    const std::function<Status(int)>& finish = nullptr);
 
 /// A materialized result (rows of Values). Used by tests, examples and
 /// the session layer.

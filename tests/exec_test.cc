@@ -446,6 +446,87 @@ TEST(HashJoinTest, OutputOverflowResumesCorrectly) {
   EXPECT_EQ(res->rows.size(), 5000u);
 }
 
+/// Passes its child's batches through and records the query's task quota
+/// slots in use at every pull.
+class QuotaProbeOp : public Operator {
+ public:
+  struct Seen {
+    std::mutex mu;
+    std::vector<int> in_use;
+  };
+  QuotaProbeOp(OperatorPtr child, Seen* seen)
+      : child_(std::move(child)), seen_(seen) {}
+  ~QuotaProbeOp() override { Close(); }
+
+  const Schema& output_schema() const override {
+    return child_->output_schema();
+  }
+  std::string name() const override { return "QuotaProbe"; }
+
+ protected:
+  Status OpenImpl(ExecContext* ctx) override {
+    ctx_ = ctx;
+    return child_->Open(ctx);
+  }
+  Result<Batch*> NextImpl() override {
+    {
+      std::lock_guard<std::mutex> lock(seen_->mu);
+      seen_->in_use.push_back(ctx_->quota->in_use());
+    }
+    return child_->Next();
+  }
+  void CloseImpl() override { child_->Close(); }
+
+ private:
+  OperatorPtr child_;
+  Seen* seen_;
+  ExecContext* ctx_ = nullptr;
+};
+
+TEST(HashJoinTest, BuildDrainsUnderTheWholeQuota) {
+  // Four probe clones share one build of four chains under a 4-slot
+  // quota. The build runs from the first clone's Open, before the probe
+  // pipeline takes a slot, so its drain is granted all four: no probe
+  // task holds a slot beside it.
+  TaskScheduler pool(4);
+  TaskQuota quota(4);
+  ExecContext ctx;
+  ctx.scheduler = &pool;
+  ctx.quota = &quota;
+  Schema s({Field("k", TypeId::kI64)});
+  QuotaProbeOp::Seen seen;
+  std::vector<OperatorPtr> build;
+  std::vector<OperatorPtr> probes;
+  for (int w = 0; w < 4; w++) {
+    std::vector<std::vector<Value>> build_rows;
+    for (int i = 0; i < 5000; i++) {
+      build_rows.push_back({Value::I64(w * 5000 + i)});
+    }
+    build.push_back(std::make_unique<QuotaProbeOp>(
+        std::make_unique<ValuesOp>(s, std::move(build_rows)), &seen));
+  }
+  auto state = std::make_shared<JoinBuildState>(std::move(build),
+                                                std::vector<int>{0});
+  for (int w = 0; w < 4; w++) {
+    std::vector<std::vector<Value>> probe_rows;
+    for (int i = 0; i < 100; i++) {
+      probe_rows.push_back({Value::I64(w * 5000 + i)});
+    }
+    probes.push_back(std::make_unique<JoinProbeOp>(
+        std::make_unique<ValuesOp>(s, std::move(probe_rows)), state,
+        std::vector<int>{0}, JoinType::kInner));
+  }
+  auto res = CollectChains(Borrow(probes), &ctx);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  EXPECT_EQ(res->rows.size(), 400u);
+  ASSERT_FALSE(seen.in_use.empty());
+  const auto [fewest, most] =
+      std::minmax_element(seen.in_use.begin(), seen.in_use.end());
+  EXPECT_EQ(*fewest, 4);
+  EXPECT_EQ(*most, 4);
+  EXPECT_EQ(quota.in_use(), 0);
+}
+
 // ---------------------------------------------------------------------------
 // Aggregation
 // ---------------------------------------------------------------------------
@@ -916,21 +997,25 @@ TEST_F(ScanTest, RootDrainUnionsPartitionedScans) {
   EXPECT_EQ(sum, 999ll * 1000 / 2);
 }
 
-/// An endless source of i64 batches that counts its opens, closes and
-/// in-flight Next calls; `fail_at` > 0 makes its fail_at-th Next return
-/// an error, and `cancel_at` > 0 makes its cancel_at-th Next fire
-/// `cancel_token`.
+/// An endless source of i64 batches that counts its opens, closes, Close
+/// calls and in-flight Next calls, and the fewest chains open at any
+/// pull; `fail_open` makes its Open fail, `fail_at` > 0 makes its
+/// fail_at-th Next return an error, and `cancel_at` > 0 makes its
+/// cancel_at-th Next fire `cancel_token`.
 class ChainProbeOp : public Operator {
  public:
   struct Counters {
     std::atomic<int> opened{0};
     std::atomic<int> closed{0};
+    std::atomic<int> close_calls{0};
     std::atomic<int> in_next{0};
+    std::atomic<int> min_opened_at_pull{1 << 30};
     std::atomic<int64_t> batches{0};
   };
   explicit ChainProbeOp(Counters* counters) : counters_(counters) {}
   ~ChainProbeOp() override { Close(); }
 
+  bool fail_open = false;
   int fail_at = 0;
   int cancel_at = 0;
   CancellationToken* cancel_token = nullptr;
@@ -940,6 +1025,7 @@ class ChainProbeOp : public Operator {
 
  protected:
   Status OpenImpl(ExecContext* ctx) override {
+    if (fail_open) return Status::Internal("open failed");
     ctx_ = ctx;
     out_ = std::make_unique<Batch>(schema_, ctx->vector_size);
     open_ = true;
@@ -948,11 +1034,18 @@ class ChainProbeOp : public Operator {
   }
   Result<Batch*> NextImpl() override {
     counters_->in_next++;
+    const int opened = counters_->opened.load();
+    int seen = counters_->min_opened_at_pull.load();
+    while (opened < seen &&
+           !counters_->min_opened_at_pull.compare_exchange_weak(seen,
+                                                                opened)) {
+    }
     auto r = Produce();
     counters_->in_next--;
     return r;
   }
   void CloseImpl() override {
+    counters_->close_calls++;
     if (open_) counters_->closed++;
     open_ = false;
   }
@@ -1066,6 +1159,57 @@ TEST(CancellationTest, RootDrainReturnsTheFailingChainsError) {
         << res.status().ToString();
     EXPECT_EQ(counters.in_next.load(), 0);
     EXPECT_EQ(counters.opened.load(), counters.closed.load());
+  }
+}
+
+TEST(DrainChainsTest, OpensEveryChainBeforePullingAny) {
+  // The open phase runs on the drain's thread before any chain task
+  // exists: every chain's first pull sees all four chains open.
+  for (int workers : {1, 4}) {
+    TaskScheduler pool(workers);
+    ExecContext ctx;
+    ctx.scheduler = &pool;
+    ChainProbeOp::Counters counters;
+    std::vector<OperatorPtr> chains;
+    for (int w = 0; w < 4; w++) {
+      chains.push_back(std::make_unique<ChainProbeOp>(&counters));
+    }
+    std::atomic<int> pulled{0};
+    const Status s = DrainChains(&ctx, Borrow(chains),
+                                 [&pulled](int, Batch&) -> Result<bool> {
+                                   pulled++;
+                                   return false;  // one batch per chain
+                                 });
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    EXPECT_EQ(pulled.load(), 4);
+    EXPECT_EQ(counters.min_opened_at_pull.load(), 4) << "workers=" << workers;
+    EXPECT_EQ(counters.closed.load(), 4);
+    EXPECT_EQ(counters.close_calls.load(), 4);
+  }
+}
+
+TEST(DrainChainsTest, FailedOpenPullsNoChainAndClosesEveryChain) {
+  // Chain k's Open fails: the drain returns its error, opens no later
+  // chain, pulls none, and closes all four (the unopened ones too).
+  for (int k = 0; k < 4; k++) {
+    TaskScheduler pool(2);
+    ExecContext ctx;
+    ctx.scheduler = &pool;
+    ChainProbeOp::Counters counters;
+    std::vector<OperatorPtr> chains;
+    for (int w = 0; w < 4; w++) {
+      auto op = std::make_unique<ChainProbeOp>(&counters);
+      op->fail_open = w == k;
+      chains.push_back(std::move(op));
+    }
+    const Status s = DrainChains(
+        &ctx, Borrow(chains), [](int, Batch&) -> Result<bool> { return true; });
+    const std::string where = "failing chain " + std::to_string(k);
+    EXPECT_EQ(s.code(), StatusCode::kInternal) << s.ToString() << " " << where;
+    EXPECT_EQ(counters.opened.load(), k) << where;
+    EXPECT_EQ(counters.min_opened_at_pull.load(), 1 << 30) << where;
+    EXPECT_EQ(counters.closed.load(), k) << where;
+    EXPECT_EQ(counters.close_calls.load(), 4) << where;
   }
 }
 

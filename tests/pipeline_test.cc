@@ -790,8 +790,12 @@ TEST_F(PipelineTest, RootProjectOverJoinProbeRunsParallel) {
 TEST_F(PipelineTest, OneItemPipelinesSpawnNoTask) {
   // At max_parallelism 1 every pipeline of a sort over an aggregation
   // over a scan has one item (one chain, one merge partition, one sort
-  // range), and a one-item pipeline runs on the calling thread.
+  // range), and a one-item pipeline runs on the calling thread. Read-ahead
+  // is off: its pump is a pool task, and the warm-up's could run after the
+  // snapshot.
   SetWorkers(1);
+  const int64_t prefetch_budget = db_->config().prefetch_budget_bytes;
+  db_->config().prefetch_budget_bytes = 0;
   const auto plan = [] {
     AlgebraPtr agg = AggrNode(ScanNode("fact"), {{"fk", Col("fk")}},
                               {{AggKind::kSum, Col("val"), "s"}});
@@ -801,10 +805,13 @@ TEST_F(PipelineTest, OneItemPipelinesSpawnNoTask) {
   TaskScheduler* pool = db_->scheduler();
   ASSERT_EQ(pool->num_workers(), 1);
   const int64_t before = pool->tasks_run();
+  const int64_t prefetches = db_->buffers()->prefetch_issued();
   auto res = session_->Execute(plan());
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   EXPECT_EQ(res->rows.size(), 100u);
+  EXPECT_EQ(db_->buffers()->prefetch_issued(), prefetches);
   EXPECT_EQ(pool->tasks_run(), before);
+  db_->config().prefetch_budget_bytes = prefetch_budget;
   SetWorkers(0);
 }
 
@@ -977,6 +984,83 @@ TEST_F(PipelineTest, CancellationMidPipelineJoinsAllTasks) {
   SetWorkers(0);
   ASSERT_FALSE(res.ok());
   EXPECT_TRUE(res.status().IsCancelled()) << res.status().ToString();
+}
+
+/// Passes a chain's batches through and fires `token` at its first pull.
+class CancelAtFirstPullOp : public Operator {
+ public:
+  CancelAtFirstPullOp(OperatorPtr child, CancellationToken* token)
+      : child_(std::move(child)), token_(token) {}
+  ~CancelAtFirstPullOp() override { Close(); }
+
+  const Schema& output_schema() const override {
+    return child_->output_schema();
+  }
+  std::string name() const override { return "CancelAtFirstPull"; }
+
+ protected:
+  Status OpenImpl(ExecContext* ctx) override { return child_->Open(ctx); }
+  Result<Batch*> NextImpl() override {
+    token_->Cancel();
+    return child_->Next();
+  }
+  void CloseImpl() override { child_->Close(); }
+
+ private:
+  OperatorPtr child_;
+  CancellationToken* token_;
+};
+
+TEST_F(PipelineTest, CancelWhileABuildRunsFromOpen) {
+  // The cancel fires at the first pull of dim, the innermost build side.
+  // That build runs inside a probe clone's Open: the root join's, or, in
+  // the Q3-shaped join, an outer build chain's, which the outer join's
+  // probe clone opens while it builds. Either query returns Cancelled,
+  // holds no tracker bytes and leaves no query RUNNING.
+  CancellationToken token;
+  PhysicalPlanner planner = PhysicalPlanner::Default();
+  planner.Register(
+      AlgebraNode::Kind::kScan,
+      [&token](const AlgebraPtr& node, PlannerContext* pc,
+               const PhysicalPlanner*) -> Result<OperatorPtr> {
+        OperatorPtr scan;
+        X100_ASSIGN_OR_RETURN(scan, BuildScanOp(*node, pc, nullptr));
+        if (node->table != "dim") return scan;
+        return OperatorPtr(
+            std::make_unique<CancelAtFirstPullOp>(std::move(scan), &token));
+      });
+  const auto root_join = [] {
+    return JoinNode(ScanNode("dim"), ScanNode("fact"), JoinType::kInner,
+                    {"k"}, {"fk"});
+  };
+  const auto nested_join = [&root_join] {
+    AlgebraPtr probe = ProjectNode(ScanNode("mono"), {{"t", Col("tag")}});
+    return JoinNode(root_join(), std::move(probe), JoinType::kInner, {"val"},
+                    {"t"});
+  };
+  const std::pair<const char*, std::function<AlgebraPtr()>> plans[] = {
+      {"root join", root_join}, {"nested join", nested_join}};
+  session_->executor()->set_planner(&planner);
+  for (int workers : {1, 4}) {
+    SetWorkers(workers);
+    for (const auto& [name, plan] : plans) {
+      const std::string what =
+          std::string(name) + " workers=" + std::to_string(workers);
+      token.Reset();
+      auto res = session_->Execute(plan(), &token);
+      ASSERT_FALSE(res.ok()) << what;
+      EXPECT_TRUE(res.status().IsCancelled())
+          << res.status().ToString() << " " << what;
+      EXPECT_EQ(db_->memory()->used(), 0) << what;
+    }
+  }
+  session_->executor()->set_planner(&PhysicalPlanner::Default());
+  SetWorkers(0);
+  const std::vector<QueryInfo> queries = db_->queries()->List();
+  EXPECT_EQ(queries.size(), 4u);
+  for (const QueryInfo& q : queries) {
+    EXPECT_NE(q.state, QueryState::kRunning) << q.id;
+  }
 }
 
 TEST_F(PipelineTest, PreCancelledPipelineAbortsPromptly) {
